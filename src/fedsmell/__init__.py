@@ -1,7 +1,7 @@
 """Federated god-class code-smell detection on tabular code metrics."""
 
 from .config import ExperimentConfig, parse_config
-from .data import (Dataset, FEATURE_NAMES, NormalizationStats, PartitionPlan, Sample,
+from .data import (Dataset, FEATURE_NAMES, NormalizationStats, PartitionPlan,
                    apply_normalizer, fit_normalizer, load_csv, partition_chunks,
                    rebalance, split_train_test, synth_generate)
 from .errors import (ConfigError, DataError, FedsmellError, NumericError, ParseError,
@@ -9,12 +9,10 @@ from .errors import (ConfigError, DataError, FedsmellError, NumericError, ParseE
 from .federation import (ClientNode, FederationTopology, ModelUpdate, RoundConfig,
                          RoundLog, client_update, combiner_aggregate, reducer_reduce,
                          run_federation, sample_clients)
-from .metrics import (ConfusionMatrix, MetricReport, ScoredPrediction, accuracy,
-                      cohen_kappa, evaluate_model, interpret_kappa, interpret_roc,
-                      roc_auc)
+from .metrics import (ConfusionMatrix, MetricReport, accuracy, cohen_kappa, evaluate_model,
+                      interpret_kappa, interpret_roc, roc_auc)
 from .nn import (AdamState, DenseLayerParams, Hyperparams, LstmCellParams, ModelParams,
-                 PARAM_COUNT, adam_step, backward, cross_entropy, flatten_params,
-                 init_params, load_weights, lstm_forward, model_forward, save_weights,
+                 PARAM_COUNT, flatten_params, init_params, load_weights, save_weights,
                  unflatten_params)
 
 __version__ = "0.1.0"

@@ -92,7 +92,7 @@ def _read_ini(path: Path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh, source=str(path))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ParseError(f"config {path}: {exc}") from exc
@@ -122,7 +122,7 @@ _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 def _read_resolved_json(path: Path) -> dict:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"config {path}: line {exc.lineno}: {exc.msg}") from exc

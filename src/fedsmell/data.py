@@ -8,7 +8,6 @@ explicit seeds and are reproducible.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,14 +35,6 @@ CLASS_SEPARATION = 5.0
 CLASS_AXIS = np.ones(NUM_FEATURES) / math.sqrt(NUM_FEATURES)
 CONTEXT_AXIS = np.array([1.0, -1.0] * (NUM_FEATURES // 2)) / math.sqrt(NUM_FEATURES)
 _SHIFT_CLASS_FRACTION = 2.0 / 3.0
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One class instance: 16 metric features and a binary label."""
-
-    features: np.ndarray
-    label: int
 
 
 @dataclass
@@ -81,9 +72,6 @@ class Dataset:
         idx = np.asarray(indices, dtype=int)
         return Dataset(name or self.name, self.features[idx], self.labels[idx])
 
-    def samples(self) -> list[Sample]:
-        return [Sample(self.features[i].copy(), int(self.labels[i])) for i in range(len(self))]
-
 
 def concat_datasets(name: str, datasets) -> Dataset:
     datasets = list(datasets)
@@ -101,14 +89,15 @@ def load_csv(path, schema=FEATURE_NAMES) -> Dataset:
 
     The header must contain every schema column (case-insensitive) plus
     the label column; extra columns are ignored and file row order is
-    preserved. Blank lines are skipped.
+    preserved. Blank lines are skipped. Labels must equal 0 or 1 and
+    feature cells must be finite; a bad cell is reported with its row.
     """
     path = Path(path)
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = [(line_no, row) for line_no, row in enumerate(csv.reader(fh), start=1)
                     if any(cell.strip() for cell in row)]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read dataset {path}: {exc}") from exc
     if not rows:
         raise StructuralError(f"{path}: empty file")
@@ -132,15 +121,21 @@ def load_csv(path, schema=FEATURE_NAMES) -> Dataset:
         except (ValueError, IndexError) as exc:
             raise ParseError(f"{path}: row {line_no}: non-numeric feature cell ({exc})") from exc
         try:
-            label = int(float(row[label_idx]))
+            label = float(row[label_idx])
         except (ValueError, IndexError) as exc:
             raise ParseError(f"{path}: row {line_no}: bad label cell ({exc})") from exc
-        if label not in (0, 1):
-            raise ParseError(f"{path}: row {line_no}: label must be 0 or 1, got {label}")
-        labels.append(label)
+        if label not in (0.0, 1.0):
+            raise ParseError(f"{path}: row {line_no}: label must be 0 or 1, "
+                             f"got {row[label_idx]!r}")
+        labels.append(int(label))
     if not features:
         raise StructuralError(f"{path}: no data rows")
-    return Dataset(path.stem, np.array(features), np.array(labels))
+    features = np.array(features)
+    finite_rows = np.isfinite(features).all(axis=1)
+    if not finite_rows.all():
+        line_no = rows[1 + int(np.argmin(finite_rows))][0]
+        raise ParseError(f"{path}: row {line_no}: non-finite feature cell")
+    return Dataset(path.stem, features, np.array(labels))
 
 
 def save_csv(dataset: Dataset, path) -> None:
@@ -169,10 +164,6 @@ def fit_normalizer(train: Dataset) -> NormalizationStats:
 
 def apply_normalizer(d: Dataset, stats: NormalizationStats) -> Dataset:
     return Dataset(d.name, (d.features - stats.mean) / stats.std, d.labels)
-
-
-def denormalize(d: Dataset, stats: NormalizationStats) -> Dataset:
-    return Dataset(d.name, d.features * stats.std + stats.mean, d.labels)
 
 
 def split_train_test(d: Dataset, test_fraction: float, seed: int):
@@ -204,22 +195,6 @@ class PartitionPlan:
     source: str
     k: int
     chunks: tuple[tuple[int, ...], ...]
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "source": self.source,
-            "k": self.k,
-            "chunks": [list(chunk) for chunk in self.chunks],
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "PartitionPlan":
-        raw = json.loads(text)
-        return cls(
-            source=raw["source"],
-            k=int(raw["k"]),
-            chunks=tuple(tuple(int(i) for i in chunk) for chunk in raw["chunks"]),
-        )
 
 
 def partition_chunks(d: Dataset, k: int, seed: int) -> PartitionPlan:

@@ -9,7 +9,6 @@ whole run replays bit-for-bit.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
 from dataclasses import dataclass
@@ -257,15 +256,3 @@ def run_federation(topology: FederationTopology, config: RoundConfig, test_set: 
             participants=tuple(selected),
         ))
     return logs, values
-
-
-def write_round_csv(logs, path) -> None:
-    """Persist round logs as CSV: round,loss,accuracy,kappa,roc_auc,participants."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["round", "loss", "accuracy", "kappa", "roc_auc", "participants"])
-        for log in logs:
-            writer.writerow([
-                log.round, repr(log.loss), repr(log.accuracy), repr(log.kappa),
-                repr(log.roc_auc), ";".join(str(i) for i in log.participants),
-            ])

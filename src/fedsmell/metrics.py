@@ -29,14 +29,6 @@ class ConfusionMatrix:
 
 
 @dataclass(frozen=True)
-class ScoredPrediction:
-    """Positive-class probability paired with the true label."""
-
-    score: float
-    label: int
-
-
-@dataclass(frozen=True)
 class MetricReport:
     accuracy_pct: float
     mean_loss: float
@@ -81,15 +73,17 @@ def cohen_kappa(cm: ConfusionMatrix) -> float:
     return (p_o - p_e) / (1.0 - p_e)
 
 
-def roc_auc(preds) -> float:
+def roc_auc(scores, labels) -> float:
     """Area under the ROC curve via the rank (Mann-Whitney) formulation.
 
+    `scores` are positive-class scores, `labels` the matching 0/1 labels.
     Equals the probability that a random positive outscores a random
     negative, ties counted half.
     """
-    preds = list(preds)
-    scores = np.array([p.score for p in preds], dtype=float)
-    labels = np.array([p.label for p in preds], dtype=int)
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels, dtype=int)
+    if scores.ndim != 1 or labels.shape != scores.shape:
+        raise StructuralError("scores and labels must be matching 1-D arrays")
     if not np.all(np.isfinite(scores)):
         raise NumericError("prediction scores contain non-finite values")
     n_pos = int((labels == 1).sum())
@@ -98,15 +92,12 @@ def roc_auc(preds) -> float:
         raise StructuralError("ROC needs at least one sample of each class")
 
     order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores))
     sorted_scores = scores[order]
-    start = 0
-    while start < len(scores):
-        stop = start + 1
-        while stop < len(scores) and sorted_scores[stop] == sorted_scores[start]:
-            stop += 1
-        ranks[order[start:stop]] = (start + stop + 1) / 2.0  # 1-based midrank
-        start = stop
+    # Each run of tied scores [start, stop) shares the 1-based midrank.
+    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    stops = np.r_[starts[1:], len(scores)]
+    ranks = np.empty(len(scores))
+    ranks[order] = np.repeat((starts + stops + 1) / 2.0, stops - starts)
     pos_rank_sum = ranks[labels == 1].sum()
     return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
@@ -165,7 +156,7 @@ def evaluate_model(weights, test: Dataset) -> MetricReport:
     predicted = (probs[:, 1] > probs[:, 0]).astype(int)
     cm = confusion_from_predictions(predicted, test.labels)
     kappa = cohen_kappa(cm)
-    auc = roc_auc(ScoredPrediction(float(s), int(l)) for s, l in zip(probs[:, 1], test.labels))
+    auc = roc_auc(probs[:, 1], test.labels)
     return MetricReport(
         accuracy_pct=accuracy(cm),
         mean_loss=mean_cross_entropy(probs, test.labels),

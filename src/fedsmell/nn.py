@@ -4,14 +4,15 @@ The network is a single-timestep LSTM cell (16 hidden units, zero initial
 state) feeding a relu dense stack (72, 50, 36, 28) and a 2-way softmax
 head. Everything is plain numpy float64. Parameters travel between
 federation nodes as one flat vector with a fixed canonical layout, so
-model exchange and aggregation reduce to vector arithmetic.
+model exchange and aggregation reduce to vector arithmetic; the
+structured parameters are views onto that vector.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,73 +27,64 @@ NUM_CLASSES = 2
 # disturb reported losses, tight enough to keep log() finite.
 PROB_CLAMP = 1e-12
 
-RELU = "relu"
-SOFTMAX = "softmax"
-IDENTITY = "identity"
-_ACTIVATIONS = (RELU, SOFTMAX, IDENTITY)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
+def _layout() -> tuple[tuple[int, ...], ...]:
+    # Canonical order: gates f, i, o, c (weights then bias each), then the
+    # dense stack in depth order, then the head; row-major throughout.
+    shapes = [(HIDDEN_DIM, HIDDEN_DIM + INPUT_DIM), (HIDDEN_DIM,)] * 4
+    fan_in = HIDDEN_DIM
+    for units in DENSE_UNITS + (NUM_CLASSES,):
+        shapes += [(units, fan_in), (units,)]
+        fan_in = units
+    return tuple(shapes)
+
+
+LAYOUT = _layout()
+PARAM_COUNT = sum(math.prod(shape) for shape in LAYOUT)
 
 
 @dataclass
 class LstmCellParams:
     """Gate parameters of one LSTM cell acting on [h_prev, x] vectors.
 
-    All four weight matrices are (hidden_dim, hidden_dim + input_dim);
-    all four biases are (hidden_dim,). Gate order everywhere is forget,
-    input, output, candidate.
+    All four weight matrices are (HIDDEN_DIM, HIDDEN_DIM + INPUT_DIM), the
+    h_prev columns first; all four biases are (HIDDEN_DIM,). Gate order
+    everywhere is forget, input, output, candidate, and the fields follow
+    the flat layout order. The initial state is zero, so the forget gate
+    and the h_prev columns never reach the output: they keep their place
+    in the flat layout but never train.
     """
 
     w_f: np.ndarray
-    w_i: np.ndarray
-    w_o: np.ndarray
-    w_c: np.ndarray
     b_f: np.ndarray
+    w_i: np.ndarray
     b_i: np.ndarray
+    w_o: np.ndarray
     b_o: np.ndarray
+    w_c: np.ndarray
     b_c: np.ndarray
-
-    def __post_init__(self):
-        shape = self.w_f.shape
-        if len(shape) != 2 or shape[0] < 1:
-            raise StructuralError(f"gate weights must be 2-D with hidden_dim > 0, got {shape}")
-        for name in ("w_i", "w_o", "w_c"):
-            if getattr(self, name).shape != shape:
-                raise StructuralError(f"{name} shape {getattr(self, name).shape} != w_f shape {shape}")
-        for name in ("b_f", "b_i", "b_o", "b_c"):
-            if getattr(self, name).shape != (shape[0],):
-                raise StructuralError(f"{name} must have length {shape[0]}")
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.w_f.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.w_f.shape[1] - self.w_f.shape[0]
 
 
 @dataclass
 class DenseLayerParams:
-    """One fully-connected layer: activation(weights @ x + bias)."""
+    """One fully-connected layer: weights @ x + bias."""
 
     weights: np.ndarray  # (out_dim, in_dim)
     bias: np.ndarray  # (out_dim,)
-    activation: str = RELU
-
-    def __post_init__(self):
-        if self.weights.ndim != 2:
-            raise StructuralError("dense weights must be 2-D")
-        if self.bias.shape != (self.weights.shape[0],):
-            raise StructuralError(
-                f"bias length {self.bias.shape} does not match {self.weights.shape[0]} output rows"
-            )
-        if self.activation not in _ACTIVATIONS:
-            raise StructuralError(f"unknown activation {self.activation!r}")
 
 
 @dataclass
 class ModelParams:
-    """Full parameter set: LSTM cell, relu dense stack, softmax head."""
+    """Full parameter set: LSTM cell, relu dense stack, softmax head.
 
+    Every array is a view onto `values`, the canonical flat vector.
+    """
+
+    values: np.ndarray
     lstm: LstmCellParams
     dense: tuple[DenseLayerParams, ...]
     output: DenseLayerParams
@@ -105,13 +97,10 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step_count: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     @classmethod
-    def zeros(cls, dim: int, **kwargs) -> "AdamState":
-        return cls(m=np.zeros(dim), v=np.zeros(dim), **kwargs)
+    def zeros(cls, dim: int) -> "AdamState":
+        return cls(m=np.zeros(dim), v=np.zeros(dim))
 
 
 @dataclass(frozen=True)
@@ -131,19 +120,6 @@ class Hyperparams:
             raise StructuralError("local_epochs must be >= 1")
 
 
-def _architecture_param_count() -> int:
-    z_dim = HIDDEN_DIM + INPUT_DIM
-    count = 4 * (HIDDEN_DIM * z_dim + HIDDEN_DIM)
-    fan_in = HIDDEN_DIM
-    for units in DENSE_UNITS + (NUM_CLASSES,):
-        count += units * fan_in + units
-        fan_in = units
-    return count
-
-
-PARAM_COUNT = _architecture_param_count()
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # Split by sign to avoid exp overflow on large-magnitude inputs.
     out = np.empty_like(x)
@@ -160,50 +136,13 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _as_finite_vector(x, length: int, what: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if arr.shape != (length,):
-        raise StructuralError(f"{what} must be a vector of length {length}, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise NumericError(f"{what} contains non-finite values")
-    return arr
-
-
-def lstm_forward(x, h_prev, c_prev, p: LstmCellParams):
-    """One LSTM cell step on a single input vector.
-
-    Computes the forget/input/output gates as sigmoids of affine maps of
-    the concatenation [h_prev, x], the tanh candidate, the new cell state
-    f*c_prev + i*candidate and the new hidden state o*tanh(c).
-
-    Returns (h, c, cache) where cache holds the intermediates needed for
-    a backward pass.
-    """
-    x = _as_finite_vector(x, p.input_dim, "x")
-    h_prev = _as_finite_vector(h_prev, p.hidden_dim, "h_prev")
-    c_prev = _as_finite_vector(c_prev, p.hidden_dim, "c_prev")
-
-    z = np.concatenate([h_prev, x])
-    f = _sigmoid(p.w_f @ z + p.b_f)
-    i = _sigmoid(p.w_i @ z + p.b_i)
-    o = _sigmoid(p.w_o @ z + p.b_o)
-    g = np.tanh(p.w_c @ z + p.b_c)
-    c = f * c_prev + i * g
-    h = o * np.tanh(c)
-    cache = {"z": z, "f": f, "i": i, "o": o, "g": g, "c": c, "c_prev": c_prev}
-    return h, c, cache
-
-
 @dataclass
 class ForwardCache:
     """Intermediates of a batched forward pass, consumed by the backward pass."""
 
-    z: np.ndarray  # (n, hidden+input), leading hidden block is zeros
-    f: np.ndarray
     i: np.ndarray
     o: np.ndarray
     g: np.ndarray
-    c_prev: np.ndarray
     tanh_c: np.ndarray
     dense_inputs: list  # input activation of each dense layer, head included
     dense_pre: list  # pre-activation of each relu layer
@@ -214,26 +153,21 @@ def forward_batch(X, p: ModelParams):
     """Forward pass over a (n, 16) feature batch.
 
     Each row is treated as a single-timestep sequence with zero initial
-    hidden and cell state. Returns (probs, cache) with probs of shape
-    (n, 2) summing to 1 per row.
+    hidden and cell state, so only the input, output and candidate gates
+    act, each on x alone, and the cell state is input * candidate.
+    Returns (probs, cache) with probs of shape (n, 2) summing to 1 per row.
     """
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != p.lstm.input_dim:
-        raise StructuralError(f"feature batch must be (n, {p.lstm.input_dim}), got {X.shape}")
+    if X.ndim != 2 or X.shape[1] != INPUT_DIM:
+        raise StructuralError(f"feature batch must be (n, {INPUT_DIM}), got {X.shape}")
     if not np.all(np.isfinite(X)):
         raise NumericError("feature batch contains non-finite values")
 
-    n = X.shape[0]
-    hidden = p.lstm.hidden_dim
-    z = np.concatenate([np.zeros((n, hidden)), X], axis=1)
-    c_prev = np.zeros((n, hidden))
-
-    f = _sigmoid(z @ p.lstm.w_f.T + p.lstm.b_f)
-    i = _sigmoid(z @ p.lstm.w_i.T + p.lstm.b_i)
-    o = _sigmoid(z @ p.lstm.w_o.T + p.lstm.b_o)
-    g = np.tanh(z @ p.lstm.w_c.T + p.lstm.b_c)
-    c = f * c_prev + i * g
-    tanh_c = np.tanh(c)
+    lstm = p.lstm
+    i = _sigmoid(X @ lstm.w_i[:, HIDDEN_DIM:].T + lstm.b_i)
+    o = _sigmoid(X @ lstm.w_o[:, HIDDEN_DIM:].T + lstm.b_o)
+    g = np.tanh(X @ lstm.w_c[:, HIDDEN_DIM:].T + lstm.b_c)
+    tanh_c = np.tanh(i * g)
     a = o * tanh_c
 
     dense_inputs = []
@@ -250,31 +184,16 @@ def forward_batch(X, p: ModelParams):
     if not np.all(np.isfinite(probs)):
         raise NumericError("forward pass produced non-finite probabilities")
 
-    cache = ForwardCache(
-        z=z, f=f, i=i, o=o, g=g, c_prev=c_prev, tanh_c=tanh_c,
-        dense_inputs=dense_inputs, dense_pre=dense_pre, probs=probs,
-    )
+    cache = ForwardCache(i=i, o=o, g=g, tanh_c=tanh_c, dense_inputs=dense_inputs,
+                         dense_pre=dense_pre, probs=probs)
     return probs, cache
-
-
-def model_forward(x, p: ModelParams):
-    """Class probabilities for a single 16-feature vector."""
-    x = _as_finite_vector(x, p.lstm.input_dim, "x")
-    probs, cache = forward_batch(x[None, :], p)
-    return probs[0], cache
-
-
-def cross_entropy(probs, label: int) -> float:
-    """Negative log-likelihood of the true class, clamp-protected."""
-    if label not in (0, 1):
-        raise StructuralError(f"label must be 0 or 1, got {label!r}")
-    p = float(probs[label])
-    p = min(max(p, PROB_CLAMP), 1.0 - PROB_CLAMP)
-    return -math.log(p)
 
 
 def mean_cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
     """Mean clamp-protected cross-entropy over a batch of (n, 2) probabilities."""
+    labels = np.asarray(labels)
+    if len(labels) == 0 or not np.all((labels == 0) | (labels == 1)):
+        raise StructuralError("labels must be a nonempty batch of 0/1 values")
     picked = probs[np.arange(len(labels)), labels]
     picked = np.clip(picked, PROB_CLAMP, 1.0 - PROB_CLAMP)
     return float(np.mean(-np.log(picked)))
@@ -284,10 +203,11 @@ def loss_and_gradient(X, y, p: ModelParams):
     """Mean batch loss and its gradient in canonical flat layout.
 
     Backpropagates softmax cross-entropy through the head, the relu
-    stack and the LSTM gates. The initial cell state is zero, so the
-    forget-gate parameters receive exactly zero gradient; that is the
-    correct derivative, not an omission.
+    stack and the live LSTM gates. The initial state is zero, so the
+    forget gate and the h_prev columns receive exactly zero gradient;
+    that is the correct derivative, not an omission.
     """
+    X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     probs, cache = forward_batch(X, p)
     n = len(y)
@@ -295,61 +215,38 @@ def loss_and_gradient(X, y, p: ModelParams):
         raise StructuralError("labels must align with the feature batch")
     loss = mean_cross_entropy(probs, y)
 
+    grad = np.zeros(PARAM_COUNT)
+    gp = unflatten_params(grad)
+
     dlogits = probs.copy()
     dlogits[np.arange(n), y] -= 1.0
     dlogits /= n
 
-    head_in = cache.dense_inputs[-1]
-    g_out_w = dlogits.T @ head_in
-    g_out_b = dlogits.sum(axis=0)
+    gp.output.weights[...] = dlogits.T @ cache.dense_inputs[-1]
+    gp.output.bias[...] = dlogits.sum(axis=0)
     da = dlogits @ p.output.weights
 
-    g_dense = []
-    for layer, pre, a_in in zip(reversed(p.dense), reversed(cache.dense_pre),
-                                reversed(cache.dense_inputs[:-1])):
+    for layer, g_layer, pre, a_in in zip(reversed(p.dense), reversed(gp.dense),
+                                         reversed(cache.dense_pre),
+                                         reversed(cache.dense_inputs[:-1])):
         dpre = da * (pre > 0)
-        g_dense.append((dpre.T @ a_in, dpre.sum(axis=0)))
+        g_layer.weights[...] = dpre.T @ a_in
+        g_layer.bias[...] = dpre.sum(axis=0)
         da = dpre @ layer.weights
-    g_dense.reverse()
 
     dh = da
-    d_o = dh * cache.tanh_c
-    da_o = d_o * cache.o * (1.0 - cache.o)
+    da_o = dh * cache.tanh_c * cache.o * (1.0 - cache.o)
     dc = dh * cache.o * (1.0 - cache.tanh_c ** 2)
-    d_f = dc * cache.c_prev
-    da_f = d_f * cache.f * (1.0 - cache.f)
-    d_i = dc * cache.g
-    da_i = d_i * cache.i * (1.0 - cache.i)
-    d_g = dc * cache.i
-    da_c = d_g * (1.0 - cache.g ** 2)
+    da_i = dc * cache.g * cache.i * (1.0 - cache.i)
+    da_c = dc * cache.i * (1.0 - cache.g ** 2)
+    for w, b, da_gate in ((gp.lstm.w_i, gp.lstm.b_i, da_i), (gp.lstm.w_o, gp.lstm.b_o, da_o),
+                          (gp.lstm.w_c, gp.lstm.b_c, da_c)):
+        w[:, HIDDEN_DIM:] = da_gate.T @ X
+        b[...] = da_gate.sum(axis=0)
 
-    z = cache.z
-    pieces = [
-        da_f.T @ z, da_f.sum(axis=0),
-        da_i.T @ z, da_i.sum(axis=0),
-        da_o.T @ z, da_o.sum(axis=0),
-        da_c.T @ z, da_c.sum(axis=0),
-    ]
-    for gw, gb in g_dense:
-        pieces.extend([gw, gb])
-    pieces.extend([g_out_w, g_out_b])
-    grad = np.concatenate([piece.ravel() for piece in pieces])
     if not np.all(np.isfinite(grad)):
         raise NumericError("backward pass produced non-finite gradients")
     return loss, grad
-
-
-def backward(batch, p: ModelParams) -> np.ndarray:
-    """Gradient of the mean batch loss; batch is a sequence of (x, label) pairs."""
-    batch = list(batch)
-    if not batch:
-        raise StructuralError("batch must be nonempty")
-    X = np.asarray([np.asarray(x, dtype=float) for x, _ in batch])
-    y = np.asarray([label for _, label in batch], dtype=int)
-    if not np.all((y == 0) | (y == 1)):
-        raise StructuralError("labels must be 0 or 1")
-    _, grad = loss_and_gradient(X, y, p)
-    return grad
 
 
 def adam_update(values: np.ndarray, grad: np.ndarray, state: AdamState,
@@ -360,91 +257,58 @@ def adam_update(values: np.ndarray, grad: np.ndarray, state: AdamState,
     if grad.shape != values.shape or state.m.shape != values.shape:
         raise StructuralError("gradient/state length does not match parameter vector")
     t = state.step_count + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    m_hat = m / (1.0 - state.beta1 ** t)
-    v_hat = v / (1.0 - state.beta2 ** t)
-    new_values = values - learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
-    return new_values, replace(state, m=m, v=v, step_count=t)
-
-
-def adam_step(p: ModelParams, grad: np.ndarray, state: AdamState,
-              learning_rate: float):
-    """Adam step expressed on structured parameters; returns (params, state)."""
-    values = flatten_params(p)
-    new_values, new_state = adam_update(values, grad, state, learning_rate)
-    return unflatten_params(new_values), new_state
-
-
-def _param_arrays(p: ModelParams):
-    # Canonical order: gates f, i, o, c (weights then bias each), then the
-    # dense stack in depth order, then the head; row-major throughout.
-    lstm = p.lstm
-    arrays = [lstm.w_f, lstm.b_f, lstm.w_i, lstm.b_i,
-              lstm.w_o, lstm.b_o, lstm.w_c, lstm.b_c]
-    for layer in (*p.dense, p.output):
-        arrays.extend([layer.weights, layer.bias])
-    return arrays
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = v / (1.0 - ADAM_BETA2 ** t)
+    new_values = values - learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+    return new_values, AdamState(m=m, v=v, step_count=t)
 
 
 def flatten_params(p: ModelParams) -> np.ndarray:
-    """Serialize parameters into the canonical flat float64 vector."""
-    return np.concatenate([a.ravel() for a in _param_arrays(p)])
+    """The canonical flat float64 vector behind the parameters (not a copy)."""
+    return p.values
+
+
+def _blocks(values: np.ndarray) -> list[np.ndarray]:
+    """Views of `values` shaped as the LAYOUT blocks, in order."""
+    blocks = []
+    cursor = 0
+    for shape in LAYOUT:
+        size = math.prod(shape)
+        blocks.append(values[cursor:cursor + size].reshape(shape))
+        cursor += size
+    return blocks
 
 
 def unflatten_params(values) -> ModelParams:
-    """Rebuild structured parameters from a canonical flat vector."""
+    """Structured views onto a canonical flat vector; nothing is copied.
+
+    Writing through a returned array writes the vector, and the other way
+    round. Input that is not already float64 is converted first.
+    """
     values = np.asarray(values, dtype=float).ravel()
     if values.size != PARAM_COUNT:
         raise StructuralError(f"parameter vector must have length {PARAM_COUNT}, got {values.size}")
-
-    cursor = 0
-
-    def take(*shape):
-        nonlocal cursor
-        size = int(np.prod(shape))
-        block = values[cursor:cursor + size].reshape(shape).copy()
-        cursor += size
-        return block
-
-    z_dim = HIDDEN_DIM + INPUT_DIM
-    gates = {}
-    for gate in ("f", "i", "o", "c"):
-        gates[f"w_{gate}"] = take(HIDDEN_DIM, z_dim)
-        gates[f"b_{gate}"] = take(HIDDEN_DIM)
-    lstm = LstmCellParams(**gates)
-
-    dense = []
-    fan_in = HIDDEN_DIM
-    for units in DENSE_UNITS:
-        dense.append(DenseLayerParams(take(units, fan_in), take(units), RELU))
-        fan_in = units
-    output = DenseLayerParams(take(NUM_CLASSES, fan_in), take(NUM_CLASSES), SOFTMAX)
-    return ModelParams(lstm=lstm, dense=tuple(dense), output=output)
+    blocks = _blocks(values)
+    layers = [DenseLayerParams(w, b) for w, b in zip(blocks[8::2], blocks[9::2])]
+    return ModelParams(values=values, lstm=LstmCellParams(*blocks[:8]),
+                       dense=tuple(layers[:-1]), output=layers[-1])
 
 
 def init_params(seed: int) -> ModelParams:
-    """Fresh parameters: Glorot-uniform weights, zero biases, seeded."""
+    """Fresh parameters: Glorot-uniform weights, zero biases, seeded.
+
+    Weight matrices draw from one generator in canonical layout order.
+    """
     rng = np.random.default_rng(seed)
-
-    def glorot(out_dim, in_dim):
-        limit = math.sqrt(6.0 / (in_dim + out_dim))
-        return rng.uniform(-limit, limit, size=(out_dim, in_dim))
-
-    z_dim = HIDDEN_DIM + INPUT_DIM
-    gates = {}
-    for gate in ("f", "i", "o", "c"):
-        gates[f"w_{gate}"] = glorot(HIDDEN_DIM, z_dim)
-        gates[f"b_{gate}"] = np.zeros(HIDDEN_DIM)
-    lstm = LstmCellParams(**gates)
-
-    dense = []
-    fan_in = HIDDEN_DIM
-    for units in DENSE_UNITS:
-        dense.append(DenseLayerParams(glorot(units, fan_in), np.zeros(units), RELU))
-        fan_in = units
-    output = DenseLayerParams(glorot(NUM_CLASSES, fan_in), np.zeros(NUM_CLASSES), SOFTMAX)
-    return ModelParams(lstm=lstm, dense=tuple(dense), output=output)
+    values = np.zeros(PARAM_COUNT)
+    for block in _blocks(values):
+        if block.ndim == 2:
+            out_dim, in_dim = block.shape
+            limit = math.sqrt(6.0 / (in_dim + out_dim))
+            block[...] = rng.uniform(-limit, limit, size=block.shape)
+    return unflatten_params(values)
 
 
 def save_weights(path, values) -> None:

@@ -24,8 +24,8 @@ from fedsmell.experiments import (prepare_source, run_centralized, run_cross_eva
 from fedsmell.federation import (ClientNode, FederationTopology, ModelUpdate,
                                  RoundConfig, client_update, combiner_aggregate,
                                  reducer_reduce, run_federation)
-from fedsmell.metrics import (ConfusionMatrix, ScoredPrediction, cohen_kappa,
-                              evaluate_model, interpret_kappa, interpret_roc, roc_auc)
+from fedsmell.metrics import (ConfusionMatrix, cohen_kappa, evaluate_model,
+                              interpret_kappa, interpret_roc, roc_auc)
 from fedsmell.nn import (Hyperparams, PARAM_COUNT, flatten_params, init_params,
                          loss_and_gradient)
 from fedsmell.seeds import derive_seed
@@ -162,8 +162,7 @@ def test_criterion_4_metric_oracles_and_bands():
             labels = rng2.integers(0, 2, n)
             if labels.min() == labels.max():
                 labels[0] = 1 - labels[0]
-            preds = [ScoredPrediction(float(s), int(l)) for s, l in zip(scores, labels)]
-            assert abs(roc_auc(preds) - auc_pair_oracle(preds)) <= 1e-12
+            assert abs(roc_auc(scores, labels) - auc_pair_oracle(scores, labels)) <= 1e-12
 
         assert interpret_kappa(0.79) == "Substantial"
         assert interpret_kappa(1.0) == "Almost perfect"

@@ -161,3 +161,36 @@ def test_cli_numeric_error_exits_4(tmp_path, capsys):
     code = main(["centralized", "--config", str(cfg), "--out", str(tmp_path / "out")])
     assert code == 4
     assert capsys.readouterr().err.startswith("NUMERIC_ERROR:")
+
+
+def assert_one_error_line(capsys, prefix):
+    err = capsys.readouterr().err
+    assert err.startswith(prefix)
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_cli_non_utf8_config_exits_2(tmp_path, capsys):
+    for name in ("bad.ini", "config.resolved.json"):
+        path = tmp_path / name
+        path.write_bytes(MINIMAL.encode("utf-8") + b"seed = \xff\xfe\n")
+        assert main(["centralized", "--config", str(path)]) == 2
+        assert_one_error_line(capsys, "CONFIG_ERROR:")
+
+
+def test_cli_bad_dataset_bytes_and_cells_exit_3(tmp_path, capsys):
+    from fedsmell.data import FEATURE_NAMES, LABEL_COLUMN
+    header = ",".join(list(FEATURE_NAMES) + [LABEL_COLUMN]).encode("utf-8")
+    good_row = b",".join([b"1"] * 16 + [b"0"])
+    bad_rows = {
+        "latin1": b",".join([b"1"] * 15 + [b"\xe9", b"1"]),
+        "fraction_label": b",".join([b"1"] * 16 + [b"0.7"]),
+        "nan_cell": b",".join([b"nan"] + [b"1"] * 15 + [b"1"]),
+    }
+    for name, bad_row in bad_rows.items():
+        csv_path = tmp_path / f"{name}.csv"
+        csv_path.write_bytes(b"\n".join([header, good_row, bad_row]) + b"\n")
+        cfg = write(tmp_path / f"{name}.ini",
+                    f"[experiment]\nkind = centralized\ndatasets = {csv_path}\n")
+        code = main(["centralized", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 3, name
+        assert_one_error_line(capsys, "DATA_ERROR:")

@@ -6,10 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fedsmell.data import (CLASS_AXIS, CONTEXT_AXIS, FEATURE_NAMES, LABEL_COLUMN,
-                           NUM_FEATURES, PartitionPlan, apply_normalizer,
-                           concat_datasets, denormalize, domain_shift, extract_chunks,
-                           fit_normalizer, load_csv, partition_chunks, rebalance,
-                           save_csv, split_train_test, synth_generate)
+                           NUM_FEATURES, apply_normalizer, concat_datasets, domain_shift,
+                           extract_chunks, fit_normalizer, load_csv, partition_chunks,
+                           rebalance, save_csv, split_train_test, synth_generate)
 from fedsmell.errors import (DataError, NumericError, ParseError, SchemaError,
                              StructuralError)
 from util import make_dataset, random_dataset, rows_multiset
@@ -77,9 +76,21 @@ def test_load_csv_missing_file_is_data_error(tmp_path):
 
 def test_load_csv_bad_label_rejected(tmp_path):
     path = tmp_path / "label.csv"
-    write_csv(path, full_header(), [[1] * 16 + [2]])
-    with pytest.raises(ParseError, match="row 2"):
-        load_csv(path)
+    for label in ("2", "0.7", "1.9", "-1", "nan"):
+        write_csv(path, full_header(), [[1] * 16 + [1], [1] * 16 + [label]])
+        with pytest.raises(ParseError, match="row 3"):
+            load_csv(path)
+    write_csv(path, full_header(), [[1] * 16 + ["1.0"], [1] * 16 + ["0.0"]])
+    assert list(load_csv(path).labels) == [1, 0]
+
+
+def test_load_csv_nonfinite_feature_reports_row_number(tmp_path):
+    path = tmp_path / "nonfinite.csv"
+    for cell in ("nan", "inf", "-inf"):
+        rows = [[1] * 16 + [0], [1] * 16 + [1], [1] * 15 + [cell] + [0]]
+        write_csv(path, full_header(), rows)
+        with pytest.raises(ParseError, match="row 4"):
+            load_csv(path)
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -106,13 +117,6 @@ def test_normalizer_constant_feature_maps_to_zero():
     d = make_dataset(features, [0, 1] * 25)
     normalized = apply_normalizer(d, fit_normalizer(d))
     assert np.all(normalized.features[:, 4] == 0.0)
-
-
-def test_normalize_denormalize_roundtrip():
-    d = random_dataset(80, 20, seed=9)
-    stats = fit_normalizer(d)
-    back = denormalize(apply_normalizer(d, stats), stats)
-    assert np.all(np.abs(back.features - d.features) <= 1e-9)
 
 
 # -------------------------------------------------------------------- split
@@ -183,12 +187,6 @@ def test_partition_disjoint_exhaustive_balanced(n, k, seed):
     assert sorted(flat) == list(range(len(d)))
     sizes = [len(c) for c in plan.chunks]
     assert max(sizes) - min(sizes) <= 1
-
-
-def test_partition_plan_json_roundtrip():
-    d = random_dataset(17, 5, seed=6)
-    plan = partition_chunks(d, 3, seed=2)
-    assert PartitionPlan.from_json(plan.to_json()) == plan
 
 
 # --------------------------------------------------------------- rebalance

@@ -12,13 +12,14 @@ from fedsmell.data import (concat_datasets, domain_shift, extract_chunks,
 from fedsmell.errors import StructuralError
 from fedsmell.federation import (ClientNode, FederationTopology, ModelUpdate,
                                  RoundConfig, client_update, combiner_aggregate,
-                                 reducer_reduce, run_federation, sample_clients,
-                                 write_round_csv)
+                                 reducer_reduce, run_federation, sample_clients)
+from fedsmell.experiments import write_rounds_csv
 from fedsmell.metrics import evaluate_model
 from fedsmell.nn import (AdamState, Hyperparams, PARAM_COUNT, adam_update,
                          flatten_params, init_params, loss_and_gradient,
                          unflatten_params)
 from fedsmell.seeds import derive_seed
+from test_gradients import dead_slot_mask
 from util import random_dataset
 
 
@@ -59,6 +60,17 @@ def test_client_update_deterministic_for_identical_clients():
     ub = client_update(b, start, update_seed=9)
     assert np.array_equal(ua.weights, ub.weights)
     assert ua.sample_count == ub.sample_count
+
+
+def test_client_update_leaves_broadcast_weights_and_dead_slots_untouched():
+    client = small_client(n=70, seed=6, batch_size=8, local_epochs=2)
+    broadcast = np.random.default_rng(6).standard_normal(PARAM_COUNT) * 0.3
+    before = broadcast.copy()
+    update = client_update(client, broadcast, update_seed=3)
+    assert np.array_equal(broadcast, before)
+    dead = dead_slot_mask()
+    assert np.array_equal(update.weights[dead], before[dead])
+    assert not np.array_equal(update.weights[~dead], before[~dead])
 
 
 def test_client_update_rejects_wrong_weight_length():
@@ -323,9 +335,9 @@ def test_write_round_csv_layout(tmp_path):
     test_set = random_dataset(30, 12, seed=2, name="test")
     logs, _ = run_federation(topo, RoundConfig(rounds=2, seed=1), test_set)
     path = tmp_path / "rounds.csv"
-    write_round_csv(logs, path)
+    write_rounds_csv(logs, path)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "round,loss,accuracy,kappa,roc_auc,participants"
+    assert lines[0] == "round,loss,accuracy,kappa,kappa_pct,roc_auc,participants"
     assert len(lines) == 3
     assert lines[1].startswith("1,")
     assert lines[1].endswith("0;1")

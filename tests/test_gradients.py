@@ -2,8 +2,9 @@
 
 import numpy as np
 
-from fedsmell.nn import (PARAM_COUNT, flatten_params, forward_batch, init_params,
-                         loss_and_gradient, mean_cross_entropy, unflatten_params)
+from fedsmell.nn import (HIDDEN_DIM, PARAM_COUNT, flatten_params, forward_batch,
+                         init_params, loss_and_gradient, mean_cross_entropy,
+                         unflatten_params)
 
 DELTA = 1e-5
 REL_TOL = 1e-4
@@ -27,6 +28,20 @@ def fd_gradient(base, X, y, coords):
         vec[j] = original
         out[pos] = (plus - minus) / (2.0 * DELTA)
     return out
+
+
+def dead_slot_mask():
+    """Flat mask of the parameters a zero initial state keeps out of the model.
+
+    These are the whole forget gate and the h_prev columns of the input,
+    output and candidate gates.
+    """
+    marker = unflatten_params(np.zeros(PARAM_COUNT))
+    marker.lstm.w_f[...] = 1.0
+    marker.lstm.b_f[...] = 1.0
+    for w in (marker.lstm.w_i, marker.lstm.w_o, marker.lstm.w_c):
+        w[:, :HIDDEN_DIM] = 1.0
+    return flatten_params(marker) != 0
 
 
 def assert_gradients_match(analytic, numeric, coords):
@@ -61,3 +76,15 @@ def test_forget_gate_gradient_exactly_zero_with_zero_initial_cell():
     y = rng.integers(0, 2, 8)
     _, grad = loss_and_gradient(X, y, init_params(11))
     assert np.all(grad[:16 * 32 + 16] == 0.0)
+
+
+def test_dead_slots_get_exactly_zero_gradient():
+    dead = dead_slot_mask()
+    assert dead.sum() == 1296
+    for seed in range(5):
+        rng = np.random.default_rng(20 + seed)
+        X = rng.standard_normal((32, 16))
+        y = rng.integers(0, 2, 32)
+        params = unflatten_params(rng.standard_normal(PARAM_COUNT) * 0.3)
+        _, grad = loss_and_gradient(X, y, params)
+        assert np.all(grad[dead] == 0.0)

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fedsmell.errors import StructuralError
-from fedsmell.metrics import (ConfusionMatrix, ScoredPrediction, accuracy, cohen_kappa,
+from fedsmell.metrics import (ConfusionMatrix, accuracy, cohen_kappa,
                               confusion_from_predictions, evaluate_model,
                               interpret_kappa, interpret_roc, roc_auc)
 from fedsmell.nn import PARAM_COUNT, unflatten_params, flatten_params
@@ -27,10 +27,10 @@ def kappa_oracle(cm):
     return (p_o - p_e) / (1.0 - p_e)
 
 
-def auc_pair_oracle(preds):
+def auc_pair_oracle(scores, labels):
     """O(P*N) pair counting: wins plus half-ties over all (pos, neg) pairs."""
-    pos = [p.score for p in preds if p.label == 1]
-    neg = [p.score for p in preds if p.label == 0]
+    pos = [s for s, label in zip(scores, labels) if label == 1]
+    neg = [s for s, label in zip(scores, labels) if label == 0]
     total = 0.0
     for sp in pos:
         for sn in neg:
@@ -41,10 +41,8 @@ def auc_pair_oracle(preds):
     return total / (len(pos) * len(neg))
 
 
-def auc_trapezoid_oracle(preds):
+def auc_trapezoid_oracle(scores, labels):
     """Trapezoidal area under the threshold-swept ROC curve."""
-    scores = np.array([p.score for p in preds])
-    labels = np.array([p.label for p in preds])
     n_pos = (labels == 1).sum()
     n_neg = (labels == 0).sum()
     points = [(0.0, 0.0)]
@@ -60,6 +58,22 @@ def auc_trapezoid_oracle(preds):
     return area
 
 
+def auc_midrank_loop(scores, labels):
+    """Rank-sum AUC with midranks assigned by a scalar loop over tie runs."""
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(len(scores))
+    start = 0
+    while start < len(scores):
+        stop = start + 1
+        while stop < len(scores) and scores[order[stop]] == scores[order[start]]:
+            stop += 1
+        ranks[order[start:stop]] = (start + stop + 1) / 2.0
+        start = stop
+    n_pos = int((labels == 1).sum())
+    n_neg = int((labels == 0).sum())
+    return float((ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
 def random_scored(rng, n, ties=False):
     scores = rng.random(n)
     if ties:
@@ -67,7 +81,15 @@ def random_scored(rng, n, ties=False):
     labels = rng.integers(0, 2, n)
     if labels.min() == labels.max():
         labels[0] = 1 - labels[0]
-    return [ScoredPrediction(float(s), int(l)) for s, l in zip(scores, labels)]
+    return scores, labels
+
+
+def heavily_tied(rng, n):
+    """Three distinct scores over n rows, so every rank is a shared midrank."""
+    scores = rng.integers(0, 3, n) / 2.0
+    labels = rng.integers(0, 2, n)
+    labels[:2] = (0, 1)
+    return scores, labels
 
 
 # ----------------------------------------------------------------- accuracy
@@ -129,8 +151,8 @@ def test_metric_ranges_over_random_matrices(cells):
 @given(st.integers(min_value=0, max_value=10 ** 6))
 def test_roc_range_over_random_scores(seed):
     rng = np.random.default_rng(seed)
-    preds = random_scored(rng, 12, ties=bool(rng.integers(0, 2)))
-    assert 0.0 <= roc_auc(preds) <= 1.0
+    scores, labels = random_scored(rng, 12, ties=bool(rng.integers(0, 2)))
+    assert 0.0 <= roc_auc(scores, labels) <= 1.0
 
 
 def test_kappa_equals_one_iff_no_errors():
@@ -142,51 +164,63 @@ def test_kappa_equals_one_iff_no_errors():
 # ---------------------------------------------------------------------- roc
 
 def test_roc_perfect_separation():
-    preds = [ScoredPrediction(0.9, 1), ScoredPrediction(0.8, 1),
-             ScoredPrediction(0.3, 0), ScoredPrediction(0.1, 0)]
-    assert roc_auc(preds) == 1.0
+    assert roc_auc([0.9, 0.8, 0.3, 0.1], [1, 1, 0, 0]) == 1.0
 
 
 def test_roc_all_ties_is_half():
-    preds = [ScoredPrediction(0.5, l) for l in (0, 1, 0, 1, 1)]
-    assert roc_auc(preds) == 0.5
+    assert roc_auc([0.5] * 5, [0, 1, 0, 1, 1]) == 0.5
 
 
 def test_roc_single_class_rejected():
     with pytest.raises(StructuralError):
-        roc_auc([ScoredPrediction(0.5, 1), ScoredPrediction(0.6, 1)])
+        roc_auc([0.5, 0.6], [1, 1])
+
+
+def test_roc_rejects_mismatched_scores_and_labels():
+    with pytest.raises(StructuralError):
+        roc_auc([0.5, 0.6, 0.7], [0, 1])
 
 
 def test_roc_matches_pair_counting_oracle():
     rng = np.random.default_rng(3)
-    for ties in (False, True):
-        preds = random_scored(rng, 20, ties=ties)
-        assert roc_auc(preds) == pytest.approx(auc_pair_oracle(preds), abs=1e-12)
+    cases = [random_scored(rng, 20, ties=ties) for ties in (False, True)]
+    cases.append(heavily_tied(rng, 60))
+    for scores, labels in cases:
+        assert roc_auc(scores, labels) == pytest.approx(auc_pair_oracle(scores, labels),
+                                                        abs=1e-12)
+
+
+def test_roc_vectorized_midranks_equal_scalar_loop_bitwise():
+    rng = np.random.default_rng(8)
+    cases = [random_scored(rng, 500, ties=ties) for ties in (False, True)]
+    cases += [heavily_tied(rng, n) for n in (2, 3, 1000)]
+    for scores, labels in cases:
+        assert roc_auc(scores, labels) == auc_midrank_loop(scores, labels)
 
 
 def test_roc_matches_trapezoid_oracle():
     rng = np.random.default_rng(4)
     for _ in range(20):
-        preds = random_scored(rng, 25, ties=bool(rng.integers(0, 2)))
-        assert roc_auc(preds) == pytest.approx(auc_trapezoid_oracle(preds), abs=1e-12)
+        scores, labels = random_scored(rng, 25, ties=bool(rng.integers(0, 2)))
+        assert roc_auc(scores, labels) == pytest.approx(auc_trapezoid_oracle(scores, labels),
+                                                        abs=1e-12)
 
 
 @given(st.integers(min_value=0, max_value=10 ** 6))
 def test_roc_invariant_under_strictly_monotone_transforms(seed):
     rng = np.random.default_rng(seed)
-    preds = random_scored(rng, 15, ties=bool(rng.integers(0, 2)))
-    base = roc_auc(preds)
-    for transform in (lambda s: 2.0 * s + 1.0, math.exp, lambda s: s ** 3):
-        mapped = [ScoredPrediction(transform(p.score), p.label) for p in preds]
-        assert roc_auc(mapped) == pytest.approx(base, abs=1e-12)
+    scores, labels = random_scored(rng, 15, ties=bool(rng.integers(0, 2)))
+    base = roc_auc(scores, labels)
+    for transform in (lambda s: 2.0 * s + 1.0, np.exp, lambda s: s ** 3):
+        assert roc_auc(transform(scores), labels) == pytest.approx(base, abs=1e-12)
 
 
 @given(st.integers(min_value=0, max_value=10 ** 6))
 def test_roc_label_swap_symmetry(seed):
     rng = np.random.default_rng(seed)
-    preds = random_scored(rng, 15, ties=bool(rng.integers(0, 2)))
-    flipped = [ScoredPrediction(1.0 - p.score, 1 - p.label) for p in preds]
-    assert roc_auc(flipped) == pytest.approx(roc_auc(preds), abs=1e-12)
+    scores, labels = random_scored(rng, 15, ties=bool(rng.integers(0, 2)))
+    assert roc_auc(1.0 - scores, 1 - labels) == pytest.approx(roc_auc(scores, labels),
+                                                              abs=1e-12)
 
 
 # -------------------------------------------------------------------- bands

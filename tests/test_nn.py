@@ -1,5 +1,6 @@
 """Classifier core: forward passes, loss, Adam, layout, init, checkpoints."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -9,14 +10,19 @@ from hypothesis import strategies as st
 
 from fedsmell.errors import NumericError, StructuralError
 from fedsmell.nn import (AdamState, DENSE_UNITS, HIDDEN_DIM, INPUT_DIM, NUM_CLASSES,
-                         PARAM_COUNT, adam_step, adam_update, backward, cross_entropy,
-                         flatten_params, init_params, load_weights, loss_and_gradient,
-                         lstm_forward, mean_cross_entropy, model_forward, save_weights,
-                         unflatten_params)
+                         PARAM_COUNT, adam_update, flatten_params, forward_batch,
+                         init_params, load_weights, loss_and_gradient, mean_cross_entropy,
+                         save_weights, unflatten_params)
 
 
 def zero_params():
     return unflatten_params(np.zeros(PARAM_COUNT))
+
+
+def forward_one(x, p):
+    """Probabilities and cache of a single feature vector, via the batched pass."""
+    probs, cache = forward_batch(np.asarray(x, dtype=float)[None, :], p)
+    return probs[0], cache
 
 
 def test_param_count_recomputed_from_layer_shapes():
@@ -34,24 +40,13 @@ def test_param_count_recomputed_from_layer_shapes():
 # ---------------------------------------------------------------- LSTM cell
 
 def test_lstm_forward_zero_params_gives_half_gates_and_zero_state():
-    p = zero_params().lstm
     x = np.linspace(-1, 1, INPUT_DIM)
-    h, c, cache = lstm_forward(x, np.zeros(HIDDEN_DIM), np.zeros(HIDDEN_DIM), p)
-    assert np.array_equal(cache["f"], np.full(HIDDEN_DIM, 0.5))
-    assert np.array_equal(cache["i"], np.full(HIDDEN_DIM, 0.5))
-    assert np.array_equal(cache["o"], np.full(HIDDEN_DIM, 0.5))
-    assert np.array_equal(cache["g"], np.zeros(HIDDEN_DIM))
-    assert np.array_equal(c, np.zeros(HIDDEN_DIM))
-    assert np.array_equal(h, np.zeros(HIDDEN_DIM))
-
-
-def test_lstm_forward_saturated_forget_gate_carries_cell_state():
-    p = zero_params().lstm
-    p.b_f[:] = 20.0
-    c_prev = np.linspace(-2, 2, HIDDEN_DIM)
-    _, c, _ = lstm_forward(np.ones(INPUT_DIM), np.zeros(HIDDEN_DIM), c_prev, p)
-    # sigmoid(20) differs from 1 by ~2.1e-9; candidate term is 0.5 * tanh(0) = 0
-    assert np.allclose(c, c_prev, rtol=5e-9, atol=1e-12)
+    _, cache = forward_one(x, zero_params())
+    assert np.array_equal(cache.i[0], np.full(HIDDEN_DIM, 0.5))
+    assert np.array_equal(cache.o[0], np.full(HIDDEN_DIM, 0.5))
+    assert np.array_equal(cache.g[0], np.zeros(HIDDEN_DIM))
+    assert np.array_equal(cache.tanh_c[0], np.zeros(HIDDEN_DIM))
+    assert np.array_equal(cache.dense_inputs[0][0], np.zeros(HIDDEN_DIM))
 
 
 def _lstm_scalar_oracle(x, h_prev, c_prev, p):
@@ -75,31 +70,31 @@ def _lstm_scalar_oracle(x, h_prev, c_prev, p):
 
 
 def test_lstm_forward_matches_scalar_loop_oracle():
-    p = init_params(0).lstm
+    # The oracle uses every gate and column; random values in the forget
+    # gate and the h_prev columns must not matter with a zero initial state.
     rng = np.random.default_rng(7)
+    p = unflatten_params(rng.standard_normal(PARAM_COUNT) * 0.5)
     x = rng.standard_normal(INPUT_DIM)
-    h_prev = rng.standard_normal(HIDDEN_DIM) * 0.5
-    c_prev = rng.standard_normal(HIDDEN_DIM) * 0.5
-    h, c, _ = lstm_forward(x, h_prev, c_prev, p)
-    h_ref, c_ref = _lstm_scalar_oracle(x, h_prev, c_prev, p)
-    assert np.max(np.abs(h - h_ref)) <= 1e-12
-    assert np.max(np.abs(c - c_ref)) <= 1e-12
+    _, cache = forward_one(x, p)
+    h_ref, c_ref = _lstm_scalar_oracle(x, np.zeros(HIDDEN_DIM), np.zeros(HIDDEN_DIM), p.lstm)
+    assert np.max(np.abs(cache.dense_inputs[0][0] - h_ref)) <= 1e-12
+    assert np.max(np.abs(cache.tanh_c[0] - np.tanh(c_ref))) <= 1e-12
 
 
 def test_lstm_forward_dimension_mismatch_and_nonfinite():
-    p = init_params(0).lstm
+    p = init_params(0)
     with pytest.raises(StructuralError):
-        lstm_forward(np.ones(5), np.zeros(HIDDEN_DIM), np.zeros(HIDDEN_DIM), p)
-    bad = np.ones(INPUT_DIM)
-    bad[3] = np.nan
+        forward_batch(np.ones((1, 5)), p)
+    bad = np.ones((1, INPUT_DIM))
+    bad[0, 3] = np.nan
     with pytest.raises(NumericError):
-        lstm_forward(bad, np.zeros(HIDDEN_DIM), np.zeros(HIDDEN_DIM), p)
+        forward_batch(bad, p)
 
 
 # --------------------------------------------------------------- full model
 
 def test_model_forward_zero_params_is_uniform():
-    probs, _ = model_forward(np.arange(16.0), zero_params())
+    probs, _ = forward_one(np.arange(16.0), zero_params())
     assert np.array_equal(probs, [0.5, 0.5])
 
 
@@ -107,7 +102,7 @@ def test_model_forward_normalizes_for_random_params():
     for seed in range(5):
         p = init_params(seed)
         x = np.random.default_rng(seed).standard_normal(INPUT_DIM) * 3
-        probs, _ = model_forward(x, p)
+        probs, _ = forward_one(x, p)
         assert abs(probs.sum() - 1.0) <= 1e-12
         assert np.all(probs > 0) and np.all(probs < 1)
 
@@ -117,7 +112,7 @@ def test_model_forward_normalizes_for_random_params():
 def test_model_forward_normalizes_for_extreme_inputs(seed, scale):
     p = init_params(seed % 7)
     x = np.random.default_rng(seed).standard_normal(INPUT_DIM) * scale
-    probs, _ = model_forward(x, p)
+    probs, _ = forward_one(x, p)
     assert abs(probs.sum() - 1.0) <= 1e-12
     assert np.all(probs > 0) and np.all(probs < 1)
 
@@ -127,10 +122,8 @@ def _dense_oracle(a, weights, bias, activation):
                     for r in range(len(bias))])
     if activation == "relu":
         return np.maximum(out, 0.0)
-    if activation == "softmax":
-        e = np.exp(out - out.max())
-        return e / e.sum()
-    return out
+    e = np.exp(out - out.max())
+    return e / e.sum()
 
 
 def test_model_forward_matches_composed_per_layer_oracle():
@@ -139,18 +132,22 @@ def test_model_forward_matches_composed_per_layer_oracle():
     h, _ = _lstm_scalar_oracle(x, np.zeros(HIDDEN_DIM), np.zeros(HIDDEN_DIM), p.lstm)
     a = h
     for layer in p.dense:
-        a = _dense_oracle(a, layer.weights, layer.bias, layer.activation)
-    expected = _dense_oracle(a, p.output.weights, p.output.bias, p.output.activation)
-    probs, _ = model_forward(x, p)
+        a = _dense_oracle(a, layer.weights, layer.bias, "relu")
+    expected = _dense_oracle(a, p.output.weights, p.output.bias, "softmax")
+    probs, _ = forward_one(x, p)
     assert np.max(np.abs(probs - expected)) <= 1e-12
 
 
 def test_model_forward_rejects_wrong_feature_count():
     with pytest.raises(StructuralError):
-        model_forward(np.ones(15), init_params(0))
+        forward_one(np.ones(15), init_params(0))
 
 
 # --------------------------------------------------------------------- loss
+
+def cross_entropy(probs, label):
+    return mean_cross_entropy(np.array([probs], dtype=float), np.array([label]))
+
 
 def test_cross_entropy_closed_forms():
     assert cross_entropy([1.0, 0.0], 0) <= 1e-11
@@ -160,8 +157,12 @@ def test_cross_entropy_closed_forms():
 
 
 def test_cross_entropy_rejects_bad_label():
+    for label in (2, -1):
+        with pytest.raises(StructuralError):
+            cross_entropy([0.5, 0.5], label)
+    X = np.zeros((2, INPUT_DIM))
     with pytest.raises(StructuralError):
-        cross_entropy([0.5, 0.5], 2)
+        loss_and_gradient(X, np.array([0, -1]), init_params(0))
 
 
 def test_loss_nonnegative_after_clamp():
@@ -175,14 +176,14 @@ def test_loss_nonnegative_after_clamp():
 def test_backward_duplicated_sample_equals_single():
     p = init_params(3)
     x = np.random.default_rng(3).standard_normal(INPUT_DIM)
-    single = backward([(x, 1)], p)
-    doubled = backward([(x, 1), (x, 1)], p)
+    _, single = loss_and_gradient(x[None, :], np.array([1]), p)
+    _, doubled = loss_and_gradient(np.stack([x, x]), np.array([1, 1]), p)
     assert np.allclose(single, doubled, atol=1e-15)
 
 
 def test_backward_empty_batch_rejected():
     with pytest.raises(StructuralError):
-        backward([], init_params(0))
+        loss_and_gradient(np.zeros((0, INPUT_DIM)), np.zeros(0, dtype=int), init_params(0))
 
 
 def test_backward_dead_relu_unit_gets_zero_gradient():
@@ -190,8 +191,9 @@ def test_backward_dead_relu_unit_gets_zero_gradient():
     dead = 7
     p.dense[0].bias[dead] = -50.0  # pre-activation negative for any bounded input
     rng = np.random.default_rng(5)
-    batch = [(rng.standard_normal(INPUT_DIM), int(rng.integers(0, 2))) for _ in range(6)]
-    grad = backward(batch, p)
+    X = rng.standard_normal((6, INPUT_DIM))
+    y = rng.integers(0, 2, 6)
+    _, grad = loss_and_gradient(X, y, p)
 
     # Locate the dead unit's incoming parameters via a marker vector.
     marker = unflatten_params(np.zeros(PARAM_COUNT))
@@ -204,10 +206,10 @@ def test_backward_dead_relu_unit_gets_zero_gradient():
 # --------------------------------------------------------------------- adam
 
 def test_adam_zero_gradient_is_noop_but_counts():
-    p = init_params(1)
+    values = flatten_params(init_params(1))
     state = AdamState.zeros(PARAM_COUNT)
-    updated, new_state = adam_step(p, np.zeros(PARAM_COUNT), state, 0.001)
-    assert np.array_equal(flatten_params(updated), flatten_params(p))
+    updated, new_state = adam_update(values, np.zeros(PARAM_COUNT), state, 0.001)
+    assert np.array_equal(updated, values)
     assert new_state.step_count == 1
 
 
@@ -237,7 +239,8 @@ def test_adam_length_mismatch_rejected():
     with pytest.raises(StructuralError):
         adam_update(np.zeros(4), np.zeros(3), AdamState.zeros(4), 0.001)
     with pytest.raises(StructuralError):
-        adam_step(init_params(0), np.zeros(7), AdamState.zeros(PARAM_COUNT), 0.001)
+        adam_update(flatten_params(init_params(0)), np.zeros(7),
+                    AdamState.zeros(PARAM_COUNT), 0.001)
 
 
 def test_sgd_descent_sanity_over_seeds():
@@ -277,8 +280,32 @@ def test_unflatten_rejects_wrong_length():
         unflatten_params(np.zeros(PARAM_COUNT - 1))
 
 
+def test_unflatten_returns_views_onto_the_flat_vector():
+    v = np.zeros(PARAM_COUNT)
+    p = unflatten_params(v)
+    assert np.shares_memory(flatten_params(p), v)
+    # Head bias is the last block; the first dense layer follows the gates.
+    p.output.bias[1] = 2.5
+    p.dense[0].weights[0, 0] = -1.0
+    assert v[-1] == 2.5
+    assert v[4 * (HIDDEN_DIM * (HIDDEN_DIM + INPUT_DIM) + HIDDEN_DIM)] == -1.0
+    v[0] = 7.0
+    assert p.lstm.w_f[0, 0] == 7.0
+    assert np.count_nonzero(v) == 3
+
+
 def test_init_deterministic_per_seed():
     assert np.array_equal(flatten_params(init_params(17)), flatten_params(init_params(17)))
+
+
+def test_init_values_frozen_by_digest():
+    # Pins the layout and the generator's draw order: sha256 over the
+    # little-endian float64 vectors of seeds 0-4, concatenated.
+    digest = hashlib.sha256()
+    for seed in range(5):
+        digest.update(flatten_params(init_params(seed)).astype("<f8").tobytes())
+    assert digest.hexdigest() == (
+        "c4a1df795862a89839c5ba07756dc68b845069bea65c6878882ccce5f486503c")
 
 
 def test_init_seeds_differ_in_all_weight_coordinates():
