@@ -12,11 +12,12 @@ from __future__ import annotations
 import configparser
 import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
+import typing
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .data import REBALANCE_MODES
-from .errors import ConfigError, ParseError
+from .errors import ConfigError
 from .federation import REDUCER_MODES
 
 CENTRALIZED = "centralized"
@@ -52,37 +53,57 @@ class ExperimentConfig:
                 for key, value in raw.items()}
 
 
-def _str_list(raw: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in raw.split(",") if part.strip())
+# config field -> (element type, is a list), read off the annotations
+_FIELDS = {name: (typing.get_args(hint)[0], True) if typing.get_origin(hint) is tuple
+           else (hint, False)
+           for name, hint in typing.get_type_hints(ExperimentConfig).items()}
 
 
-def _int_list(raw: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in _str_list(raw))
+def _from_ini(name: str, raw: str):
+    """Convert an INI string: lists are comma-separated, blanks dropped."""
+    element, is_list = _FIELDS[name]
+    if is_list:
+        return tuple(element(part.strip()) for part in raw.split(",") if part.strip())
+    return element(raw)
 
 
-def _float_list(raw: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in _str_list(raw))
+def _json_scalar(element: type, value):
+    accepted = (int, float) if element is float else element
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ValueError(f"expected {element.__name__}")
+    return element(value)
 
 
-# (section, key) -> (config field, converter)
+def _from_json(name: str, value):
+    """Check a JSON value against its field: integers are not booleans,
+    floats take any number, lists hold their element type."""
+    element, is_list = _FIELDS[name]
+    if not is_list:
+        return _json_scalar(element, value)
+    if not isinstance(value, list):
+        raise ValueError(f"expected a list of {element.__name__}")
+    return tuple(_json_scalar(element, item) for item in value)
+
+
+# (section, key) -> config field
 _INI_KEYS = {
-    ("experiment", "kind"): ("kind", str),
-    ("experiment", "datasets"): ("datasets", _str_list),
-    ("experiment", "seed"): ("seed", int),
-    ("experiment", "out_dir"): ("out_dir", str),
-    ("data", "rebalance"): ("rebalance", str),
-    ("data", "test_fraction"): ("test_fraction", float),
-    ("data", "chunks"): ("chunks", _int_list),
-    ("topology", "combiner_clients"): ("combiner_clients", _int_list),
-    ("federation", "rounds"): ("rounds", int),
-    ("federation", "client_fraction"): ("client_fraction", float),
-    ("federation", "reducer_mode"): ("reducer_mode", str),
-    ("training", "learning_rate"): ("learning_rate", float),
-    ("training", "batch_size"): ("batch_size", int),
-    ("training", "local_epochs"): ("local_epochs", int),
-    ("synth", "samples"): ("synth_samples", int),
-    ("synth", "positive_rate"): ("synth_positive_rate", float),
-    ("synth", "shifts"): ("synth_shifts", _float_list),
+    ("experiment", "kind"): "kind",
+    ("experiment", "datasets"): "datasets",
+    ("experiment", "seed"): "seed",
+    ("experiment", "out_dir"): "out_dir",
+    ("data", "rebalance"): "rebalance",
+    ("data", "test_fraction"): "test_fraction",
+    ("data", "chunks"): "chunks",
+    ("topology", "combiner_clients"): "combiner_clients",
+    ("federation", "rounds"): "rounds",
+    ("federation", "client_fraction"): "client_fraction",
+    ("federation", "reducer_mode"): "reducer_mode",
+    ("training", "learning_rate"): "learning_rate",
+    ("training", "batch_size"): "batch_size",
+    ("training", "local_epochs"): "local_epochs",
+    ("synth", "samples"): "synth_samples",
+    ("synth", "positive_rate"): "synth_positive_rate",
+    ("synth", "shifts"): "synth_shifts",
 }
 _KNOWN_SECTIONS = {section for section, _ in _INI_KEYS}
 
@@ -95,7 +116,7 @@ def _read_ini(path: Path) -> dict:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
-        raise ParseError(f"config {path}: {exc}") from exc
+        raise ConfigError(f"config {path}: {exc}") from exc
 
     values: dict = {}
     for section in parser.sections():
@@ -106,17 +127,14 @@ def _read_ini(path: Path) -> dict:
                 raise ConfigError(
                     f"config {path}: unknown key {key!r} in section {section!r}"
                 )
-            field_name, convert = _INI_KEYS[(section, key)]
+            name = _INI_KEYS[(section, key)]
             try:
-                values[field_name] = convert(raw)
+                values[name] = _from_ini(name, raw)
             except ValueError as exc:
-                raise ParseError(
+                raise ConfigError(
                     f"config {path}: bad value for {section}.{key}: {raw!r} ({exc})"
                 ) from exc
     return values
-
-
-_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
 
 def _read_resolved_json(path: Path) -> dict:
@@ -125,14 +143,17 @@ def _read_resolved_json(path: Path) -> dict:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ParseError(f"config {path}: line {exc.lineno}: {exc.msg}") from exc
+        raise ConfigError(f"config {path}: line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
-        raise ParseError(f"config {path}: top level must be an object")
+        raise ConfigError(f"config {path}: top level must be an object")
     values = {}
     for key, value in raw.items():
-        if key not in _FIELD_TYPES:
+        if key not in _FIELDS:
             raise ConfigError(f"config {path}: unknown key {key!r}")
-        values[key] = tuple(value) if isinstance(value, list) else value
+        try:
+            values[key] = _from_json(key, value)
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"config {path}: bad value for {key}: {value!r} ({exc})") from exc
     return values
 
 

@@ -192,8 +192,6 @@ def split_train_test(d: Dataset, test_fraction: float, seed: int):
 class PartitionPlan:
     """Assignment of every sample index of a source dataset to one chunk."""
 
-    source: str
-    k: int
     chunks: tuple[tuple[int, ...], ...]
 
 
@@ -210,7 +208,7 @@ def partition_chunks(d: Dataset, k: int, seed: int) -> PartitionPlan:
         raise StructuralError(f"cannot split {len(d)} samples into {k} chunks")
     perm = np.random.default_rng(seed).permutation(len(d))
     chunks = tuple(tuple(int(i) for i in sorted(perm[j::k])) for j in range(k))
-    return PartitionPlan(source=d.name, k=k, chunks=chunks)
+    return PartitionPlan(chunks=chunks)
 
 
 def extract_chunks(d: Dataset, plan: PartitionPlan) -> list[Dataset]:

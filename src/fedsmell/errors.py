@@ -22,7 +22,7 @@ class SchemaError(DataError):
 
 
 class ParseError(DataError):
-    """A cell or config entry could not be parsed."""
+    """A dataset cell could not be parsed."""
 
 
 class ConfigError(FedsmellError):

@@ -203,7 +203,6 @@ def run_federated(cfg: ExperimentConfig):
 def run_synth(cfg: ExperimentConfig) -> SummaryTable:
     """Generate the configured synthetic company datasets as CSV files."""
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     table = SummaryTable()
     for index, name in enumerate(cfg.datasets):
         dataset = datamod.synth_generate(
@@ -236,7 +235,6 @@ def write_rounds_csv(logs, path) -> None:
 def emit_outputs(out_dir, result: RunResult) -> None:
     """Write config.resolved.json, summary.json, and federated artifacts."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "config.resolved.json", "w", encoding="utf-8") as fh:
         json.dump(result.config.to_resolved_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -256,7 +254,11 @@ def emit_outputs(out_dir, result: RunResult) -> None:
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
-    """Dispatch on the experiment kind, run it, and write all outputs."""
+    """Create the output directory, run the experiment, and write all outputs."""
+    try:
+        Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {cfg.out_dir}: {exc}") from exc
     started = time.perf_counter()
     if cfg.kind == CENTRALIZED:
         result = RunResult(config=cfg, table=run_centralized(cfg))

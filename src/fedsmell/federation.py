@@ -18,8 +18,8 @@ import numpy as np
 from .data import Dataset
 from .errors import FedsmellError, StructuralError
 from .metrics import evaluate_model
-from .nn import (AdamState, Hyperparams, PARAM_COUNT, adam_update, flatten_params,
-                 init_params, loss_and_gradient, unflatten_params)
+from .nn import (Hyperparams, PARAM_COUNT, adam_update, flatten_params, init_params,
+                 loss_and_gradient, unflatten_params)
 from .seeds import SAMPLING_SLOT, derive_seed
 
 PLAIN = "plain"
@@ -128,12 +128,12 @@ def weights_checksum(values: np.ndarray) -> str:
 def client_update(client: ClientNode, weights, update_seed: int) -> ModelUpdate:
     """One local training pass: shuffle once, batch once, run the epochs.
 
-    The incoming weights are loaded, the local data is shuffled with the
-    round-scoped seed and partitioned into batches (final short batch
-    kept), and each batch triggers one Adam step per local epoch.
-    Optimizer state starts fresh; only weights leave the client.
+    The incoming weights are copied once, the local data is shuffled with
+    the round-scoped seed and partitioned into batches (final short batch
+    kept), and each batch triggers one in-place Adam step on the copy per
+    local epoch. Optimizer state starts fresh; only weights leave the client.
     """
-    values = np.asarray(weights, dtype=float)
+    values = np.array(weights, dtype=float)
     if values.shape != (PARAM_COUNT,):
         raise StructuralError(
             f"weight vector must have length {PARAM_COUNT}, got shape {values.shape}"
@@ -144,12 +144,12 @@ def client_update(client: ClientNode, weights, update_seed: int) -> ModelUpdate:
     batches = [order[start:start + hyper.batch_size]
                for start in range(0, len(data), hyper.batch_size)]
 
-    state = AdamState.zeros(PARAM_COUNT)
-    for _ in range(hyper.local_epochs):
-        for batch_idx in batches:
-            params = unflatten_params(values)
-            _, grad = loss_and_gradient(data.features[batch_idx], data.labels[batch_idx], params)
-            values, state = adam_update(values, grad, state, hyper.learning_rate)
+    params = unflatten_params(values)
+    m = np.zeros(PARAM_COUNT)
+    v = np.zeros(PARAM_COUNT)
+    for step, batch_idx in enumerate(batches * hyper.local_epochs, start=1):
+        _, grad = loss_and_gradient(data.features[batch_idx], data.labels[batch_idx], params)
+        adam_update(values, grad, m, v, step, hyper.learning_rate)
     return ModelUpdate(client_id=client.id, weights=values, sample_count=len(data))
 
 

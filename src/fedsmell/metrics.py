@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -38,14 +38,7 @@ class MetricReport:
     roc_band: str
 
     def to_json(self) -> dict:
-        return {
-            "accuracy_pct": self.accuracy_pct,
-            "mean_loss": self.mean_loss,
-            "kappa": self.kappa,
-            "roc_auc": self.roc_auc,
-            "kappa_band": self.kappa_band,
-            "roc_band": self.roc_band,
-        }
+        return asdict(self)
 
 
 def accuracy(cm: ConfusionMatrix) -> float:

@@ -91,19 +91,6 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
-class AdamState:
-    """Adam moment estimates over the flat parameter vector."""
-
-    m: np.ndarray
-    v: np.ndarray
-    step_count: int = 0
-
-    @classmethod
-    def zeros(cls, dim: int) -> "AdamState":
-        return cls(m=np.zeros(dim), v=np.zeros(dim))
-
-
-@dataclass(frozen=True)
 class Hyperparams:
     """Local-training knobs shared by centralized and federated runs."""
 
@@ -121,13 +108,8 @@ class Hyperparams:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # Split by sign to avoid exp overflow on large-magnitude inputs.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # The tanh form cannot overflow, so no split by sign is needed.
+    return 0.5 + 0.5 * np.tanh(0.5 * x)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -249,20 +231,21 @@ def loss_and_gradient(X, y, p: ModelParams):
     return loss, grad
 
 
-def adam_update(values: np.ndarray, grad: np.ndarray, state: AdamState,
-                learning_rate: float):
-    """One bias-corrected Adam step on a flat parameter vector."""
-    values = np.asarray(values, dtype=float)
-    grad = np.asarray(grad, dtype=float)
-    if grad.shape != values.shape or state.m.shape != values.shape:
-        raise StructuralError("gradient/state length does not match parameter vector")
-    t = state.step_count + 1
-    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
-    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
-    m_hat = m / (1.0 - ADAM_BETA1 ** t)
-    v_hat = v / (1.0 - ADAM_BETA2 ** t)
-    new_values = values - learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
-    return new_values, AdamState(m=m, v=v, step_count=t)
+def adam_update(values: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
+                step: int, learning_rate: float) -> None:
+    """One bias-corrected Adam step, in place on `values` and the moments `m`, `v`.
+
+    `step` is the 1-based number of this step since the moments were zero.
+    """
+    if not values.shape == grad.shape == m.shape == v.shape:
+        raise StructuralError("gradient/moment length does not match parameter vector")
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1.0 - ADAM_BETA1 ** step)
+    v_hat = v / (1.0 - ADAM_BETA2 ** step)
+    values -= learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
 
 
 def flatten_params(p: ModelParams) -> np.ndarray:

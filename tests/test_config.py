@@ -6,7 +6,7 @@ import pytest
 
 from fedsmell.cli import main
 from fedsmell.config import ExperimentConfig, parse_config, validate_config
-from fedsmell.errors import ConfigError, ParseError
+from fedsmell.errors import ConfigError
 
 
 def write(path, text):
@@ -50,7 +50,7 @@ def test_unknown_section_is_named(tmp_path):
 
 def test_bad_value_reports_key(tmp_path):
     text = MINIMAL + "\n[training]\nbatch_size = many\n"
-    with pytest.raises(ParseError, match="batch_size"):
+    with pytest.raises(ConfigError, match="batch_size"):
         parse_config(write(tmp_path / "c.ini", text))
 
 
@@ -175,6 +175,51 @@ def test_cli_non_utf8_config_exits_2(tmp_path, capsys):
         path.write_bytes(MINIMAL.encode("utf-8") + b"seed = \xff\xfe\n")
         assert main(["centralized", "--config", str(path)]) == 2
         assert_one_error_line(capsys, "CONFIG_ERROR:")
+
+
+def test_cli_malformed_ini_exits_2(tmp_path, capsys):
+    texts = {
+        "bad_value.ini": MINIMAL + "\n[training]\nbatch_size = many\n",
+        "open_header.ini": MINIMAL + "\n[training\nbatch_size = 8\n",
+    }
+    for name, text in texts.items():
+        assert main(["centralized", "--config", str(write(tmp_path / name, text))]) == 2, name
+        assert_one_error_line(capsys, "CONFIG_ERROR:")
+
+
+def test_cli_resolved_json_wrong_types_exit_2(tmp_path, capsys):
+    base = {"kind": "centralized", "datasets": ["a.csv"]}
+    for key, value in (("rounds", "x"), ("seed", True), ("chunks", ["a"]),
+                       ("learning_rate", "0.1"), ("datasets", "a.csv")):
+        path = tmp_path / "config.resolved.json"
+        path.write_text(json.dumps({**base, key: value}), encoding="utf-8")
+        assert main(["centralized", "--config", str(path)]) == 2, key
+        err = capsys.readouterr().err
+        assert err.startswith("CONFIG_ERROR:") and key in err, key
+        assert len(err.strip().splitlines()) == 1
+
+
+def test_resolved_json_numbers_follow_their_fields(tmp_path):
+    path = tmp_path / "config.resolved.json"
+    path.write_text(json.dumps({"kind": "centralized", "datasets": ["a.csv"],
+                                "learning_rate": 1, "synth_shifts": [0, 0.5]}),
+                    encoding="utf-8")
+    cfg = parse_config(path)
+    assert type(cfg.learning_rate) is float and cfg.learning_rate == 1.0
+    assert cfg.synth_shifts == (0.0, 0.5)
+
+
+def test_cli_out_naming_a_file_exits_2_before_any_work(tmp_path, capsys):
+    occupied = write(tmp_path / "occupied", "not a directory\n")
+    synth = write(tmp_path / "s.ini", "[experiment]\nkind = synth\ndatasets = a\n")
+    # The federated dataset does not exist: exit 2 rather than 3 shows that
+    # the output directory is checked before any data is read.
+    fed = write(tmp_path / "f.ini", "[experiment]\nkind = federated\n"
+                f"datasets = {tmp_path / 'ghost.csv'}\n")
+    for verb, cfg in (("synth", synth), ("federated", fed)):
+        assert main([verb, "--config", str(cfg), "--out", str(occupied)]) == 2, verb
+        assert_one_error_line(capsys, "CONFIG_ERROR:")
+    assert occupied.read_text(encoding="utf-8") == "not a directory\n"
 
 
 def test_cli_bad_dataset_bytes_and_cells_exit_3(tmp_path, capsys):

@@ -15,9 +15,8 @@ from fedsmell.federation import (ClientNode, FederationTopology, ModelUpdate,
                                  reducer_reduce, run_federation, sample_clients)
 from fedsmell.experiments import write_rounds_csv
 from fedsmell.metrics import evaluate_model
-from fedsmell.nn import (AdamState, Hyperparams, PARAM_COUNT, adam_update,
-                         flatten_params, init_params, loss_and_gradient,
-                         unflatten_params)
+from fedsmell.nn import (Hyperparams, PARAM_COUNT, adam_update, flatten_params,
+                         init_params, loss_and_gradient, unflatten_params)
 from fedsmell.seeds import derive_seed
 from test_gradients import dead_slot_mask
 from util import random_dataset
@@ -40,9 +39,32 @@ def test_client_update_single_batch_takes_exactly_one_step():
     params = unflatten_params(start)
     _, grad = loss_and_gradient(client.local_data.features[order],
                                 client.local_data.labels[order], params)
-    expected, _ = adam_update(start, grad, AdamState.zeros(PARAM_COUNT), 0.001)
+    expected = start.copy()
+    adam_update(expected, grad, np.zeros(PARAM_COUNT), np.zeros(PARAM_COUNT), 1, 0.001)
     assert np.array_equal(update.weights, expected)
     assert update.sample_count == 12
+
+
+def test_client_update_step_count_continues_across_local_epochs():
+    client = small_client(n=20, seed=3, batch_size=8, local_epochs=3)
+    start = flatten_params(init_params(4))
+    update = client_update(client, start, update_seed=7)
+
+    # Hand loop: one shuffle, batches of 8, 8 and 4, moments carried over.
+    order = np.random.default_rng(7).permutation(20)
+    values = start.copy()
+    m, v = np.zeros(PARAM_COUNT), np.zeros(PARAM_COUNT)
+    step = 0
+    for _ in range(3):
+        for begin in range(0, 20, 8):
+            batch = order[begin:begin + 8]
+            _, grad = loss_and_gradient(client.local_data.features[batch],
+                                        client.local_data.labels[batch],
+                                        unflatten_params(values))
+            step += 1
+            adam_update(values, grad, m, v, step, 0.001)
+    assert step == 9
+    assert np.array_equal(update.weights, values)
 
 
 def test_client_update_zero_learning_rate_is_identity():

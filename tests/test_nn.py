@@ -9,10 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fedsmell.errors import NumericError, StructuralError
-from fedsmell.nn import (AdamState, DENSE_UNITS, HIDDEN_DIM, INPUT_DIM, NUM_CLASSES,
-                         PARAM_COUNT, adam_update, flatten_params, forward_batch,
-                         init_params, load_weights, loss_and_gradient, mean_cross_entropy,
-                         save_weights, unflatten_params)
+from fedsmell.nn import (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, DENSE_UNITS, HIDDEN_DIM,
+                         INPUT_DIM, NUM_CLASSES, PARAM_COUNT, _sigmoid, adam_update,
+                         flatten_params, forward_batch, init_params, load_weights,
+                         loss_and_gradient, mean_cross_entropy, save_weights,
+                         unflatten_params)
 
 
 def zero_params():
@@ -47,6 +48,25 @@ def test_lstm_forward_zero_params_gives_half_gates_and_zero_state():
     assert np.array_equal(cache.g[0], np.zeros(HIDDEN_DIM))
     assert np.array_equal(cache.tanh_c[0], np.zeros(HIDDEN_DIM))
     assert np.array_equal(cache.dense_inputs[0][0], np.zeros(HIDDEN_DIM))
+
+
+def _sign_split_sigmoid(x):
+    """Logistic function split by sign so that exp never overflows."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_matches_sign_split_oracle_without_floating_point_errors():
+    x = np.concatenate([np.linspace(-800.0, 800.0, 200_001),
+                        np.random.default_rng(3).uniform(-40.0, 40.0, 100_000)])
+    with np.errstate(all="raise"):
+        got = _sigmoid(x)
+    assert np.max(np.abs(got - _sign_split_sigmoid(x))) <= 2.3e-16
+    assert np.array_equal(_sigmoid(np.array([-800.0, 0.0, 800.0])), [0.0, 0.5, 1.0])
 
 
 def _lstm_scalar_oracle(x, h_prev, c_prev, p):
@@ -205,31 +225,53 @@ def test_backward_dead_relu_unit_gets_zero_gradient():
 
 # --------------------------------------------------------------------- adam
 
-def test_adam_zero_gradient_is_noop_but_counts():
-    values = flatten_params(init_params(1))
-    state = AdamState.zeros(PARAM_COUNT)
-    updated, new_state = adam_update(values, np.zeros(PARAM_COUNT), state, 0.001)
-    assert np.array_equal(updated, values)
-    assert new_state.step_count == 1
+def reference_adam(values, grad, m, v, step, learning_rate):
+    """Out-of-place bias-corrected Adam: returns (new values, m, v)."""
+    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1.0 - ADAM_BETA1 ** step)
+    v_hat = v / (1.0 - ADAM_BETA2 ** step)
+    return values - learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON), m, v
+
+
+def test_adam_in_place_matches_reference_bitwise():
+    rng = np.random.default_rng(11)
+    values = rng.standard_normal(PARAM_COUNT)
+    m, v = np.zeros(PARAM_COUNT), np.zeros(PARAM_COUNT)
+    ref_values, ref_m, ref_v = values.copy(), m.copy(), v.copy()
+    for step in range(1, 61):
+        # Magnitudes from 1e-6 to 10 with random signs.
+        grad = (10.0 ** rng.uniform(-6, 1, PARAM_COUNT)) * rng.choice([-1.0, 1.0], PARAM_COUNT)
+        assert adam_update(values, grad, m, v, step, 0.001) is None
+        ref_values, ref_m, ref_v = reference_adam(ref_values, grad, ref_m, ref_v, step, 0.001)
+        assert np.array_equal(values, ref_values)
+        assert np.array_equal(m, ref_m)
+        assert np.array_equal(v, ref_v)
+
+
+def test_adam_zero_gradient_is_noop():
+    values = flatten_params(init_params(1)).copy()
+    before = values.copy()
+    adam_update(values, np.zeros(PARAM_COUNT), np.zeros(PARAM_COUNT), np.zeros(PARAM_COUNT),
+                1, 0.001)
+    assert np.array_equal(values, before)
 
 
 def test_adam_first_step_moves_by_learning_rate():
     values = np.zeros(3)
     grad = np.array([0.1, -0.2, 0.0])
-    new_values, state = adam_update(values, grad, AdamState.zeros(3), 0.001)
-    assert new_values[0] == pytest.approx(-0.001, rel=1e-5)
-    assert new_values[1] == pytest.approx(0.001, rel=1e-5)
-    assert new_values[2] == 0.0
-    assert state.step_count == 1
+    adam_update(values, grad, np.zeros(3), np.zeros(3), 1, 0.001)
+    assert values[0] == pytest.approx(-0.001, rel=1e-5)
+    assert values[1] == pytest.approx(0.001, rel=1e-5)
+    assert values[2] == 0.0
 
 
 def test_adam_quadratic_descent_is_monotone_after_step_two():
     # Scalar run on f(x) = x^2 from x = 1 with lr 0.1.
-    x = np.array([1.0])
-    state = AdamState.zeros(1)
+    x, m, v = np.array([1.0]), np.zeros(1), np.zeros(1)
     losses = []
-    for _ in range(10):
-        x, state = adam_update(x, 2.0 * x, state, 0.1)
+    for step in range(1, 11):
+        adam_update(x, 2.0 * x, m, v, step, 0.1)
         losses.append(float(x[0] ** 2))
     assert all(losses[i + 1] < losses[i] for i in range(1, len(losses) - 1))
     assert losses[-1] < losses[0]
@@ -237,10 +279,12 @@ def test_adam_quadratic_descent_is_monotone_after_step_two():
 
 def test_adam_length_mismatch_rejected():
     with pytest.raises(StructuralError):
-        adam_update(np.zeros(4), np.zeros(3), AdamState.zeros(4), 0.001)
+        adam_update(np.zeros(4), np.zeros(3), np.zeros(4), np.zeros(4), 1, 0.001)
     with pytest.raises(StructuralError):
-        adam_update(flatten_params(init_params(0)), np.zeros(7),
-                    AdamState.zeros(PARAM_COUNT), 0.001)
+        adam_update(flatten_params(init_params(0)), np.zeros(7), np.zeros(PARAM_COUNT),
+                    np.zeros(PARAM_COUNT), 1, 0.001)
+    with pytest.raises(StructuralError):
+        adam_update(np.zeros(4), np.zeros(4), np.zeros(4), np.zeros(3), 1, 0.001)
 
 
 def test_sgd_descent_sanity_over_seeds():
