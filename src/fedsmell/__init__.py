@@ -1,9 +1,9 @@
 """Federated god-class code-smell detection on tabular code metrics."""
 
 from .config import ExperimentConfig, parse_config
-from .data import (Dataset, FEATURE_NAMES, NormalizationStats, PartitionPlan,
-                   apply_normalizer, fit_normalizer, load_csv, partition_chunks,
-                   rebalance, split_train_test, synth_generate)
+from .data import (Dataset, FEATURE_NAMES, NormalizationStats, apply_normalizer,
+                   fit_normalizer, load_csv, partition_chunks, rebalance, split_train_test,
+                   synth_generate)
 from .errors import (ConfigError, DataError, FedsmellError, NumericError, ParseError,
                      SchemaError, StructuralError)
 from .federation import (ClientNode, FederationTopology, ModelUpdate, RoundConfig,

@@ -6,7 +6,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .config import CENTRALIZED, CROSS_EVAL, FEDERATED, SYNTH, parse_config
+from .config import CENTRALIZED, CROSS_EVAL, FEDERATED, SYNTH, parse_config, validate_config
 from .errors import ConfigError, DataError, NumericError, StructuralError
 from .experiments import run_experiment
 
@@ -44,7 +44,7 @@ def main(argv=None) -> int:
             cfg = replace(cfg, seed=args.seed)
         if args.out is not None:
             cfg = replace(cfg, out_dir=args.out)
-        result = run_experiment(cfg)
+        result = run_experiment(validate_config(cfg, args.config))
     except ConfigError as exc:
         print(f"CONFIG_ERROR: {_one_line(exc)}", file=sys.stderr)
         return 2
@@ -55,7 +55,7 @@ def main(argv=None) -> int:
         print(f"NUMERIC_ERROR: {_one_line(exc)}", file=sys.stderr)
         return 4
 
-    for row in result.table.rows:
+    for row in result.rows:
         print(f"{row['train_source']} -> {row['eval_source']}: "
               f"{row['accuracy_pct']:.2f}%")
     print(f"outputs written to {cfg.out_dir}")

@@ -17,8 +17,9 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .data import REBALANCE_MODES
-from .errors import ConfigError
-from .federation import REDUCER_MODES
+from .errors import ConfigError, StructuralError
+from .federation import RoundConfig
+from .nn import Hyperparams
 
 CENTRALIZED = "centralized"
 CROSS_EVAL = "cross_eval"
@@ -46,6 +47,14 @@ class ExperimentConfig:
     synth_samples: int = 2000
     synth_positive_rate: float = 0.5
     synth_shifts: tuple[float, ...] = ()
+
+    def hyperparams(self) -> Hyperparams:
+        return Hyperparams(learning_rate=self.learning_rate, batch_size=self.batch_size,
+                           local_epochs=self.local_epochs)
+
+    def round_config(self) -> RoundConfig:
+        return RoundConfig(rounds=self.rounds, client_fraction=self.client_fraction,
+                           seed=self.seed, reducer_mode=self.reducer_mode)
 
     def to_resolved_dict(self) -> dict:
         raw = asdict(self)
@@ -189,18 +198,11 @@ def validate_config(cfg: ExperimentConfig, path="<config>") -> ExperimentConfig:
         fail(f"rebalance must be one of {REBALANCE_MODES}")
     if not 0.0 < cfg.test_fraction < 1.0:
         fail("test_fraction must be in (0, 1)")
-    if cfg.rounds < 1:
-        fail("rounds must be >= 1")
-    if not 0.0 < cfg.client_fraction <= 1.0:
-        fail("client_fraction must be in (0, 1]")
-    if cfg.reducer_mode not in REDUCER_MODES:
-        fail(f"reducer_mode must be one of {REDUCER_MODES}")
-    if cfg.learning_rate < 0:
-        fail("learning_rate must be >= 0")
-    if cfg.batch_size < 1:
-        fail("batch_size must be >= 1")
-    if cfg.local_epochs < 1:
-        fail("local_epochs must be >= 1")
+    try:
+        cfg.round_config()
+        cfg.hyperparams()
+    except StructuralError as exc:
+        fail(exc)
     if cfg.synth_samples < 10:
         fail("synth samples must be >= 10")
     if not 0.0 < cfg.synth_positive_rate < 1.0:

@@ -84,10 +84,10 @@ def concat_datasets(name: str, datasets) -> Dataset:
     )
 
 
-def load_csv(path, schema=FEATURE_NAMES) -> Dataset:
+def load_csv(path) -> Dataset:
     """Read a dataset from CSV.
 
-    The header must contain every schema column (case-insensitive) plus
+    The header must contain every feature column (case-insensitive) plus
     the label column; extra columns are ignored and file row order is
     preserved. Blank lines are skipped. Labels must equal 0 or 1 and
     feature cells must be finite; a bad cell is reported with its row.
@@ -105,7 +105,7 @@ def load_csv(path, schema=FEATURE_NAMES) -> Dataset:
     _, header = rows[0]
     lower = {cell.strip().lower(): idx for idx, cell in enumerate(header)}
     feature_idx = []
-    for column in schema:
+    for column in FEATURE_NAMES:
         if column.lower() not in lower:
             raise SchemaError(f"{path}: missing required column {column!r}")
         feature_idx.append(lower[column.lower()])
@@ -188,15 +188,8 @@ def split_train_test(d: Dataset, test_fraction: float, seed: int):
     return train, test
 
 
-@dataclass(frozen=True)
-class PartitionPlan:
-    """Assignment of every sample index of a source dataset to one chunk."""
-
-    chunks: tuple[tuple[int, ...], ...]
-
-
-def partition_chunks(d: Dataset, k: int, seed: int) -> PartitionPlan:
-    """Shuffle then deal samples round-robin into k near-equal chunks.
+def partition_chunks(d: Dataset, k: int, seed: int) -> list[np.ndarray]:
+    """Shuffle then deal sample indices round-robin into k near-equal chunks.
 
     Membership is random (no stratification), so chunk class ratios vary;
     chunk sizes differ by at most one. Indices within a chunk are kept
@@ -207,12 +200,11 @@ def partition_chunks(d: Dataset, k: int, seed: int) -> PartitionPlan:
     if k > len(d):
         raise StructuralError(f"cannot split {len(d)} samples into {k} chunks")
     perm = np.random.default_rng(seed).permutation(len(d))
-    chunks = tuple(tuple(int(i) for i in sorted(perm[j::k])) for j in range(k))
-    return PartitionPlan(chunks=chunks)
+    return [np.sort(perm[j::k]) for j in range(k)]
 
 
-def extract_chunks(d: Dataset, plan: PartitionPlan) -> list[Dataset]:
-    return [d.subset(chunk, f"{d.name}-chunk{j}") for j, chunk in enumerate(plan.chunks)]
+def extract_chunks(d: Dataset, chunks) -> list[Dataset]:
+    return [d.subset(chunk, f"{d.name}-chunk{j}") for j, chunk in enumerate(chunks)]
 
 
 def rebalance(d: Dataset, mode: str, seed: int) -> Dataset:

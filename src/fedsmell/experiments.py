@@ -1,8 +1,9 @@
 """Experiment runners: centralized baseline, cross-evaluation, federation, synth.
 
-Each runner consumes a resolved ExperimentConfig and produces a summary
-table; the federated runner additionally produces per-round logs and the
-final global weights. `run_experiment` dispatches and writes all outputs
+Each runner consumes a resolved ExperimentConfig and returns a RunResult:
+its accuracy cells and, for the federated runner, the per-round logs and
+the final global weights. Training runners prepare every source before any
+training starts. `run_experiment` dispatches and writes all outputs
 (rounds.csv, summary.json, config.resolved.json, model.fwv).
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,9 +20,8 @@ import numpy as np
 
 from . import data as datamod
 from .config import CENTRALIZED, CROSS_EVAL, FEDERATED, SYNTH, ExperimentConfig
-from .errors import ConfigError, FedsmellError
-from .federation import (ClientNode, FederationTopology, RoundConfig, client_update,
-                         run_federation)
+from .errors import ConfigError, FedsmellError, StructuralError
+from .federation import ClientNode, FederationTopology, client_update, run_federation
 from .metrics import MetricReport, evaluate_model
 from .nn import Hyperparams, flatten_params, init_params, save_weights
 from .seeds import derive_seed
@@ -31,20 +32,6 @@ _SPLIT_OFFSET = 100
 _REBALANCE_OFFSET = 200
 _PARTITION_OFFSET = 300
 _SYNTH_OFFSET = 400
-
-
-@dataclass
-class SummaryTable:
-    """Accuracy cells, one row per (train_source, eval_source) pair."""
-
-    rows: list[dict] = field(default_factory=list)
-
-    def add(self, train_source: str, eval_source: str, accuracy_pct: float) -> None:
-        self.rows.append({
-            "train_source": train_source,
-            "eval_source": eval_source,
-            "accuracy_pct": accuracy_pct,
-        })
 
 
 @dataclass
@@ -60,17 +47,37 @@ class PreparedSource:
 
 @dataclass
 class RunResult:
+    """A runner's outputs: accuracy cells, one per (train_source,
+    eval_source) pair, plus the federated run's rounds and final model."""
+
     config: ExperimentConfig
-    table: SummaryTable
+    rows: list[dict]
     round_logs: list = field(default_factory=list)
     final_weights: np.ndarray | None = None
     final_report: MetricReport | None = None
     wall_clock_seconds: float = 0.0
 
 
-def _hyper(cfg: ExperimentConfig) -> Hyperparams:
-    return Hyperparams(learning_rate=cfg.learning_rate, batch_size=cfg.batch_size,
-                       local_epochs=cfg.local_epochs)
+def _cell(train_source: str, eval_source: str, accuracy_pct: float) -> dict:
+    return {"train_source": train_source, "eval_source": eval_source,
+            "accuracy_pct": accuracy_pct}
+
+
+@contextmanager
+def _about_dataset(path):
+    """Prefix any package error raised in the block with `dataset <path>:`."""
+    try:
+        yield
+    except FedsmellError as exc:
+        raise type(exc)(f"dataset {path}: {exc}") from exc
+
+
+def _require_both_classes(test: datamod.Dataset) -> None:
+    """Kappa and ROC need both classes in a scored set; check before training."""
+    for cls, count in enumerate(test.class_counts()):
+        if count == 0:
+            raise StructuralError(f"test set {test.name!r} has no samples of class {cls}, "
+                                  "so it cannot be scored")
 
 
 def prepare_source(path, cfg: ExperimentConfig, index: int) -> PreparedSource:
@@ -92,6 +99,19 @@ def prepare_source(path, cfg: ExperimentConfig, index: int) -> PreparedSource:
     )
 
 
+def _prepare_all(cfg: ExperimentConfig, score_tests: bool) -> list[PreparedSource]:
+    """Prepare every source before any training; with `score_tests`, also
+    require each test split to hold both classes."""
+    sources = []
+    for index, path in enumerate(cfg.datasets):
+        with _about_dataset(path):
+            source = prepare_source(path, cfg, index)
+            if score_tests:
+                _require_both_classes(source.test)
+        sources.append(source)
+    return sources
+
+
 def train_centralized(train: datamod.Dataset, hyper: Hyperparams, passes: int,
                       seed: int) -> np.ndarray:
     """Repeated single-node training passes; returns the final flat weights.
@@ -106,63 +126,55 @@ def train_centralized(train: datamod.Dataset, hyper: Hyperparams, passes: int,
     return values
 
 
-def run_centralized(cfg: ExperimentConfig) -> SummaryTable:
+def _train_each(cfg: ExperimentConfig, sources) -> list[np.ndarray]:
+    hyper = cfg.hyperparams()
+    models = []
+    for path, source in zip(cfg.datasets, sources):
+        with _about_dataset(path):
+            models.append(train_centralized(source.train, hyper, cfg.rounds, cfg.seed))
+    return models
+
+
+def run_centralized(cfg: ExperimentConfig) -> RunResult:
     """Train one model per dataset and score it on that dataset's test split."""
-    table = SummaryTable()
-    hyper = _hyper(cfg)
-    for index, path in enumerate(cfg.datasets):
-        try:
-            source = prepare_source(path, cfg, index)
-            weights = train_centralized(source.train, hyper, cfg.rounds, cfg.seed)
+    sources = _prepare_all(cfg, score_tests=True)
+    rows = []
+    for path, source, weights in zip(cfg.datasets, sources, _train_each(cfg, sources)):
+        with _about_dataset(path):
             report = evaluate_model(weights, source.test)
-        except FedsmellError as exc:
-            raise type(exc)(f"dataset {path}: {exc}") from exc
-        table.add(source.name, source.name, report.accuracy_pct)
-    return table
+        rows.append(_cell(source.name, source.name, report.accuracy_pct))
+    return RunResult(cfg, rows)
 
 
-def run_cross_eval(cfg: ExperimentConfig) -> SummaryTable:
-    """Train per dataset, evaluate each model on the two other full datasets.
+def run_cross_eval(cfg: ExperimentConfig) -> RunResult:
+    """Train per dataset, evaluate each model on the other full datasets.
 
     Foreign datasets are normalized with the *trainer's* statistics; their
     own statistics are never consulted.
     """
-    if len(cfg.datasets) != 3:
-        raise ConfigError("cross_eval requires exactly 3 datasets")
-    hyper = _hyper(cfg)
-    sources = []
-    models = []
-    for index, path in enumerate(cfg.datasets):
-        try:
-            source = prepare_source(path, cfg, index)
-            models.append(train_centralized(source.train, hyper, cfg.rounds, cfg.seed))
-        except FedsmellError as exc:
-            raise type(exc)(f"dataset {path}: {exc}") from exc
-        sources.append(source)
-
-    table = SummaryTable()
-    for i, trainer in enumerate(sources):
-        for j, other in enumerate(sources):
-            if i == j:
+    sources = _prepare_all(cfg, score_tests=False)
+    models = _train_each(cfg, sources)
+    rows = []
+    for trainer, weights in zip(sources, models):
+        for path, other in zip(cfg.datasets, sources):
+            if other is trainer:
                 continue
-            try:
+            with _about_dataset(path):
                 foreign = datamod.apply_normalizer(other.raw, trainer.stats)
-                report = evaluate_model(models[i], foreign)
-            except FedsmellError as exc:
-                raise type(exc)(f"dataset {cfg.datasets[j]}: {exc}") from exc
-            table.add(trainer.name, other.name, report.accuracy_pct)
-    return table
+                report = evaluate_model(weights, foreign)
+            rows.append(_cell(trainer.name, other.name, report.accuracy_pct))
+    return RunResult(cfg, rows)
 
 
 def build_federated_clients(sources, cfg: ExperimentConfig):
     """Partition each source's train split into chunks and assign combiners."""
-    hyper = _hyper(cfg)
+    hyper = cfg.hyperparams()
     chunk_sets = []
     for index, source in enumerate(sources):
-        plan = datamod.partition_chunks(
+        chunks = datamod.partition_chunks(
             source.train, cfg.chunks[index], derive_seed(cfg.seed, 0, _PARTITION_OFFSET + index)
         )
-        chunk_sets.extend(datamod.extract_chunks(source.train, plan))
+        chunk_sets.extend(datamod.extract_chunks(source.train, chunks))
 
     assignment = []
     for combiner_id, count in enumerate(cfg.combiner_clients):
@@ -174,36 +186,27 @@ def build_federated_clients(sources, cfg: ExperimentConfig):
     return FederationTopology(combiners=tuple(range(len(cfg.combiner_clients))), clients=clients)
 
 
-def run_federated(cfg: ExperimentConfig):
-    """Full federated run; returns (table, round logs, final weights, report).
+def run_federated(cfg: ExperimentConfig) -> RunResult:
+    """Full federated run: round logs, final weights and their report.
 
     Clients are the shuffled chunks of each dataset's train split; the
     global model is scored every round on the pooled union of the
-    per-dataset test splits.
+    per-dataset test splits, so the last round's report is the final one.
     """
-    sources = []
-    for index, path in enumerate(cfg.datasets):
-        try:
-            sources.append(prepare_source(path, cfg, index))
-        except FedsmellError as exc:
-            raise type(exc)(f"dataset {path}: {exc}") from exc
-
+    sources = _prepare_all(cfg, score_tests=False)
     topology = build_federated_clients(sources, cfg)
     pooled_test = datamod.concat_datasets("pooled-test", [s.test for s in sources])
-    round_config = RoundConfig(rounds=cfg.rounds, client_fraction=cfg.client_fraction,
-                               seed=cfg.seed, reducer_mode=cfg.reducer_mode)
-    logs, final_weights = run_federation(topology, round_config, pooled_test)
-    report = evaluate_model(final_weights, pooled_test)
-
-    table = SummaryTable()
-    table.add("federated", pooled_test.name, report.accuracy_pct)
-    return table, logs, final_weights, report
+    _require_both_classes(pooled_test)
+    logs, final_weights = run_federation(topology, cfg.round_config(), pooled_test)
+    report = logs[-1].report
+    return RunResult(cfg, [_cell("federated", pooled_test.name, report.accuracy_pct)],
+                     round_logs=logs, final_weights=final_weights, final_report=report)
 
 
-def run_synth(cfg: ExperimentConfig) -> SummaryTable:
+def run_synth(cfg: ExperimentConfig) -> RunResult:
     """Generate the configured synthetic company datasets as CSV files."""
     out_dir = Path(cfg.out_dir)
-    table = SummaryTable()
+    rows = []
     for index, name in enumerate(cfg.datasets):
         dataset = datamod.synth_generate(
             cfg.synth_samples,
@@ -214,8 +217,8 @@ def run_synth(cfg: ExperimentConfig) -> SummaryTable:
         )
         datamod.save_csv(dataset, out_dir / f"{name}.csv")
         _, positives = dataset.class_counts()
-        table.add(name, str(out_dir / f"{name}.csv"), 100.0 * positives / len(dataset))
-    return table
+        rows.append(_cell(name, str(out_dir / f"{name}.csv"), 100.0 * positives / len(dataset)))
+    return RunResult(cfg, rows)
 
 
 def write_rounds_csv(logs, path) -> None:
@@ -225,9 +228,10 @@ def write_rounds_csv(logs, path) -> None:
         writer.writerow(["round", "loss", "accuracy", "kappa", "kappa_pct",
                          "roc_auc", "participants"])
         for log in logs:
+            report = log.report
             writer.writerow([
-                log.round, repr(log.loss), repr(log.accuracy), repr(log.kappa),
-                repr(log.kappa * 100.0), repr(log.roc_auc),
+                log.round, repr(report.mean_loss), repr(report.accuracy_pct),
+                repr(report.kappa), repr(report.kappa * 100.0), repr(report.roc_auc),
                 ";".join(str(i) for i in log.participants),
             ])
 
@@ -240,7 +244,7 @@ def emit_outputs(out_dir, result: RunResult) -> None:
         fh.write("\n")
     summary = {
         "experiment": result.config.kind,
-        "cells": result.table.rows,
+        "cells": result.rows,
         "final": result.final_report.to_json() if result.final_report else None,
         "wall_clock_seconds": result.wall_clock_seconds,
     }
@@ -253,25 +257,20 @@ def emit_outputs(out_dir, result: RunResult) -> None:
         save_weights(out_dir / "model.fwv", result.final_weights)
 
 
+_RUNNERS = {CENTRALIZED: run_centralized, CROSS_EVAL: run_cross_eval,
+            FEDERATED: run_federated, SYNTH: run_synth}
+
+
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
     """Create the output directory, run the experiment, and write all outputs."""
+    if cfg.kind not in _RUNNERS:
+        raise ConfigError(f"unknown experiment kind {cfg.kind!r}")
     try:
         Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {cfg.out_dir}: {exc}") from exc
     started = time.perf_counter()
-    if cfg.kind == CENTRALIZED:
-        result = RunResult(config=cfg, table=run_centralized(cfg))
-    elif cfg.kind == CROSS_EVAL:
-        result = RunResult(config=cfg, table=run_cross_eval(cfg))
-    elif cfg.kind == FEDERATED:
-        table, logs, weights, report = run_federated(cfg)
-        result = RunResult(config=cfg, table=table, round_logs=logs,
-                           final_weights=weights, final_report=report)
-    elif cfg.kind == SYNTH:
-        result = RunResult(config=cfg, table=run_synth(cfg))
-    else:
-        raise ConfigError(f"unknown experiment kind {cfg.kind!r}")
+    result = _RUNNERS[cfg.kind](cfg)
     result.wall_clock_seconds = time.perf_counter() - started
     emit_outputs(cfg.out_dir, result)
     return result

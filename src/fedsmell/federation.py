@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import FedsmellError, StructuralError
-from .metrics import evaluate_model
+from .metrics import MetricReport, evaluate_model
 from .nn import (Hyperparams, PARAM_COUNT, adam_update, flatten_params, init_params,
                  loss_and_gradient, unflatten_params)
 from .seeds import SAMPLING_SLOT, derive_seed
@@ -105,7 +105,9 @@ class RoundConfig:
         if not 0.0 < self.client_fraction <= 1.0:
             raise StructuralError("client_fraction must be in (0, 1]")
         if self.reducer_mode not in REDUCER_MODES:
-            raise StructuralError(f"unknown reducer mode {self.reducer_mode!r}")
+            raise StructuralError(f"reducer_mode must be one of {REDUCER_MODES}")
+        if self.seed < 0:
+            raise StructuralError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -114,10 +116,7 @@ class RoundLog:
 
     round: int
     weights_checksum: str
-    loss: float
-    accuracy: float
-    kappa: float
-    roc_auc: float
+    report: MetricReport
     participants: tuple[int, ...]
 
 
@@ -246,13 +245,6 @@ def run_federation(topology: FederationTopology, config: RoundConfig, test_set: 
             report = evaluate_model(values, test_set)
         except FedsmellError as exc:
             raise type(exc)(f"round {t}: {exc}") from exc
-        logs.append(RoundLog(
-            round=t,
-            weights_checksum=weights_checksum(values),
-            loss=report.mean_loss,
-            accuracy=report.accuracy_pct,
-            kappa=report.kappa,
-            roc_auc=report.roc_auc,
-            participants=tuple(selected),
-        ))
+        logs.append(RoundLog(round=t, weights_checksum=weights_checksum(values),
+                             report=report, participants=tuple(selected)))
     return logs, values

@@ -99,8 +99,8 @@ class Hyperparams:
     local_epochs: int = 1
 
     def __post_init__(self):
-        if not self.learning_rate >= 0:
-            raise StructuralError("learning_rate must be >= 0")
+        if not 0 <= self.learning_rate < math.inf:
+            raise StructuralError("learning_rate must be finite and >= 0")
         if self.batch_size < 1:
             raise StructuralError("batch_size must be >= 1")
         if self.local_epochs < 1:

@@ -225,9 +225,9 @@ def test_criterion_6_federation_beats_single_source_baselines(tmp_path):
                 write_synth_csv(tmp_path, f"s{seed}c", 0.0, n=1200, seed=600 + seed),
             ]
             cfg = cfg_for("federated", paths, tmp_path / f"f{seed}", rounds=30, seed=seed)
-            _, logs, _, _ = run_federated(cfg)
-            federated_best = max(log.accuracy for log in logs)
-            assert logs[-1].accuracy >= logs[0].accuracy
+            logs = run_federated(cfg).round_logs
+            federated_best = max(log.report.accuracy_pct for log in logs)
+            assert logs[-1].report.accuracy_pct >= logs[0].report.accuracy_pct
 
             sources = [prepare_source(p, cfg, i) for i, p in enumerate(paths)]
             pooled = concat_datasets("pool", [s.test for s in sources])

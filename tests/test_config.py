@@ -239,3 +239,23 @@ def test_cli_bad_dataset_bytes_and_cells_exit_3(tmp_path, capsys):
         code = main(["centralized", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 3, name
         assert_one_error_line(capsys, "DATA_ERROR:")
+
+
+def test_cli_non_finite_learning_rate_and_negative_seed_exit_2(tmp_path, capsys):
+    # Each value is rejected by validation, before any data is read: the
+    # dataset a.csv does not exist, so reaching the data would exit 3.
+    synth = write(tmp_path / "s.ini", "[experiment]\nkind = synth\ndatasets = a\n")
+    fed = write(tmp_path / "f.ini", MINIMAL.replace("centralized", "federated"))
+    cases = [
+        ("centralized", MINIMAL + "[training]\nlearning_rate = nan\n", []),
+        ("centralized", MINIMAL + "[training]\nlearning_rate = inf\n", []),
+        ("centralized", MINIMAL + "seed = -5\n", []),
+        ("federated", fed.read_text(encoding="utf-8"), ["--seed", "-1"]),
+        ("synth", synth.read_text(encoding="utf-8"), ["--seed", "-3"]),
+    ]
+    for index, (verb, text, extra) in enumerate(cases):
+        cfg = write(tmp_path / f"c{index}.ini", text)
+        code = main([verb, "--config", str(cfg), "--out", str(tmp_path / "out"), *extra])
+        assert code == 2, (verb, text, extra)
+        assert_one_error_line(capsys, "CONFIG_ERROR:")
+    assert not (tmp_path / "out" / "a.csv").exists()

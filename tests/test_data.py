@@ -154,19 +154,19 @@ def test_split_rejects_bad_fraction():
 
 def test_partition_sizes_near_equal():
     d = random_dataset(12587, 485, seed=0)
-    plan = partition_chunks(d, 4, seed=1)
-    assert sorted(len(c) for c in plan.chunks) == [3146, 3147, 3147, 3147]
+    chunks = partition_chunks(d, 4, seed=1)
+    assert sorted(len(c) for c in chunks) == [3146, 3147, 3147, 3147]
 
     d5 = random_dataset(18441, 96, seed=0)
-    plan5 = partition_chunks(d5, 5, seed=1)
-    assert sorted(len(c) for c in plan5.chunks) == [3688, 3688, 3688, 3688, 3689]
+    chunks5 = partition_chunks(d5, 5, seed=1)
+    assert sorted(len(c) for c in chunks5) == [3688, 3688, 3688, 3688, 3689]
 
 
 def test_partition_single_chunk_is_identity():
     d = random_dataset(40, 10, seed=4)
-    plan = partition_chunks(d, 1, seed=9)
-    assert plan.chunks == (tuple(range(40)),)
-    [chunk] = extract_chunks(d, plan)
+    chunks = partition_chunks(d, 1, seed=9)
+    assert len(chunks) == 1 and np.array_equal(chunks[0], np.arange(40))
+    [chunk] = extract_chunks(d, chunks)
     assert np.array_equal(chunk.features, d.features)
 
 
@@ -182,10 +182,10 @@ def test_partition_disjoint_exhaustive_balanced(n, k, seed):
     if k > n:
         n = k
     d = random_dataset(n + 2, 1, seed=0)
-    plan = partition_chunks(d, k, seed=seed)
-    flat = [i for chunk in plan.chunks for i in chunk]
+    chunks = partition_chunks(d, k, seed=seed)
+    flat = [i for chunk in chunks for i in chunk]
     assert sorted(flat) == list(range(len(d)))
-    sizes = [len(c) for c in plan.chunks]
+    sizes = [len(c) for c in chunks]
     assert max(sizes) - min(sizes) <= 1
 
 

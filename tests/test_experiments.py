@@ -13,6 +13,7 @@ from fedsmell.experiments import (prepare_source, run_centralized, run_cross_eva
 from fedsmell.metrics import evaluate_model
 from fedsmell.nn import Hyperparams, flatten_params, init_params
 from fedsmell.seeds import derive_seed
+from util import random_dataset
 
 
 def synth_csv(tmp_path, name, shift_magnitude=0.0, n=700, seed=0):
@@ -170,12 +171,12 @@ def test_federated_single_client_single_round_equals_one_pass(tmp_path):
     path = synth_csv(tmp_path, "solo", n=300, seed=5)
     cfg = cfg_for("federated", [path], tmp_path / "out", rounds=1,
                   chunks=(1,), combiner_clients=(1,))
-    _, logs, final_weights, _ = run_federated(cfg)
-    assert len(logs) == 1
+    result = run_federated(cfg)
+    assert len(result.round_logs) == 1
 
     source = prepare_source(path, cfg, 0)
     expected = train_centralized(source.train, Hyperparams(), passes=1, seed=cfg.seed)
-    assert np.array_equal(final_weights, expected)
+    assert np.array_equal(result.final_weights, expected)
 
 
 def test_federated_run_emits_outputs_and_improves(tmp_path):
@@ -201,9 +202,29 @@ def test_federated_run_emits_outputs_and_improves(tmp_path):
     assert summary["experiment"] == "federated"
     assert summary["final"]["accuracy_pct"] == result.final_report.accuracy_pct
     assert summary["wall_clock_seconds"] > 0
+    # The final report is the last round's: same loss, accuracy, kappa, AUC.
+    final = summary["final"]
+    loss, accuracy, kappa, _, auc = (float(v) for v in lines[-1].split(",")[1:6])
+    assert (loss, accuracy, kappa, auc) == (final["mean_loss"], final["accuracy_pct"],
+                                            final["kappa"], final["roc_auc"])
 
     from fedsmell.nn import load_weights
     assert np.array_equal(load_weights(out / "model.fwv"), result.final_weights)
+
+
+def test_federated_run_scores_each_model_once(tmp_path, monkeypatch):
+    # Every round scores its global model; the last round's report is the
+    # final one, so the runner never scores the final weights again.
+    import fedsmell.experiments as exp
+
+    def rescoring(*args):
+        raise AssertionError("final weights scored a second time")
+
+    monkeypatch.setattr(exp, "evaluate_model", rescoring)
+    paths = [synth_csv(tmp_path, f"once{i}", n=300, seed=74 + i) for i in range(2)]
+    result = run_experiment(cfg_for("federated", paths, tmp_path / "out", rounds=2,
+                                    client_fraction=0.5, reducer_mode="smoothed"))
+    assert result.final_report is result.round_logs[-1].report
 
 
 def test_rounds_csv_is_byte_identical_across_runs(tmp_path):
@@ -236,8 +257,7 @@ def test_synth_experiment_writes_loadable_csvs(tmp_path):
     out = tmp_path / "gen"
     cfg = cfg_for("synth", ["left", "right"], out, synth_samples=120,
                   synth_shifts=(0.0, 2.0))
-    table = run_experiment(cfg).table
-    names = [row["train_source"] for row in table.rows]
+    names = [row["train_source"] for row in run_experiment(cfg).rows]
     assert names == ["left", "right"]
     for name in names:
         loaded = load_csv(out / f"{name}.csv")
@@ -286,3 +306,56 @@ def test_cli_seed_and_out_overrides(tmp_path):
     assert resolved["seed"] == 5
     assert resolved["out_dir"] == str(out)
     assert not (tmp_path / "ignored").exists()
+
+
+def count_training_passes(monkeypatch):
+    """Record every client update, centralized or federated."""
+    import fedsmell.experiments as exp
+    import fedsmell.federation as fed
+    calls = []
+    for module in (exp, fed):
+        original = module.client_update
+        monkeypatch.setattr(module, "client_update",
+                            lambda *args, original=original: calls.append(args) or original(*args))
+    return calls
+
+
+def test_cli_bad_second_dataset_fails_before_any_training(tmp_path, monkeypatch, capsys):
+    passes = count_training_passes(monkeypatch)
+    good = synth_csv(tmp_path, "good", n=200, seed=8)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("TLOC,is_god_class\n1,0\n", encoding="utf-8")
+    ini = tmp_path / "c.ini"
+    ini.write_text(f"[experiment]\nkind = centralized\ndatasets = {good}, {bad}\n",
+                   encoding="utf-8")
+    assert main(["centralized", "--config", str(ini), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"DATA_ERROR: dataset {bad}:")
+    assert len(err.strip().splitlines()) == 1
+    assert passes == []
+
+
+def test_cli_scored_set_lacking_a_class_fails_before_training(tmp_path, monkeypatch, capsys):
+    # 2 positive rows and test_fraction 0.2 leave no positive in the test split.
+    rare = tmp_path / "rare.csv"
+    save_csv(random_dataset(60, 2, seed=3, name="rare"), rare)
+    common = synth_csv(tmp_path, "common", n=200, seed=6)
+    passes = count_training_passes(monkeypatch)
+
+    def run(verb, datasets):
+        ini = tmp_path / f"{verb}.ini"
+        ini.write_text(f"[experiment]\nkind = {verb}\ndatasets = {datasets}\n"
+                       "[data]\ntest_fraction = 0.2\n[federation]\nrounds = 1\n",
+                       encoding="utf-8")
+        return main([verb, "--config", str(ini), "--out", str(tmp_path / verb)])
+
+    # Centralized scores each source's test split, federated the pooled one.
+    for verb, datasets in (("centralized", f"{common}, {rare}"), ("federated", rare)):
+        assert run(verb, datasets) == 3, verb
+        err = capsys.readouterr().err
+        assert err.startswith("DATA_ERROR:") and "class 1" in err, err
+        assert len(err.strip().splitlines()) == 1
+    assert passes == []
+    # The other source supplies the pooled positives, so the federation runs.
+    assert run("federated", f"{rare}, {common}") == 0
+    assert passes

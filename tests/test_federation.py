@@ -280,10 +280,7 @@ def test_zero_learning_rate_freezes_round_metrics():
     logs, final = run_federation(topo, RoundConfig(rounds=4, seed=3), test_set)
     first = logs[0]
     for log in logs[1:]:
-        assert log.loss == first.loss
-        assert log.accuracy == first.accuracy
-        assert log.kappa == first.kappa
-        assert log.roc_auc == first.roc_auc
+        assert log.report == first.report
         assert log.weights_checksum == first.weights_checksum
     assert np.array_equal(final, flatten_params(init_params(3)))
 
@@ -296,7 +293,7 @@ def test_federation_reproducible_logs():
     logs_a, final_a = run_federation(topo_a, config, test_set)
     logs_b, final_b = run_federation(topo_b, config, test_set)
     assert [l.weights_checksum for l in logs_a] == [l.weights_checksum for l in logs_b]
-    assert [l.accuracy for l in logs_a] == [l.accuracy for l in logs_b]
+    assert [l.report for l in logs_a] == [l.report for l in logs_b]
     assert np.array_equal(final_a, final_b)
 
 
@@ -341,7 +338,7 @@ def test_federation_outperforms_best_single_client():
     ])
 
     logs, _ = run_federation(topo, RoundConfig(rounds=30, seed=5), test_set)
-    federated_best = max(log.accuracy for log in logs)
+    federated_best = max(log.report.accuracy_pct for log in logs)
 
     best_single = 0.0
     for client in clients:

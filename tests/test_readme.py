@@ -1,0 +1,11 @@
+"""The README's library example runs as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_library_example_runs():
+    [example] = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    exec(compile(example, str(README), "exec"), {})
