@@ -11,7 +11,7 @@ from .federation import (ClientNode, FederationTopology, ModelUpdate, RoundConfi
                          run_federation, sample_clients)
 from .metrics import (ConfusionMatrix, MetricReport, accuracy, cohen_kappa, evaluate_model,
                       interpret_kappa, interpret_roc, roc_auc)
-from .nn import (DenseLayerParams, Hyperparams, LstmCellParams, ModelParams, PARAM_COUNT,
-                 flatten_params, init_params, load_weights, save_weights, unflatten_params)
+from .nn import (Hyperparams, ModelParams, PARAM_COUNT, init_params, load_weights, save_weights,
+                 unflatten_params)
 
 __version__ = "0.1.0"

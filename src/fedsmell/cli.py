@@ -6,6 +6,8 @@ import argparse
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from .config import CENTRALIZED, CROSS_EVAL, FEDERATED, SYNTH, parse_config, validate_config
 from .errors import ConfigError, DataError, NumericError, StructuralError
 from .experiments import run_experiment
@@ -39,19 +41,22 @@ def _one_line(message: str) -> str:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = parse_config(args.config, kind=_VERBS[args.verb])
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
-        if args.out is not None:
-            cfg = replace(cfg, out_dir=args.out)
-        result = run_experiment(validate_config(cfg, args.config))
+        # A float overflow, invalid operation or division by zero is a
+        # numeric error, not a warning next to a silently wrong value.
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            cfg = parse_config(args.config, kind=_VERBS[args.verb])
+            if args.seed is not None:
+                cfg = replace(cfg, seed=args.seed)
+            if args.out is not None:
+                cfg = replace(cfg, out_dir=args.out)
+            result = run_experiment(validate_config(cfg, args.config))
     except ConfigError as exc:
         print(f"CONFIG_ERROR: {_one_line(exc)}", file=sys.stderr)
         return 2
     except (DataError, StructuralError) as exc:
         print(f"DATA_ERROR: {_one_line(exc)}", file=sys.stderr)
         return 3
-    except NumericError as exc:
+    except (NumericError, FloatingPointError) as exc:
         print(f"NUMERIC_ERROR: {_one_line(exc)}", file=sys.stderr)
         return 4
 

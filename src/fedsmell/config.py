@@ -120,7 +120,7 @@ _KNOWN_SECTIONS = {section for section, _ in _INI_KEYS}
 def _read_ini(path: Path) -> dict:
     parser = configparser.ConfigParser(interpolation=None, default_section="__defaults__")
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             parser.read_file(fh, source=str(path))
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
@@ -234,6 +234,8 @@ def validate_config(cfg: ExperimentConfig, path="<config>") -> ExperimentConfig:
             synth_shifts = (0.0,) * len(cfg.datasets)
         if len(synth_shifts) != len(cfg.datasets):
             fail("synth shifts must list one entry per dataset")
+        if not all(math.isfinite(s) for s in synth_shifts):
+            fail("synth shifts must be finite")
 
     return replace(cfg, chunks=tuple(chunks), combiner_clients=tuple(combiner_clients),
                    synth_shifts=tuple(synth_shifts))
@@ -246,8 +248,6 @@ def parse_config(path, kind: str | None = None) -> ExperimentConfig:
     inside the file is optional but must agree when present.
     """
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     if path.suffix == ".json":
         values = _read_resolved_json(path)
     else:

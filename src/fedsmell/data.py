@@ -94,7 +94,7 @@ def load_csv(path) -> Dataset:
     """
     path = Path(path)
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = [(line_no, row) for line_no, row in enumerate(csv.reader(fh), start=1)
                     if any(cell.strip() for cell in row)]
     except (OSError, UnicodeDecodeError) as exc:

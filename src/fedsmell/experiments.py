@@ -23,7 +23,7 @@ from .config import CENTRALIZED, CROSS_EVAL, FEDERATED, SYNTH, ExperimentConfig
 from .errors import ConfigError, FedsmellError, StructuralError
 from .federation import ClientNode, FederationTopology, client_update, run_federation
 from .metrics import MetricReport, evaluate_model
-from .nn import Hyperparams, flatten_params, init_params, save_weights
+from .nn import Hyperparams, init_params, save_weights
 from .seeds import derive_seed
 
 # Preprocessing stages draw from round slot 0, which the round loop never
@@ -120,7 +120,7 @@ def train_centralized(train: datamod.Dataset, hyper: Hyperparams, passes: int,
     this loop walk the exact same parameter trajectory.
     """
     client = ClientNode(id=0, local_data=train, hyper=hyper, combiner_id=0)
-    values = flatten_params(init_params(seed))
+    values = init_params(seed)
     for t in range(1, passes + 1):
         values = client_update(client, values, derive_seed(seed, t, 0)).weights
     return values

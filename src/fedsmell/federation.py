@@ -18,8 +18,8 @@ import numpy as np
 from .data import Dataset
 from .errors import FedsmellError, StructuralError
 from .metrics import MetricReport, evaluate_model
-from .nn import (Hyperparams, PARAM_COUNT, adam_update, flatten_params, init_params,
-                 loss_and_gradient, unflatten_params)
+from .nn import (Hyperparams, PARAM_COUNT, adam_update, init_params, loss_and_gradient,
+                 unflatten_params)
 from .seeds import SAMPLING_SLOT, derive_seed
 
 PLAIN = "plain"
@@ -39,8 +39,6 @@ class ClientNode:
     def __post_init__(self):
         if self.id < 0:
             raise StructuralError("client ids must be non-negative")
-        if len(self.local_data) == 0:
-            raise StructuralError(f"client {self.id} has no local data")
 
 
 @dataclass(frozen=True)
@@ -225,9 +223,7 @@ def run_federation(topology: FederationTopology, config: RoundConfig, test_set: 
     model on the held-out test set. Combiners with no sampled client skip
     the round. Any error aborts the run with the round attached.
     """
-    if len(test_set) == 0:
-        raise StructuralError("test set must be nonempty")
-    values = flatten_params(init_params(config.seed))
+    values = init_params(config.seed)
     logs: list[RoundLog] = []
     for t in range(1, config.rounds + 1):
         try:

@@ -4,8 +4,9 @@ The network is a single-timestep LSTM cell (16 hidden units, zero initial
 state) feeding a relu dense stack (72, 50, 36, 28) and a 2-way softmax
 head. Everything is plain numpy float64. Parameters travel between
 federation nodes as one flat vector with a fixed canonical layout, so
-model exchange and aggregation reduce to vector arithmetic; the
-structured parameters are views onto that vector.
+model exchange and aggregation reduce to vector arithmetic.
+`unflatten_params` is the one place that knows the layout: it hands the
+forward and backward passes views of the vector's live slots.
 """
 
 from __future__ import annotations
@@ -48,46 +49,19 @@ PARAM_COUNT = sum(math.prod(shape) for shape in LAYOUT)
 
 
 @dataclass
-class LstmCellParams:
-    """Gate parameters of one LSTM cell acting on [h_prev, x] vectors.
-
-    All four weight matrices are (HIDDEN_DIM, HIDDEN_DIM + INPUT_DIM), the
-    h_prev columns first; all four biases are (HIDDEN_DIM,). Gate order
-    everywhere is forget, input, output, candidate, and the fields follow
-    the flat layout order. The initial state is zero, so the forget gate
-    and the h_prev columns never reach the output: they keep their place
-    in the flat layout but never train.
-    """
-
-    w_f: np.ndarray
-    b_f: np.ndarray
-    w_i: np.ndarray
-    b_i: np.ndarray
-    w_o: np.ndarray
-    b_o: np.ndarray
-    w_c: np.ndarray
-    b_c: np.ndarray
-
-
-@dataclass
-class DenseLayerParams:
-    """One fully-connected layer: weights @ x + bias."""
-
-    weights: np.ndarray  # (out_dim, in_dim)
-    bias: np.ndarray  # (out_dim,)
-
-
-@dataclass
 class ModelParams:
-    """Full parameter set: LSTM cell, relu dense stack, softmax head.
+    """Views of the live slots of a canonical flat vector.
 
-    Every array is a view onto `values`, the canonical flat vector.
+    `gates` holds (weights, bias) for the input, output and candidate
+    gates, each weights view only that gate's x-columns (HIDDEN_DIM,
+    INPUT_DIM); `layers` holds (weights, bias) for each relu layer, then
+    for the head. The initial LSTM state is zero, so the forget gate and
+    the h_prev columns never reach the output: they keep their place in
+    the flat layout, but no view covers them and they never train.
     """
 
-    values: np.ndarray
-    lstm: LstmCellParams
-    dense: tuple[DenseLayerParams, ...]
-    output: DenseLayerParams
+    gates: tuple[tuple[np.ndarray, np.ndarray], ...]
+    layers: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
 @dataclass(frozen=True)
@@ -145,23 +119,24 @@ def forward_batch(X, p: ModelParams):
     if not np.all(np.isfinite(X)):
         raise NumericError("feature batch contains non-finite values")
 
-    lstm = p.lstm
-    i = _sigmoid(X @ lstm.w_i[:, HIDDEN_DIM:].T + lstm.b_i)
-    o = _sigmoid(X @ lstm.w_o[:, HIDDEN_DIM:].T + lstm.b_o)
-    g = np.tanh(X @ lstm.w_c[:, HIDDEN_DIM:].T + lstm.b_c)
+    (w_i, b_i), (w_o, b_o), (w_c, b_c) = p.gates
+    i = _sigmoid(X @ w_i.T + b_i)
+    o = _sigmoid(X @ w_o.T + b_o)
+    g = np.tanh(X @ w_c.T + b_c)
     tanh_c = np.tanh(i * g)
     a = o * tanh_c
 
     dense_inputs = []
     dense_pre = []
-    for layer in p.dense:
+    for weights, bias in p.layers[:-1]:
         dense_inputs.append(a)
-        pre = a @ layer.weights.T + layer.bias
+        pre = a @ weights.T + bias
         dense_pre.append(pre)
         a = np.maximum(pre, 0.0)
     dense_inputs.append(a)
 
-    logits = a @ p.output.weights.T + p.output.bias
+    weights, bias = p.layers[-1]
+    logits = a @ weights.T + bias
     probs = _softmax(logits)
     if not np.all(np.isfinite(probs)):
         raise NumericError("forward pass produced non-finite probabilities")
@@ -204,27 +179,25 @@ def loss_and_gradient(X, y, p: ModelParams):
     dlogits[np.arange(n), y] -= 1.0
     dlogits /= n
 
-    gp.output.weights[...] = dlogits.T @ cache.dense_inputs[-1]
-    gp.output.bias[...] = dlogits.sum(axis=0)
-    da = dlogits @ p.output.weights
-
-    for layer, g_layer, pre, a_in in zip(reversed(p.dense), reversed(gp.dense),
-                                         reversed(cache.dense_pre),
-                                         reversed(cache.dense_inputs[:-1])):
-        dpre = da * (pre > 0)
-        g_layer.weights[...] = dpre.T @ a_in
-        g_layer.bias[...] = dpre.sum(axis=0)
-        da = dpre @ layer.weights
+    # Head first, then each relu layer: dpre is the gradient of layer k's
+    # pre-activation (the logits for the head).
+    dpre = dlogits
+    for k in reversed(range(len(p.layers))):
+        g_weights, g_bias = gp.layers[k]
+        g_weights[...] = dpre.T @ cache.dense_inputs[k]
+        g_bias[...] = dpre.sum(axis=0)
+        da = dpre @ p.layers[k][0]
+        if k:
+            dpre = da * (cache.dense_pre[k - 1] > 0)
 
     dh = da
     da_o = dh * cache.tanh_c * cache.o * (1.0 - cache.o)
     dc = dh * cache.o * (1.0 - cache.tanh_c ** 2)
     da_i = dc * cache.g * cache.i * (1.0 - cache.i)
     da_c = dc * cache.i * (1.0 - cache.g ** 2)
-    for w, b, da_gate in ((gp.lstm.w_i, gp.lstm.b_i, da_i), (gp.lstm.w_o, gp.lstm.b_o, da_o),
-                          (gp.lstm.w_c, gp.lstm.b_c, da_c)):
-        w[:, HIDDEN_DIM:] = da_gate.T @ X
-        b[...] = da_gate.sum(axis=0)
+    for (g_weights, g_bias), da_gate in zip(gp.gates, (da_i, da_o, da_c)):
+        g_weights[...] = da_gate.T @ X
+        g_bias[...] = da_gate.sum(axis=0)
 
     if not np.all(np.isfinite(grad)):
         raise NumericError("backward pass produced non-finite gradients")
@@ -248,11 +221,6 @@ def adam_update(values: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarr
     values -= learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
 
 
-def flatten_params(p: ModelParams) -> np.ndarray:
-    """The canonical flat float64 vector behind the parameters (not a copy)."""
-    return p.values
-
-
 def _blocks(values: np.ndarray) -> list[np.ndarray]:
     """Views of `values` shaped as the LAYOUT blocks, in order."""
     blocks = []
@@ -265,7 +233,7 @@ def _blocks(values: np.ndarray) -> list[np.ndarray]:
 
 
 def unflatten_params(values) -> ModelParams:
-    """Structured views onto a canonical flat vector; nothing is copied.
+    """Views of the live slots of a canonical flat vector; nothing is copied.
 
     Writing through a returned array writes the vector, and the other way
     round. Input that is not already float64 is converted first.
@@ -274,15 +242,16 @@ def unflatten_params(values) -> ModelParams:
     if values.size != PARAM_COUNT:
         raise StructuralError(f"parameter vector must have length {PARAM_COUNT}, got {values.size}")
     blocks = _blocks(values)
-    layers = [DenseLayerParams(w, b) for w, b in zip(blocks[8::2], blocks[9::2])]
-    return ModelParams(values=values, lstm=LstmCellParams(*blocks[:8]),
-                       dense=tuple(layers[:-1]), output=layers[-1])
+    # blocks[0:2] is the forget gate; the h_prev columns lead each gate matrix.
+    gates = tuple((w[:, HIDDEN_DIM:], b) for w, b in zip(blocks[2:8:2], blocks[3:8:2]))
+    return ModelParams(gates=gates, layers=tuple(zip(blocks[8::2], blocks[9::2])))
 
 
-def init_params(seed: int) -> ModelParams:
-    """Fresh parameters: Glorot-uniform weights, zero biases, seeded.
+def init_params(seed: int) -> np.ndarray:
+    """A fresh canonical flat vector: Glorot-uniform weights, zero biases.
 
-    Weight matrices draw from one generator in canonical layout order.
+    Weight matrices draw from one seeded generator in canonical layout
+    order, the dead slots included.
     """
     rng = np.random.default_rng(seed)
     values = np.zeros(PARAM_COUNT)
@@ -291,7 +260,7 @@ def init_params(seed: int) -> ModelParams:
             out_dim, in_dim = block.shape
             limit = math.sqrt(6.0 / (in_dim + out_dim))
             block[...] = rng.uniform(-limit, limit, size=block.shape)
-    return unflatten_params(values)
+    return values
 
 
 def save_weights(path, values) -> None:

@@ -26,8 +26,8 @@ from fedsmell.federation import (ClientNode, FederationTopology, ModelUpdate,
                                  reducer_reduce, run_federation)
 from fedsmell.metrics import (ConfusionMatrix, cohen_kappa, evaluate_model,
                               interpret_kappa, interpret_roc, roc_auc)
-from fedsmell.nn import (Hyperparams, PARAM_COUNT, flatten_params, init_params,
-                         loss_and_gradient)
+from fedsmell.nn import (Hyperparams, PARAM_COUNT, init_params, loss_and_gradient,
+                         unflatten_params)
 from fedsmell.seeds import derive_seed
 from test_gradients import assert_gradients_match, fd_gradient
 from test_metrics import auc_pair_oracle, kappa_oracle
@@ -65,9 +65,9 @@ def test_criterion_1_gradient_oracle():
             rng = np.random.default_rng(seed)
             X = rng.standard_normal((8, 16))
             y = rng.integers(0, 2, 8)
-            params = init_params(seed)
-            _, analytic = loss_and_gradient(X, y, params)
-            numeric = fd_gradient(flatten_params(params), X, y, coords)
+            base = init_params(seed)
+            _, analytic = loss_and_gradient(X, y, unflatten_params(base))
+            numeric = fd_gradient(base, X, y, coords)
             assert_gradients_match(analytic, numeric, coords)
 
     report("criterion 1: full-model gradients match central finite differences "
@@ -133,7 +133,7 @@ def test_criterion_3_single_client_equivalence():
 
         _, federated = run_federation(topology, config, test_set)
 
-        weights = flatten_params(init_params(config.seed))
+        weights = init_params(config.seed)
         for t in range(1, config.rounds + 1):
             weights = client_update(client, weights, derive_seed(config.seed, t, 0)).weights
 

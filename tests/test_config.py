@@ -259,3 +259,29 @@ def test_cli_non_finite_learning_rate_and_negative_seed_exit_2(tmp_path, capsys)
         assert code == 2, (verb, text, extra)
         assert_one_error_line(capsys, "CONFIG_ERROR:")
     assert not (tmp_path / "out" / "a.csv").exists()
+
+
+def test_cli_non_finite_synth_shifts_exit_2(tmp_path, capsys):
+    for index, shift in enumerate(("inf", "-inf", "nan")):
+        cfg = write(tmp_path / f"s{index}.ini",
+                    f"[experiment]\nkind = synth\ndatasets = x\n[synth]\nshifts = {shift}\n")
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert_one_error_line(capsys, "CONFIG_ERROR:")
+    assert not (tmp_path / "out" / "x.csv").exists()
+
+
+def test_cli_bom_prefixed_config_runs_like_its_plain_copy(tmp_path, capsys):
+    text = "[experiment]\nkind = synth\ndatasets = x, y\nseed = 2\n[synth]\nsamples = 30\n"
+    plain = write(tmp_path / "plain.ini", text)
+    bom = tmp_path / "bom.ini"
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    for path in (plain, bom):
+        assert main(["synth", "--config", str(path), "--out", str(tmp_path / path.stem)]) == 0
+    assert capsys.readouterr().err == ""
+    for name in ("x.csv", "y.csv"):
+        assert (tmp_path / "bom" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+    resolved = [json.loads((tmp_path / stem / "config.resolved.json").read_text("utf-8"))
+                for stem in ("bom", "plain")]
+    assert [r.pop("out_dir") for r in resolved] == [str(tmp_path / "bom"),
+                                                    str(tmp_path / "plain")]
+    assert resolved[0] == resolved[1]

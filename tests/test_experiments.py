@@ -1,6 +1,7 @@
 """Experiment runners: centralized, cross-eval, federated, synth, outputs."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from fedsmell.data import domain_shift, load_csv, save_csv, synth_generate
 from fedsmell.experiments import (prepare_source, run_centralized, run_cross_eval,
                                   run_experiment, run_federated, train_centralized)
 from fedsmell.metrics import evaluate_model
-from fedsmell.nn import Hyperparams, flatten_params, init_params
+from fedsmell.nn import Hyperparams, init_params
 from fedsmell.seeds import derive_seed
 from util import random_dataset
 
@@ -81,7 +82,7 @@ def test_centralized_zero_learning_rate_reports_frozen_model_accuracy(tmp_path):
     # lr = 0 leaves every weight at its seed value; the reported accuracy
     # must equal the untrained model's accuracy on the same test split.
     source = prepare_source(path, cfg, 0)
-    frozen = flatten_params(init_params(cfg.seed))
+    frozen = init_params(cfg.seed)
     expected = evaluate_model(frozen, source.test).accuracy_pct
     assert table.rows[0]["accuracy_pct"] == expected
 
@@ -359,3 +360,42 @@ def test_cli_scored_set_lacking_a_class_fails_before_training(tmp_path, monkeypa
     # The other source supplies the pooled positives, so the federation runs.
     assert run("federated", f"{rare}, {common}") == 0
     assert passes
+
+
+def run_cli_centralized(tmp_path, name, datasets, training=""):
+    ini = tmp_path / f"{name}.ini"
+    ini.write_text(f"[experiment]\nkind = centralized\ndatasets = {datasets}\n"
+                   f"[federation]\nrounds = 1\n{training}", encoding="utf-8")
+    return main(["centralized", "--config", str(ini), "--out", str(tmp_path / name)])
+
+
+def test_cli_floating_point_faults_exit_4_with_one_line(tmp_path, capsys):
+    # A huge learning rate overflows the first forward pass after one step;
+    # a column of finite values near 1e200 overflows the z-score's std.
+    plain = synth_csv(tmp_path, "plain", n=120, seed=4)
+    huge = load_csv(plain)
+    huge.features[:, 3] *= 1e200
+    save_csv(huge, tmp_path / "huge.csv")
+    cases = (("lr", plain, "[training]\nlearning_rate = 1e300\n"),
+             ("huge", tmp_path / "huge.csv", ""))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, dataset, training in cases:
+            assert run_cli_centralized(tmp_path, name, dataset, training) == 4, name
+            err = capsys.readouterr().err
+            assert err.startswith("NUMERIC_ERROR:") and len(err.splitlines()) == 1, err
+
+
+def test_cli_bom_prefixed_csv_runs_like_its_plain_copy(tmp_path, capsys):
+    source = synth_csv(tmp_path, "s", n=120, seed=5)
+    for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "s.csv").write_bytes(prefix + open(source, "rb").read())
+        assert run_cli_centralized(tmp_path, f"out-{name}", tmp_path / name / "s.csv") == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    summaries = [json.loads((tmp_path / f"out-{name}" / "summary.json").read_text())
+                 for name in ("plain", "bom")]
+    for summary in summaries:
+        summary.pop("wall_clock_seconds")
+    assert summaries[0] == summaries[1]

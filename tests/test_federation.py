@@ -15,11 +15,10 @@ from fedsmell.federation import (ClientNode, FederationTopology, ModelUpdate,
                                  reducer_reduce, run_federation, sample_clients)
 from fedsmell.experiments import write_rounds_csv
 from fedsmell.metrics import evaluate_model
-from fedsmell.nn import (Hyperparams, PARAM_COUNT, adam_update, flatten_params,
-                         init_params, loss_and_gradient, unflatten_params)
+from fedsmell.nn import (Hyperparams, PARAM_COUNT, adam_update, init_params,
+                         loss_and_gradient, unflatten_params)
 from fedsmell.seeds import derive_seed
-from test_gradients import dead_slot_mask
-from util import random_dataset
+from util import dead_slot_mask, random_dataset
 
 
 def small_client(n=20, n_pos=8, seed=0, client_id=0, combiner_id=0, **hyper):
@@ -31,7 +30,7 @@ def small_client(n=20, n_pos=8, seed=0, client_id=0, combiner_id=0, **hyper):
 
 def test_client_update_single_batch_takes_exactly_one_step():
     client = small_client(n=12, batch_size=32, local_epochs=1)
-    start = flatten_params(init_params(0))
+    start = init_params(0)
     update = client_update(client, start, update_seed=5)
 
     # Reproduce the round-scoped shuffle: summation order matters bitwise.
@@ -47,7 +46,7 @@ def test_client_update_single_batch_takes_exactly_one_step():
 
 def test_client_update_step_count_continues_across_local_epochs():
     client = small_client(n=20, seed=3, batch_size=8, local_epochs=3)
-    start = flatten_params(init_params(4))
+    start = init_params(4)
     update = client_update(client, start, update_seed=7)
 
     # Hand loop: one shuffle, batches of 8, 8 and 4, moments carried over.
@@ -69,7 +68,7 @@ def test_client_update_step_count_continues_across_local_epochs():
 
 def test_client_update_zero_learning_rate_is_identity():
     client = small_client(n=40, learning_rate=0.0)
-    start = flatten_params(init_params(1))
+    start = init_params(1)
     update = client_update(client, start, update_seed=2)
     assert np.array_equal(update.weights, start)
 
@@ -77,7 +76,7 @@ def test_client_update_zero_learning_rate_is_identity():
 def test_client_update_deterministic_for_identical_clients():
     a = small_client(n=33, seed=4, client_id=0)
     b = small_client(n=33, seed=4, client_id=1)
-    start = flatten_params(init_params(2))
+    start = init_params(2)
     ua = client_update(a, start, update_seed=9)
     ub = client_update(b, start, update_seed=9)
     assert np.array_equal(ua.weights, ub.weights)
@@ -266,7 +265,7 @@ def test_single_client_federation_matches_repeated_local_training():
     config = RoundConfig(rounds=3, client_fraction=1.0, seed=21, reducer_mode="plain")
     logs, final = run_federation(topo, config, test_set)
 
-    weights = flatten_params(init_params(config.seed))
+    weights = init_params(config.seed)
     for t in range(1, config.rounds + 1):
         weights = client_update(client, weights, derive_seed(config.seed, t, client.id)).weights
     assert np.array_equal(final, weights)
@@ -282,7 +281,7 @@ def test_zero_learning_rate_freezes_round_metrics():
     for log in logs[1:]:
         assert log.report == first.report
         assert log.weights_checksum == first.weights_checksum
-    assert np.array_equal(final, flatten_params(init_params(3)))
+    assert np.array_equal(final, init_params(3))
 
 
 def test_federation_reproducible_logs():
@@ -342,7 +341,7 @@ def test_federation_outperforms_best_single_client():
 
     best_single = 0.0
     for client in clients:
-        weights = flatten_params(init_params(5))
+        weights = init_params(5)
         for t in range(1, 31):
             weights = client_update(client, weights, derive_seed(5, t, client.id)).weights
         best_single = max(best_single, evaluate_model(weights, test_set).accuracy_pct)

@@ -2,9 +2,10 @@
 
 import numpy as np
 
-from fedsmell.nn import (HIDDEN_DIM, PARAM_COUNT, flatten_params, forward_batch,
-                         init_params, loss_and_gradient, mean_cross_entropy,
-                         unflatten_params)
+from fedsmell.nn import (PARAM_COUNT, forward_batch, init_params, loss_and_gradient,
+                         mean_cross_entropy, unflatten_params)
+
+from util import dead_slot_mask
 
 DELTA = 1e-5
 REL_TOL = 1e-4
@@ -30,20 +31,6 @@ def fd_gradient(base, X, y, coords):
     return out
 
 
-def dead_slot_mask():
-    """Flat mask of the parameters a zero initial state keeps out of the model.
-
-    These are the whole forget gate and the h_prev columns of the input,
-    output and candidate gates.
-    """
-    marker = unflatten_params(np.zeros(PARAM_COUNT))
-    marker.lstm.w_f[...] = 1.0
-    marker.lstm.b_f[...] = 1.0
-    for w in (marker.lstm.w_i, marker.lstm.w_o, marker.lstm.w_c):
-        w[:, :HIDDEN_DIM] = 1.0
-    return flatten_params(marker) != 0
-
-
 def assert_gradients_match(analytic, numeric, coords):
     diff = np.abs(analytic - numeric)
     scale = np.maximum(np.abs(analytic), np.abs(numeric))
@@ -60,9 +47,8 @@ def test_gradient_matches_finite_differences_sampled_coordinates():
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((8, 16))
         y = rng.integers(0, 2, 8)
-        params = init_params(seed)
-        _, analytic = loss_and_gradient(X, y, params)
-        base = flatten_params(params)
+        base = init_params(seed)
+        _, analytic = loss_and_gradient(X, y, unflatten_params(base))
 
         sampled = rng.choice(PARAM_COUNT, size=300, replace=False)
         coords = np.unique(np.concatenate([sampled, rng.choice(forget_block, 40)]))
@@ -74,7 +60,7 @@ def test_forget_gate_gradient_exactly_zero_with_zero_initial_cell():
     rng = np.random.default_rng(11)
     X = rng.standard_normal((8, 16))
     y = rng.integers(0, 2, 8)
-    _, grad = loss_and_gradient(X, y, init_params(11))
+    _, grad = loss_and_gradient(X, y, unflatten_params(init_params(11)))
     assert np.all(grad[:16 * 32 + 16] == 0.0)
 
 

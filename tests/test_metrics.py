@@ -11,7 +11,7 @@ from fedsmell.errors import StructuralError
 from fedsmell.metrics import (ConfusionMatrix, accuracy, cohen_kappa,
                               confusion_from_predictions, evaluate_model,
                               interpret_kappa, interpret_roc, roc_auc)
-from fedsmell.nn import PARAM_COUNT, unflatten_params, flatten_params
+from fedsmell.nn import PARAM_COUNT, unflatten_params
 from util import make_dataset, random_dataset
 
 
@@ -291,9 +291,8 @@ def test_evaluate_zero_model_predicts_majority_class_rate():
 def test_evaluate_constant_positive_fixture_hand_computed():
     # Only the head bias is nonzero: logits are (0, 1) for every sample, so
     # every prediction is class 1 with probability e/(1+e).
-    params = unflatten_params(np.zeros(PARAM_COUNT))
-    params.output.bias[1] = 1.0
-    weights = flatten_params(params)
+    weights = np.zeros(PARAM_COUNT)
+    unflatten_params(weights).layers[-1][1][1] = 1.0
 
     test = random_dataset(8, 3, seed=3)
     report = evaluate_model(weights, test)

@@ -11,13 +11,18 @@ from hypothesis import strategies as st
 from fedsmell.errors import NumericError, StructuralError
 from fedsmell.nn import (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, DENSE_UNITS, HIDDEN_DIM,
                          INPUT_DIM, NUM_CLASSES, PARAM_COUNT, _sigmoid, adam_update,
-                         flatten_params, forward_batch, init_params, load_weights,
-                         loss_and_gradient, mean_cross_entropy, save_weights,
-                         unflatten_params)
+                         forward_batch, init_params, load_weights, loss_and_gradient,
+                         mean_cross_entropy, save_weights, unflatten_params)
+
+from util import dead_slot_mask, layout_blocks
 
 
 def zero_params():
     return unflatten_params(np.zeros(PARAM_COUNT))
+
+
+def seeded_params(seed):
+    return unflatten_params(init_params(seed))
 
 
 def forward_one(x, p):
@@ -69,17 +74,21 @@ def test_sigmoid_matches_sign_split_oracle_without_floating_point_errors():
     assert np.array_equal(_sigmoid(np.array([-800.0, 0.0, 800.0])), [0.0, 0.5, 1.0])
 
 
-def _lstm_scalar_oracle(x, h_prev, c_prev, p):
-    """Straight-line scalar-loop reimplementation of the cell update."""
+def _lstm_scalar_oracle(x, h_prev, c_prev, values):
+    """Straight-line scalar-loop reimplementation of the cell update.
+
+    Reads all four gates, each on [h_prev, x], straight from the layout.
+    """
+    w_f, b_f, w_i, b_i, w_o, b_o, w_c, b_c = layout_blocks(values)[:8]
     hidden = len(h_prev)
     z = list(h_prev) + list(x)
     h = np.zeros(hidden)
     c = np.zeros(hidden)
     for r in range(hidden):
-        a_f = sum(p.w_f[r][j] * z[j] for j in range(len(z))) + p.b_f[r]
-        a_i = sum(p.w_i[r][j] * z[j] for j in range(len(z))) + p.b_i[r]
-        a_o = sum(p.w_o[r][j] * z[j] for j in range(len(z))) + p.b_o[r]
-        a_c = sum(p.w_c[r][j] * z[j] for j in range(len(z))) + p.b_c[r]
+        a_f = sum(w_f[r][j] * z[j] for j in range(len(z))) + b_f[r]
+        a_i = sum(w_i[r][j] * z[j] for j in range(len(z))) + b_i[r]
+        a_o = sum(w_o[r][j] * z[j] for j in range(len(z))) + b_o[r]
+        a_c = sum(w_c[r][j] * z[j] for j in range(len(z))) + b_c[r]
         f = 1.0 / (1.0 + math.exp(-a_f))
         i = 1.0 / (1.0 + math.exp(-a_i))
         o = 1.0 / (1.0 + math.exp(-a_o))
@@ -93,16 +102,16 @@ def test_lstm_forward_matches_scalar_loop_oracle():
     # The oracle uses every gate and column; random values in the forget
     # gate and the h_prev columns must not matter with a zero initial state.
     rng = np.random.default_rng(7)
-    p = unflatten_params(rng.standard_normal(PARAM_COUNT) * 0.5)
+    values = rng.standard_normal(PARAM_COUNT) * 0.5
     x = rng.standard_normal(INPUT_DIM)
-    _, cache = forward_one(x, p)
-    h_ref, c_ref = _lstm_scalar_oracle(x, np.zeros(HIDDEN_DIM), np.zeros(HIDDEN_DIM), p.lstm)
+    _, cache = forward_one(x, unflatten_params(values))
+    h_ref, c_ref = _lstm_scalar_oracle(x, np.zeros(HIDDEN_DIM), np.zeros(HIDDEN_DIM), values)
     assert np.max(np.abs(cache.dense_inputs[0][0] - h_ref)) <= 1e-12
     assert np.max(np.abs(cache.tanh_c[0] - np.tanh(c_ref))) <= 1e-12
 
 
 def test_lstm_forward_dimension_mismatch_and_nonfinite():
-    p = init_params(0)
+    p = seeded_params(0)
     with pytest.raises(StructuralError):
         forward_batch(np.ones((1, 5)), p)
     bad = np.ones((1, INPUT_DIM))
@@ -120,7 +129,7 @@ def test_model_forward_zero_params_is_uniform():
 
 def test_model_forward_normalizes_for_random_params():
     for seed in range(5):
-        p = init_params(seed)
+        p = seeded_params(seed)
         x = np.random.default_rng(seed).standard_normal(INPUT_DIM) * 3
         probs, _ = forward_one(x, p)
         assert abs(probs.sum() - 1.0) <= 1e-12
@@ -130,7 +139,7 @@ def test_model_forward_normalizes_for_random_params():
 @given(st.integers(min_value=0, max_value=10 ** 6),
        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
 def test_model_forward_normalizes_for_extreme_inputs(seed, scale):
-    p = init_params(seed % 7)
+    p = seeded_params(seed % 7)
     x = np.random.default_rng(seed).standard_normal(INPUT_DIM) * scale
     probs, _ = forward_one(x, p)
     assert abs(probs.sum() - 1.0) <= 1e-12
@@ -147,20 +156,21 @@ def _dense_oracle(a, weights, bias, activation):
 
 
 def test_model_forward_matches_composed_per_layer_oracle():
-    p = init_params(0)
+    values = init_params(0)
     x = np.ones(INPUT_DIM)
-    h, _ = _lstm_scalar_oracle(x, np.zeros(HIDDEN_DIM), np.zeros(HIDDEN_DIM), p.lstm)
+    h, _ = _lstm_scalar_oracle(x, np.zeros(HIDDEN_DIM), np.zeros(HIDDEN_DIM), values)
     a = h
-    for layer in p.dense:
-        a = _dense_oracle(a, layer.weights, layer.bias, "relu")
-    expected = _dense_oracle(a, p.output.weights, p.output.bias, "softmax")
-    probs, _ = forward_one(x, p)
+    blocks = layout_blocks(values)
+    for weights, bias in zip(blocks[8:-2:2], blocks[9:-2:2]):
+        a = _dense_oracle(a, weights, bias, "relu")
+    expected = _dense_oracle(a, blocks[-2], blocks[-1], "softmax")
+    probs, _ = forward_one(x, unflatten_params(values))
     assert np.max(np.abs(probs - expected)) <= 1e-12
 
 
 def test_model_forward_rejects_wrong_feature_count():
     with pytest.raises(StructuralError):
-        forward_one(np.ones(15), init_params(0))
+        forward_one(np.ones(15), seeded_params(0))
 
 
 # --------------------------------------------------------------------- loss
@@ -182,7 +192,7 @@ def test_cross_entropy_rejects_bad_label():
             cross_entropy([0.5, 0.5], label)
     X = np.zeros((2, INPUT_DIM))
     with pytest.raises(StructuralError):
-        loss_and_gradient(X, np.array([0, -1]), init_params(0))
+        loss_and_gradient(X, np.array([0, -1]), seeded_params(0))
 
 
 def test_loss_nonnegative_after_clamp():
@@ -194,7 +204,7 @@ def test_loss_nonnegative_after_clamp():
 # ----------------------------------------------------------------- backward
 
 def test_backward_duplicated_sample_equals_single():
-    p = init_params(3)
+    p = seeded_params(3)
     x = np.random.default_rng(3).standard_normal(INPUT_DIM)
     _, single = loss_and_gradient(x[None, :], np.array([1]), p)
     _, doubled = loss_and_gradient(np.stack([x, x]), np.array([1, 1]), p)
@@ -203,23 +213,24 @@ def test_backward_duplicated_sample_equals_single():
 
 def test_backward_empty_batch_rejected():
     with pytest.raises(StructuralError):
-        loss_and_gradient(np.zeros((0, INPUT_DIM)), np.zeros(0, dtype=int), init_params(0))
+        loss_and_gradient(np.zeros((0, INPUT_DIM)), np.zeros(0, dtype=int), seeded_params(0))
 
 
 def test_backward_dead_relu_unit_gets_zero_gradient():
-    p = init_params(5)
+    p = seeded_params(5)
     dead = 7
-    p.dense[0].bias[dead] = -50.0  # pre-activation negative for any bounded input
+    p.layers[0][1][dead] = -50.0  # pre-activation negative for any bounded input
     rng = np.random.default_rng(5)
     X = rng.standard_normal((6, INPUT_DIM))
     y = rng.integers(0, 2, 6)
     _, grad = loss_and_gradient(X, y, p)
 
     # Locate the dead unit's incoming parameters via a marker vector.
-    marker = unflatten_params(np.zeros(PARAM_COUNT))
-    marker.dense[0].weights[dead, :] = 1.0
-    marker.dense[0].bias[dead] = 1.0
-    mask = flatten_params(marker) != 0
+    marker = np.zeros(PARAM_COUNT)
+    first_weights, first_bias = layout_blocks(marker)[8:10]
+    first_weights[dead, :] = 1.0
+    first_bias[dead] = 1.0
+    mask = marker != 0
     assert np.all(grad[mask] == 0.0)
 
 
@@ -250,7 +261,7 @@ def test_adam_in_place_matches_reference_bitwise():
 
 
 def test_adam_zero_gradient_is_noop():
-    values = flatten_params(init_params(1)).copy()
+    values = init_params(1)
     before = values.copy()
     adam_update(values, np.zeros(PARAM_COUNT), np.zeros(PARAM_COUNT), np.zeros(PARAM_COUNT),
                 1, 0.001)
@@ -281,7 +292,7 @@ def test_adam_length_mismatch_rejected():
     with pytest.raises(StructuralError):
         adam_update(np.zeros(4), np.zeros(3), np.zeros(4), np.zeros(4), 1, 0.001)
     with pytest.raises(StructuralError):
-        adam_update(flatten_params(init_params(0)), np.zeros(7), np.zeros(PARAM_COUNT),
+        adam_update(init_params(0), np.zeros(7), np.zeros(PARAM_COUNT),
                     np.zeros(PARAM_COUNT), 1, 0.001)
     with pytest.raises(StructuralError):
         adam_update(np.zeros(4), np.zeros(4), np.zeros(4), np.zeros(3), 1, 0.001)
@@ -293,31 +304,14 @@ def test_sgd_descent_sanity_over_seeds():
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((16, INPUT_DIM))
         y = rng.integers(0, 2, 16)
-        p = init_params(seed)
-        loss0, grad = loss_and_gradient(X, y, p)
-        stepped = unflatten_params(flatten_params(p) - 1e-3 * grad)
+        values = init_params(seed)
+        loss0, grad = loss_and_gradient(X, y, unflatten_params(values))
+        stepped = unflatten_params(values - 1e-3 * grad)
         loss1, _ = loss_and_gradient(X, y, stepped)
         assert loss1 <= loss0 + 1e-6
 
 
 # ----------------------------------------------------------- layout / init
-
-def test_flatten_unflatten_roundtrip_exact():
-    p = init_params(9)
-    v = flatten_params(p)
-    assert v.shape == (PARAM_COUNT,)
-    assert np.array_equal(flatten_params(unflatten_params(v)), v)
-
-
-@given(st.integers(min_value=0, max_value=2 ** 31))
-def test_unflatten_flatten_roundtrip_random_vectors(seed):
-    v = np.random.default_rng(seed).standard_normal(PARAM_COUNT)
-    assert np.array_equal(flatten_params(unflatten_params(v)), v)
-
-
-def test_flatten_zero_model_is_zero_vector():
-    assert np.array_equal(flatten_params(zero_params()), np.zeros(PARAM_COUNT))
-
 
 def test_unflatten_rejects_wrong_length():
     with pytest.raises(StructuralError):
@@ -327,19 +321,32 @@ def test_unflatten_rejects_wrong_length():
 def test_unflatten_returns_views_onto_the_flat_vector():
     v = np.zeros(PARAM_COUNT)
     p = unflatten_params(v)
-    assert np.shares_memory(flatten_params(p), v)
     # Head bias is the last block; the first dense layer follows the gates.
-    p.output.bias[1] = 2.5
-    p.dense[0].weights[0, 0] = -1.0
+    p.layers[-1][1][1] = 2.5
+    p.layers[0][0][0, 0] = -1.0
     assert v[-1] == 2.5
     assert v[4 * (HIDDEN_DIM * (HIDDEN_DIM + INPUT_DIM) + HIDDEN_DIM)] == -1.0
-    v[0] = 7.0
-    assert p.lstm.w_f[0, 0] == 7.0
+    # The input gate's first x-column sits after the forget gate and the
+    # input gate's h_prev columns.
+    v[HIDDEN_DIM * (HIDDEN_DIM + INPUT_DIM) + HIDDEN_DIM + HIDDEN_DIM] = 7.0
+    assert p.gates[0][0][0, 0] == 7.0
     assert np.count_nonzero(v) == 3
 
 
+def test_unflatten_views_cover_exactly_the_live_slots_once():
+    v = np.zeros(PARAM_COUNT)
+    p = unflatten_params(v)
+    assert p.gates[0][0].shape == (HIDDEN_DIM, INPUT_DIM)
+    for weights, bias in (*p.gates, *p.layers):
+        weights += 1.0
+        bias += 1.0
+    assert np.array_equal(v != 0, ~dead_slot_mask())
+    assert np.all(v[v != 0] == 1.0)
+    assert np.count_nonzero(v) == 8620
+
+
 def test_init_deterministic_per_seed():
-    assert np.array_equal(flatten_params(init_params(17)), flatten_params(init_params(17)))
+    assert np.array_equal(init_params(17), init_params(17))
 
 
 def test_init_values_frozen_by_digest():
@@ -347,7 +354,7 @@ def test_init_values_frozen_by_digest():
     # little-endian float64 vectors of seeds 0-4, concatenated.
     digest = hashlib.sha256()
     for seed in range(5):
-        digest.update(flatten_params(init_params(seed)).astype("<f8").tobytes())
+        digest.update(init_params(seed).astype("<f8").tobytes())
     assert digest.hexdigest() == (
         "c4a1df795862a89839c5ba07756dc68b845069bea65c6878882ccce5f486503c")
 
@@ -356,19 +363,19 @@ def test_init_seeds_differ_in_all_weight_coordinates():
     # Biases are zero for every seed (252 of 9916 coordinates); all weight
     # coordinates must differ between seeds. Frozen from a derivation run:
     # the differing fraction is exactly 9664/9916 ~ 0.9746.
-    v0 = flatten_params(init_params(0))
-    v1 = flatten_params(init_params(1))
+    v0 = init_params(0)
+    v1 = init_params(1)
     differ = v0 != v1
     assert differ.mean() >= 0.97
     assert np.all(v0[~differ] == 0.0)
 
 
 def test_init_glorot_bounds_per_matrix():
-    p = init_params(23)
-    matrices = [(p.lstm.w_f, HIDDEN_DIM + INPUT_DIM, HIDDEN_DIM)]
+    blocks = layout_blocks(init_params(23))
+    matrices = [(w, HIDDEN_DIM + INPUT_DIM, HIDDEN_DIM) for w in blocks[0:8:2]]
     fan_in = HIDDEN_DIM
-    for layer, units in zip((*p.dense, p.output), DENSE_UNITS + (NUM_CLASSES,)):
-        matrices.append((layer.weights, fan_in, units))
+    for weights, units in zip(blocks[8::2], DENSE_UNITS + (NUM_CLASSES,)):
+        matrices.append((weights, fan_in, units))
         fan_in = units
     for weights, n_in, n_out in matrices:
         limit = math.sqrt(6.0 / (n_in + n_out))
