@@ -1,5 +1,7 @@
 """Exception taxonomy shared across the package."""
 
+from contextlib import contextmanager
+
 
 class FedsmellError(Exception):
     """Base class for every error raised by this package."""
@@ -27,3 +29,14 @@ class ParseError(DataError):
 
 class ConfigError(FedsmellError):
     """An experiment configuration is invalid."""
+
+
+@contextmanager
+def error_context(context: str):
+    """Prefix any package error or float fault raised in the block with
+    `<context>: `, keeping its type; a FloatingPointError becomes a NumericError."""
+    try:
+        yield
+    except (FedsmellError, FloatingPointError) as exc:
+        kind = type(exc) if isinstance(exc, FedsmellError) else NumericError
+        raise kind(f"{context}: {exc}") from exc

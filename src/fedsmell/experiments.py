@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import data as datamod
 from .config import CENTRALIZED, CROSS_EVAL, FEDERATED, SYNTH, ExperimentConfig
-from .errors import ConfigError, FedsmellError, StructuralError
+from .errors import ConfigError, StructuralError, error_context
 from .federation import ClientNode, FederationTopology, client_update, run_federation
 from .metrics import MetricReport, evaluate_model
 from .nn import Hyperparams, init_params, save_weights
@@ -63,15 +62,6 @@ def _cell(train_source: str, eval_source: str, accuracy_pct: float) -> dict:
             "accuracy_pct": accuracy_pct}
 
 
-@contextmanager
-def _about_dataset(path):
-    """Prefix any package error raised in the block with `dataset <path>:`."""
-    try:
-        yield
-    except FedsmellError as exc:
-        raise type(exc)(f"dataset {path}: {exc}") from exc
-
-
 def _require_both_classes(test: datamod.Dataset) -> None:
     """Kappa and ROC need both classes in a scored set; check before training."""
     for cls, count in enumerate(test.class_counts()):
@@ -104,7 +94,7 @@ def _prepare_all(cfg: ExperimentConfig, score_tests: bool) -> list[PreparedSourc
     require each test split to hold both classes."""
     sources = []
     for index, path in enumerate(cfg.datasets):
-        with _about_dataset(path):
+        with error_context(f"dataset {path}"):
             source = prepare_source(path, cfg, index)
             if score_tests:
                 _require_both_classes(source.test)
@@ -130,7 +120,7 @@ def _train_each(cfg: ExperimentConfig, sources) -> list[np.ndarray]:
     hyper = cfg.hyperparams()
     models = []
     for path, source in zip(cfg.datasets, sources):
-        with _about_dataset(path):
+        with error_context(f"dataset {path}"):
             models.append(train_centralized(source.train, hyper, cfg.rounds, cfg.seed))
     return models
 
@@ -140,7 +130,7 @@ def run_centralized(cfg: ExperimentConfig) -> RunResult:
     sources = _prepare_all(cfg, score_tests=True)
     rows = []
     for path, source, weights in zip(cfg.datasets, sources, _train_each(cfg, sources)):
-        with _about_dataset(path):
+        with error_context(f"dataset {path}"):
             report = evaluate_model(weights, source.test)
         rows.append(_cell(source.name, source.name, report.accuracy_pct))
     return RunResult(cfg, rows)
@@ -159,7 +149,7 @@ def run_cross_eval(cfg: ExperimentConfig) -> RunResult:
         for path, other in zip(cfg.datasets, sources):
             if other is trainer:
                 continue
-            with _about_dataset(path):
+            with error_context(f"dataset {path}"):
                 foreign = datamod.apply_normalizer(other.raw, trainer.stats)
                 report = evaluate_model(weights, foreign)
             rows.append(_cell(trainer.name, other.name, report.accuracy_pct))

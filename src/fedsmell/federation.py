@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import FedsmellError, StructuralError
+from .errors import NumericError, StructuralError, error_context
 from .metrics import MetricReport, evaluate_model
 from .nn import (Hyperparams, PARAM_COUNT, adam_update, init_params, loss_and_gradient,
                  unflatten_params)
@@ -128,7 +128,8 @@ def client_update(client: ClientNode, weights, update_seed: int) -> ModelUpdate:
     The incoming weights are copied once, the local data is shuffled with
     the round-scoped seed and partitioned into batches (final short batch
     kept), and each batch triggers one in-place Adam step on the copy per
-    local epoch. Optimizer state starts fresh; only weights leave the client.
+    local epoch. The gradient buffer and the Adam moments are allocated once
+    per pass; optimizer state starts fresh and only weights leave the client.
     """
     values = np.array(weights, dtype=float)
     if values.shape != (PARAM_COUNT,):
@@ -142,11 +143,13 @@ def client_update(client: ClientNode, weights, update_seed: int) -> ModelUpdate:
                for start in range(0, len(data), hyper.batch_size)]
 
     params = unflatten_params(values)
-    m = np.zeros(PARAM_COUNT)
-    v = np.zeros(PARAM_COUNT)
-    for step, batch_idx in enumerate(batches * hyper.local_epochs, start=1):
-        _, grad = loss_and_gradient(data.features[batch_idx], data.labels[batch_idx], params)
+    grad, m, v = np.zeros((3, PARAM_COUNT))
+    grad_views = unflatten_params(grad)
+    for step, batch in enumerate(batches * hyper.local_epochs, start=1):
+        loss_and_gradient(data.features[batch], data.labels[batch], params, grad, grad_views)
         adam_update(values, grad, m, v, step, hyper.learning_rate)
+    if not np.all(np.isfinite(values)):  # an overflow while float errors are ignored
+        raise NumericError(f"client {client.id}: training produced non-finite weights")
     return ModelUpdate(client_id=client.id, weights=values, sample_count=len(data))
 
 
@@ -226,7 +229,7 @@ def run_federation(topology: FederationTopology, config: RoundConfig, test_set: 
     values = init_params(config.seed)
     logs: list[RoundLog] = []
     for t in range(1, config.rounds + 1):
-        try:
+        with error_context(f"round {t}"):
             selected = sample_clients(
                 topology, config.client_fraction, derive_seed(config.seed, t, SAMPLING_SLOT)
             )
@@ -239,8 +242,6 @@ def run_federation(topology: FederationTopology, config: RoundConfig, test_set: 
                                for cid in sorted(by_combiner)]
             values = reducer_reduce(combiner_models, values, t, config.reducer_mode)
             report = evaluate_model(values, test_set)
-        except FedsmellError as exc:
-            raise type(exc)(f"round {t}: {exc}") from exc
         logs.append(RoundLog(round=t, weights_checksum=weights_checksum(values),
                              report=report, participants=tuple(selected)))
     return logs, values

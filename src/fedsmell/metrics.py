@@ -144,8 +144,7 @@ def evaluate_model(weights, test: Dataset) -> MetricReport:
     Predicted class is the argmax of the output probabilities with ties
     broken toward class 0; the ROC score is the positive-class probability.
     """
-    params = unflatten_params(weights)
-    probs, _ = forward_batch(test.features, params)
+    probs = forward_batch(test.features, unflatten_params(weights))
     predicted = (probs[:, 1] > probs[:, 0]).astype(int)
     cm = confusion_from_predictions(predicted, test.labels)
     kappa = cohen_kappa(cm)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, StructuralError
+from .errors import StructuralError
 
 INPUT_DIM = 16
 HIDDEN_DIM = 16
@@ -102,23 +102,22 @@ class ForwardCache:
     tanh_c: np.ndarray
     dense_inputs: list  # input activation of each dense layer, head included
     dense_pre: list  # pre-activation of each relu layer
-    probs: np.ndarray
 
 
-def forward_batch(X, p: ModelParams):
-    """Forward pass over a (n, 16) feature batch.
+# Rows per scoring block; one 5k-row pass ran about 2x slower (its (n, 72)
+# intermediates likely leave the cache). Fixed, so reruns score bit for bit.
+EVAL_BLOCK = 512
+
+
+def _forward(X: np.ndarray, p: ModelParams):
+    """Forward pass over a (n, 16) batch; returns (probs, cache).
 
     Each row is treated as a single-timestep sequence with zero initial
     hidden and cell state, so only the input, output and candidate gates
     act, each on x alone, and the cell state is input * candidate.
-    Returns (probs, cache) with probs of shape (n, 2) summing to 1 per row.
+    probs has shape (n, 2) and sums to 1 per row. Nothing is checked here:
+    `Dataset` owns the batch's shape, finiteness and labels.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != INPUT_DIM:
-        raise StructuralError(f"feature batch must be (n, {INPUT_DIM}), got {X.shape}")
-    if not np.all(np.isfinite(X)):
-        raise NumericError("feature batch contains non-finite values")
-
     (w_i, b_i), (w_o, b_o), (w_c, b_c) = p.gates
     i = _sigmoid(X @ w_i.T + b_i)
     o = _sigmoid(X @ w_o.T + b_o)
@@ -136,56 +135,55 @@ def forward_batch(X, p: ModelParams):
     dense_inputs.append(a)
 
     weights, bias = p.layers[-1]
-    logits = a @ weights.T + bias
-    probs = _softmax(logits)
-    if not np.all(np.isfinite(probs)):
-        raise NumericError("forward pass produced non-finite probabilities")
+    probs = _softmax(a @ weights.T + bias)
+    return probs, ForwardCache(i=i, o=o, g=g, tanh_c=tanh_c, dense_inputs=dense_inputs,
+                               dense_pre=dense_pre)
 
-    cache = ForwardCache(i=i, o=o, g=g, tanh_c=tanh_c, dense_inputs=dense_inputs,
-                         dense_pre=dense_pre, probs=probs)
-    return probs, cache
+
+def forward_batch(X: np.ndarray, p: ModelParams) -> np.ndarray:
+    """Class probabilities (n, 2) of a feature batch, in EVAL_BLOCK-row blocks."""
+    return np.concatenate([_forward(X[start:start + EVAL_BLOCK], p)[0]
+                           for start in range(0, len(X), EVAL_BLOCK)])
 
 
 def mean_cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
-    """Mean clamp-protected cross-entropy over a batch of (n, 2) probabilities."""
-    labels = np.asarray(labels)
-    if len(labels) == 0 or not np.all((labels == 0) | (labels == 1)):
-        raise StructuralError("labels must be a nonempty batch of 0/1 values")
+    """Mean clamp-protected cross-entropy over (n, 2) probabilities and 0/1 labels."""
     picked = probs[np.arange(len(labels)), labels]
     picked = np.clip(picked, PROB_CLAMP, 1.0 - PROB_CLAMP)
     return float(np.mean(-np.log(picked)))
 
 
-def loss_and_gradient(X, y, p: ModelParams):
+def loss_and_gradient(X: np.ndarray, y: np.ndarray, p: ModelParams,
+                      grad: np.ndarray | None = None, gp: ModelParams | None = None):
     """Mean batch loss and its gradient in canonical flat layout.
 
     Backpropagates softmax cross-entropy through the head, the relu
     stack and the live LSTM gates. The initial state is zero, so the
     forget gate and the h_prev columns receive exactly zero gradient;
     that is the correct derivative, not an omission.
+
+    The gradient is written through `gp`, the views of `grad`, and `grad`
+    is returned. Only the live slots are written, so a reused buffer keeps
+    its dead slots at 0; with no buffer, a fresh zeroed one is allocated.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
-    probs, cache = forward_batch(X, p)
+    if grad is None:
+        grad = np.zeros(PARAM_COUNT)
+    if gp is None:
+        gp = unflatten_params(grad)
+    probs, cache = _forward(X, p)
     n = len(y)
-    if y.shape != (n,) or probs.shape[0] != n:
-        raise StructuralError("labels must align with the feature batch")
     loss = mean_cross_entropy(probs, y)
 
-    grad = np.zeros(PARAM_COUNT)
-    gp = unflatten_params(grad)
-
-    dlogits = probs.copy()
-    dlogits[np.arange(n), y] -= 1.0
-    dlogits /= n
-
     # Head first, then each relu layer: dpre is the gradient of layer k's
-    # pre-activation (the logits for the head).
-    dpre = dlogits
+    # pre-activation. For the head's logits it is (probs - onehot(y)) / n,
+    # built in place, as probs is not needed again.
+    dpre = probs
+    dpre[np.arange(n), y] -= 1.0
+    dpre /= n
     for k in reversed(range(len(p.layers))):
         g_weights, g_bias = gp.layers[k]
-        g_weights[...] = dpre.T @ cache.dense_inputs[k]
-        g_bias[...] = dpre.sum(axis=0)
+        np.matmul(dpre.T, cache.dense_inputs[k], out=g_weights)
+        dpre.sum(axis=0, out=g_bias)
         da = dpre @ p.layers[k][0]
         if k:
             dpre = da * (cache.dense_pre[k - 1] > 0)
@@ -196,11 +194,8 @@ def loss_and_gradient(X, y, p: ModelParams):
     da_i = dc * cache.g * cache.i * (1.0 - cache.i)
     da_c = dc * cache.i * (1.0 - cache.g ** 2)
     for (g_weights, g_bias), da_gate in zip(gp.gates, (da_i, da_o, da_c)):
-        g_weights[...] = da_gate.T @ X
-        g_bias[...] = da_gate.sum(axis=0)
-
-    if not np.all(np.isfinite(grad)):
-        raise NumericError("backward pass produced non-finite gradients")
+        np.matmul(da_gate.T, X, out=g_weights)
+        da_gate.sum(axis=0, out=g_bias)
     return loss, grad
 
 

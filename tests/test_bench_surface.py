@@ -7,13 +7,18 @@ through the same verbs, and feed its trace records to the benchmark's
 own per-layer reducer.
 """
 
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from fedsmell.config import FEDERATED, parse_config
+from fedsmell.experiments import build_federated_clients, prepare_source
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH_DIR))
@@ -90,13 +95,37 @@ def test_synth_and_cross_eval_hooks(work):
     assert metrics["nn.steps"][0] > 0
 
 
-def test_federated_hooks(work):
+def expected_steps(work, monkeypatch):
+    """(rounds, training steps) of the federated run: one step per batch of
+    each client that rounds.csv lists, per local epoch."""
+    monkeypatch.chdir(work)
+    cfg = parse_config("fed.ini", kind=FEDERATED)
+    sources = [prepare_source(path, cfg, i) for i, path in enumerate(cfg.datasets)]
+    topology = build_federated_clients(sources, cfg)
+    with open(work / "fed" / "rounds.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    steps = 0
+    for row in rows:
+        for client_id in row["participants"].split(";"):
+            client = topology.client_by_id(int(client_id))
+            steps += (math.ceil(len(client.local_data) / client.hyper.batch_size)
+                      * client.hyper.local_epochs)
+    return len(rows), steps
+
+
+def test_federated_hooks(work, monkeypatch):
     fed = ["federated", "--config", "fed.ini", "--out", "fed"]
     child("setup", fed, work)
     clocked = child("run", fed, work)
     assert len(clocked["rounds"]) == 2 and all(rows > 0 for _, _, rows in clocked["rounds"])
 
-    metrics = bench.layer_metrics([child("trace", fed, work)["spans"]])
+    spans = child("trace", fed, work)["spans"]
+    names = [span[0] for span in spans]
+    metrics = bench.layer_metrics([spans])
+    rounds, steps = expected_steps(work, monkeypatch)
+    # One blocked forward call per scoring, one traced step per batch.
+    assert names.count("nn.forward_eval") == names.count("metrics.evaluate_model") == rounds
+    assert metrics["nn.steps"][0] == steps
     assert metrics["federation.clients_per_round"][0] == 3
     assert metrics["nn.grad_zero_share"][0] >= 1296 / 9916
     assert metrics["metrics.rows_scored"][0] > 0

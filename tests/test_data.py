@@ -273,3 +273,30 @@ def test_dataset_rejects_nonfinite_features():
     features[2, 3] = np.inf
     with pytest.raises(NumericError):
         make_dataset(features, [0, 1, 0, 1])
+
+
+# The forward and backward passes trust these invariants and check none of them.
+
+def test_dataset_rejects_wrong_feature_width_and_nan():
+    with pytest.raises(StructuralError):
+        make_dataset(np.ones((1, 5)), [0])
+    features = np.ones((1, NUM_FEATURES))
+    features[0, 3] = np.nan
+    with pytest.raises(NumericError):
+        make_dataset(features, [0])
+
+
+def test_dataset_rejects_one_feature_column_short():
+    with pytest.raises(StructuralError):
+        make_dataset(np.ones((1, NUM_FEATURES - 1)), [0])
+
+
+def test_dataset_rejects_labels_other_than_0_and_1():
+    for label in (2, -1):
+        with pytest.raises(StructuralError):
+            make_dataset(np.zeros((2, NUM_FEATURES)), [0, label])
+
+
+def test_dataset_rejects_empty_batch():
+    with pytest.raises(StructuralError):
+        make_dataset(np.zeros((0, NUM_FEATURES)), np.zeros(0, dtype=int))

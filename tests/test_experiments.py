@@ -371,19 +371,30 @@ def run_cli_centralized(tmp_path, name, datasets, training=""):
 
 def test_cli_floating_point_faults_exit_4_with_one_line(tmp_path, capsys):
     # A huge learning rate overflows the first forward pass after one step;
-    # a column of finite values near 1e200 overflows the z-score's std.
+    # a column of finite values near 1e200 overflows the z-score's std. The
+    # line names the dataset, or the round of a federated run.
     plain = synth_csv(tmp_path, "plain", n=120, seed=4)
     huge = load_csv(plain)
     huge.features[:, 3] *= 1e200
     save_csv(huge, tmp_path / "huge.csv")
-    cases = (("lr", plain, "[training]\nlearning_rate = 1e300\n"),
-             ("huge", tmp_path / "huge.csv", ""))
+    lr = "[training]\nlearning_rate = 1e300\n"
+    fed_ini = tmp_path / "fed.ini"
+    fed_ini.write_text(f"[experiment]\nkind = federated\ndatasets = {plain}\n"
+                       f"[federation]\nrounds = 2\n{lr}", encoding="utf-8")
+    cases = (
+        (f"dataset {plain}: overflow", lambda: run_cli_centralized(tmp_path, "lr", plain, lr)),
+        (f"dataset {tmp_path / 'huge.csv'}: overflow",
+         lambda: run_cli_centralized(tmp_path, "huge", tmp_path / "huge.csv")),
+        ("round 1: overflow", lambda: main(["federated", "--config", str(fed_ini),
+                                            "--out", str(tmp_path / "fed")])),
+    )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for name, dataset, training in cases:
-            assert run_cli_centralized(tmp_path, name, dataset, training) == 4, name
+        for context, run in cases:
+            assert run() == 4, context
             err = capsys.readouterr().err
-            assert err.startswith("NUMERIC_ERROR:") and len(err.splitlines()) == 1, err
+            assert err.startswith(f"NUMERIC_ERROR: {context}"), err
+            assert len(err.splitlines()) == 1, err
 
 
 def test_cli_bom_prefixed_csv_runs_like_its_plain_copy(tmp_path, capsys):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fedsmell.data import (concat_datasets, domain_shift, extract_chunks,
                            partition_chunks, synth_generate)
-from fedsmell.errors import StructuralError
+from fedsmell.errors import NumericError, StructuralError
 from fedsmell.federation import (ClientNode, FederationTopology, ModelUpdate,
                                  RoundConfig, client_update, combiner_aggregate,
                                  reducer_reduce, run_federation, sample_clients)
@@ -92,6 +92,18 @@ def test_client_update_leaves_broadcast_weights_and_dead_slots_untouched():
     dead = dead_slot_mask()
     assert np.array_equal(update.weights[dead], before[dead])
     assert not np.array_equal(update.weights[~dead], before[~dead])
+
+
+def test_client_update_non_finite_weights_raise_numeric_error_naming_client():
+    # With float errors ignored, an overflow or a nan written into the data
+    # after Dataset checked it leaves non-finite weights behind.
+    huge_step = small_client(n=40, client_id=7, learning_rate=1e300)
+    nan_data = small_client(n=40, client_id=8)
+    nan_data.local_data.features[3, 5] = np.nan
+    with np.errstate(all="ignore"):
+        for client in (huge_step, nan_data):
+            with pytest.raises(NumericError, match=f"^client {client.id}: "):
+                client_update(client, init_params(0), update_seed=1)
 
 
 def test_client_update_rejects_wrong_weight_length():

@@ -15,7 +15,7 @@ ABS_FLOOR = 1e-7
 def fd_gradient(base, X, y, coords):
     """Central finite differences of the mean batch loss at the given coordinates."""
     def loss_of(vec):
-        probs, _ = forward_batch(X, unflatten_params(vec))
+        probs = forward_batch(X, unflatten_params(vec))
         return mean_cross_entropy(probs, y)
 
     vec = base.copy()

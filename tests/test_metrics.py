@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fedsmell import metrics
+from fedsmell.data import NUM_FEATURES
 from fedsmell.errors import StructuralError
 from fedsmell.metrics import (ConfusionMatrix, accuracy, cohen_kappa,
                               confusion_from_predictions, evaluate_model,
                               interpret_kappa, interpret_roc, roc_auc)
-from fedsmell.nn import PARAM_COUNT, unflatten_params
+from fedsmell.nn import PARAM_COUNT, _forward, forward_batch, init_params, unflatten_params
 from util import make_dataset, random_dataset
 
 
@@ -318,6 +320,41 @@ def test_evaluate_single_class_test_set_rejected():
     test = make_dataset(features, [0] * 6)
     with pytest.raises(StructuralError):
         evaluate_model(np.zeros(PARAM_COUNT), test)
+
+
+BLOCK_EDGE_SIZES = (1, 511, 512, 513, 5127)
+
+
+def test_blocked_forward_matches_single_pass():
+    p = unflatten_params(init_params(3))
+    for n in BLOCK_EDGE_SIZES:
+        X = np.random.default_rng(n).standard_normal((n, NUM_FEATURES))
+        single, _ = _forward(X, p)
+        blocked = forward_batch(X, p)
+        assert blocked.shape == (n, 2)
+        assert np.max(np.abs(blocked - single)) <= 1e-15
+
+
+def test_evaluate_model_scores_with_one_blocked_forward_call(monkeypatch):
+    weights = init_params(3)
+    scored = []
+
+    def recording_forward(X, p):
+        probs = forward_batch(X, p)
+        scored.append((X, probs))
+        return probs
+
+    monkeypatch.setattr(metrics, "forward_batch", recording_forward)
+    for n in BLOCK_EDGE_SIZES[1:]:
+        test = random_dataset(n, n // 3, seed=n)
+        first = evaluate_model(weights, test)
+        assert len(scored) == 1
+        X, probs = scored.pop()
+        single, _ = _forward(X, unflatten_params(weights))
+        assert np.max(np.abs(probs - single)) <= 1e-15
+        assert evaluate_model(weights, test) == first
+        assert len(scored) == 1
+        scored.clear()
 
 
 def test_confusion_from_predictions_counts():

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fedsmell.errors import NumericError, StructuralError
+from fedsmell.errors import StructuralError
 from fedsmell.nn import (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, DENSE_UNITS, HIDDEN_DIM,
-                         INPUT_DIM, NUM_CLASSES, PARAM_COUNT, _sigmoid, adam_update,
-                         forward_batch, init_params, load_weights, loss_and_gradient,
-                         mean_cross_entropy, save_weights, unflatten_params)
+                         INPUT_DIM, NUM_CLASSES, PARAM_COUNT, _forward, _sigmoid, adam_update,
+                         init_params, load_weights, loss_and_gradient, mean_cross_entropy,
+                         save_weights, unflatten_params)
 
 from util import dead_slot_mask, layout_blocks
 
@@ -27,7 +27,7 @@ def seeded_params(seed):
 
 def forward_one(x, p):
     """Probabilities and cache of a single feature vector, via the batched pass."""
-    probs, cache = forward_batch(np.asarray(x, dtype=float)[None, :], p)
+    probs, cache = _forward(np.asarray(x, dtype=float)[None, :], p)
     return probs[0], cache
 
 
@@ -110,16 +110,6 @@ def test_lstm_forward_matches_scalar_loop_oracle():
     assert np.max(np.abs(cache.tanh_c[0] - np.tanh(c_ref))) <= 1e-12
 
 
-def test_lstm_forward_dimension_mismatch_and_nonfinite():
-    p = seeded_params(0)
-    with pytest.raises(StructuralError):
-        forward_batch(np.ones((1, 5)), p)
-    bad = np.ones((1, INPUT_DIM))
-    bad[0, 3] = np.nan
-    with pytest.raises(NumericError):
-        forward_batch(bad, p)
-
-
 # --------------------------------------------------------------- full model
 
 def test_model_forward_zero_params_is_uniform():
@@ -168,11 +158,6 @@ def test_model_forward_matches_composed_per_layer_oracle():
     assert np.max(np.abs(probs - expected)) <= 1e-12
 
 
-def test_model_forward_rejects_wrong_feature_count():
-    with pytest.raises(StructuralError):
-        forward_one(np.ones(15), seeded_params(0))
-
-
 # --------------------------------------------------------------------- loss
 
 def cross_entropy(probs, label):
@@ -184,15 +169,6 @@ def test_cross_entropy_closed_forms():
     assert cross_entropy([0.5, 0.5], 0) == pytest.approx(math.log(2), abs=1e-12)
     assert cross_entropy([0.5, 0.5], 1) == pytest.approx(math.log(2), abs=1e-12)
     assert cross_entropy([0.25, 0.75], 1) == pytest.approx(math.log(4 / 3), abs=1e-12)
-
-
-def test_cross_entropy_rejects_bad_label():
-    for label in (2, -1):
-        with pytest.raises(StructuralError):
-            cross_entropy([0.5, 0.5], label)
-    X = np.zeros((2, INPUT_DIM))
-    with pytest.raises(StructuralError):
-        loss_and_gradient(X, np.array([0, -1]), seeded_params(0))
 
 
 def test_loss_nonnegative_after_clamp():
@@ -211,9 +187,35 @@ def test_backward_duplicated_sample_equals_single():
     assert np.allclose(single, doubled, atol=1e-15)
 
 
-def test_backward_empty_batch_rejected():
-    with pytest.raises(StructuralError):
-        loss_and_gradient(np.zeros((0, INPUT_DIM)), np.zeros(0, dtype=int), seeded_params(0))
+def test_backward_into_reused_buffer_equals_fresh_allocation_bitwise():
+    rng = np.random.default_rng(21)
+    values = init_params(2)
+    p = unflatten_params(values)
+    grad = np.zeros(PARAM_COUNT)
+    gp = unflatten_params(grad)
+    dead = dead_slot_mask()
+    assert np.count_nonzero(dead) == 1296
+    # 20 batches, the last one short, with the weights moving between them.
+    for n in [1, 7, 32] * 6 + [32, 5]:
+        X = rng.standard_normal((n, INPUT_DIM))
+        y = rng.integers(0, 2, n)
+        fresh_loss, fresh = loss_and_gradient(X, y, p)
+        loss, returned = loss_and_gradient(X, y, p, grad, gp)
+        assert returned is grad
+        assert loss == fresh_loss
+        assert grad.tobytes() == fresh.tobytes()
+        assert np.all(grad[dead] == 0.0)
+        values -= 0.05 * fresh
+
+
+def test_backward_without_buffer_returns_unshared_gradients():
+    X = np.random.default_rng(4).standard_normal((3, INPUT_DIM))
+    y = np.array([0, 1, 1])
+    p = seeded_params(4)
+    _, first = loss_and_gradient(X, y, p)
+    _, second = loss_and_gradient(X, y, p)
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(first, second)
 
 
 def test_backward_dead_relu_unit_gets_zero_gradient():
