@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 import numpy as np
 
-from .config import CENTRALIZED, CROSS_EVAL, FEDERATED, SYNTH, parse_config, validate_config
+from .config import CENTRALIZED, CROSS_EVAL, FEDERATED, SYNTH, parse_config
 from .errors import ConfigError, DataError, NumericError, StructuralError
 from .experiments import run_experiment
 
@@ -44,12 +43,9 @@ def main(argv=None) -> int:
         # A float overflow, invalid operation or division by zero is a
         # numeric error, not a warning next to a silently wrong value.
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            cfg = parse_config(args.config, kind=_VERBS[args.verb])
-            if args.seed is not None:
-                cfg = replace(cfg, seed=args.seed)
-            if args.out is not None:
-                cfg = replace(cfg, out_dir=args.out)
-            result = run_experiment(validate_config(cfg, args.config))
+            cfg = parse_config(args.config, kind=_VERBS[args.verb], seed=args.seed,
+                               out_dir=args.out)
+            result = run_experiment(cfg)
     except ConfigError as exc:
         print(f"CONFIG_ERROR: {_one_line(exc)}", file=sys.stderr)
         return 2

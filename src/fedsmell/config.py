@@ -241,15 +241,18 @@ def validate_config(cfg: ExperimentConfig, path="<config>") -> ExperimentConfig:
                    synth_shifts=tuple(synth_shifts))
 
 
-def parse_config(path, kind: str | None = None) -> ExperimentConfig:
+def parse_config(path, kind: str | None = None, **overrides) -> ExperimentConfig:
     """Parse an INI config (or an emitted config.resolved.json) and resolve it.
 
     `kind` is the experiment requested on the command line; a `kind` key
-    inside the file is optional but must agree when present.
+    inside the file is optional but must agree when present. Each override
+    that is not None (the command line's seed and out_dir) replaces the
+    file's value before the one validation.
     """
     path = Path(path)
     if path.suffix == ".json":
         values = _read_resolved_json(path)
     else:
         values = _read_ini(path)
+    values.update((name, value) for name, value in overrides.items() if value is not None)
     return _resolve(values, path, kind)

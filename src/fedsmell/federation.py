@@ -153,54 +153,52 @@ def client_update(client: ClientNode, weights, update_seed: int) -> ModelUpdate:
     return ModelUpdate(client_id=client.id, weights=values, sample_count=len(data))
 
 
-def combiner_aggregate(updates) -> np.ndarray:
-    """Sample-count-weighted mean of client updates.
+def _weighted_mean(vectors, weights) -> np.ndarray:
+    """Weighted mean of equal-length vectors, accumulated in the given order.
 
-    Accumulates in client-id order so arrival order never matters, then
-    clips into the coordinatewise input envelope: the exact weighted mean
-    always lies inside it, so the clip only removes float rounding.
+    The sum is clipped into the coordinatewise input envelope: the exact
+    weighted mean always lies inside it, so the clip only removes float
+    rounding, and identical inputs come back bit for bit.
     """
-    updates = sorted(updates, key=lambda u: u.client_id)
-    if not updates:
-        raise StructuralError("cannot aggregate zero updates")
-    length = updates[0].weights.shape
-    for u in updates:
-        if u.weights.shape != length:
-            raise StructuralError("all update weight vectors must share one length")
-    total = sum(u.sample_count for u in updates)
-    acc = (updates[0].sample_count / total) * updates[0].weights
-    for u in updates[1:]:
-        acc = acc + (u.sample_count / total) * u.weights
-    if len(updates) == 1:
+    if not vectors:
+        raise StructuralError("cannot average zero weight vectors")
+    if any(v.shape != vectors[0].shape for v in vectors):
+        raise StructuralError("all weight vectors must share one length")
+    total = sum(weights)
+    acc = (weights[0] / total) * vectors[0]
+    for vector, weight in zip(vectors[1:], weights[1:]):
+        acc = acc + (weight / total) * vector
+    if len(vectors) == 1:
         return acc
-    stacked = np.array([u.weights for u in updates])
+    stacked = np.array(vectors)
     return np.clip(acc, stacked.min(axis=0), stacked.max(axis=0))
+
+
+def combiner_aggregate(updates) -> np.ndarray:
+    """Sample-count-weighted mean of client updates, in client-id order,
+    so arrival order never matters."""
+    updates = sorted(updates, key=lambda u: u.client_id)
+    return _weighted_mean([u.weights for u in updates], [u.sample_count for u in updates])
 
 
 def reducer_reduce(combiner_models, prev_global, t: int, mode: str = PLAIN) -> np.ndarray:
     """Compose combiner models into the next global weights.
 
     `plain` takes the unweighted mean (combiners already applied sample
-    weighting internally). `smoothed` additionally blends it into the
-    previous global model as a streaming average: prev + (mean - prev)/t.
+    weighting internally), through the same mean as the combiners.
+    `smoothed` additionally blends it into the previous global model as a
+    streaming average: prev + (mean - prev)/t.
     """
-    models = list(combiner_models)
-    if not models:
-        raise StructuralError("cannot reduce zero combiner models")
     if t < 1:
         raise StructuralError("round index t must be >= 1")
     if mode not in REDUCER_MODES:
         raise StructuralError(f"unknown reducer mode {mode!r}")
-    shape = models[0].shape
-    for m in models:
-        if m.shape != shape:
-            raise StructuralError("combiner models must share one length")
-    mean = models[0] if len(models) == 1 else np.sum(models, axis=0) / len(models)
-    mean = np.asarray(mean, dtype=float)
+    models = list(combiner_models)
+    mean = _weighted_mean(models, [1] * len(models))
     if mode == PLAIN:
         return mean
     prev = np.asarray(prev_global, dtype=float)
-    if prev.shape != shape:
+    if prev.shape != mean.shape:
         raise StructuralError("previous global weights must match model length")
     return prev + (mean - prev) / t
 

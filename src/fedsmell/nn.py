@@ -11,6 +11,7 @@ forward and backward passes views of the vector's live slots.
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -45,7 +46,10 @@ def _layout() -> tuple[tuple[int, ...], ...]:
 
 
 LAYOUT = _layout()
-PARAM_COUNT = sum(math.prod(shape) for shape in LAYOUT)
+# (start, stop) of each LAYOUT block in the flat vector, computed once
+_ENDS = list(itertools.accumulate((math.prod(shape) for shape in LAYOUT), initial=0))
+_SPANS = tuple(itertools.pairwise(_ENDS))
+PARAM_COUNT = _ENDS[-1]
 
 
 @dataclass
@@ -218,13 +222,7 @@ def adam_update(values: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarr
 
 def _blocks(values: np.ndarray) -> list[np.ndarray]:
     """Views of `values` shaped as the LAYOUT blocks, in order."""
-    blocks = []
-    cursor = 0
-    for shape in LAYOUT:
-        size = math.prod(shape)
-        blocks.append(values[cursor:cursor + size].reshape(shape))
-        cursor += size
-    return blocks
+    return [values[start:stop].reshape(shape) for (start, stop), shape in zip(_SPANS, LAYOUT)]
 
 
 def unflatten_params(values) -> ModelParams:
@@ -250,11 +248,10 @@ def init_params(seed: int) -> np.ndarray:
     """
     rng = np.random.default_rng(seed)
     values = np.zeros(PARAM_COUNT)
-    for block in _blocks(values):
-        if block.ndim == 2:
-            out_dim, in_dim = block.shape
-            limit = math.sqrt(6.0 / (in_dim + out_dim))
-            block[...] = rng.uniform(-limit, limit, size=block.shape)
+    for (start, stop), shape in zip(_SPANS, LAYOUT):
+        if len(shape) == 2:  # a weight matrix; (fan_out, fan_in), row-major
+            limit = math.sqrt(6.0 / sum(shape))
+            values[start:stop] = rng.uniform(-limit, limit, size=stop - start)
     return values
 
 

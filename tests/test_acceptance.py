@@ -104,6 +104,15 @@ def test_criterion_2_aggregation_oracles():
         ])
         assert np.max(np.abs(combiner_aggregate(updates) - expected)) <= 1e-12
 
+        # Plain reducer: the unweighted mean of 2 to 8 combiner models.
+        rng_k = np.random.default_rng(7)
+        for k in range(2, 9):
+            models = [rng_k.standard_normal(30) * 10.0 ** rng_k.integers(-2, 3)
+                      for _ in range(k)]
+            expected = np.array([math.fsum(m[j] / k for m in models) for j in range(30)])
+            got = reducer_reduce(models, None, t=1, mode="plain")
+            assert np.max(np.abs(got - expected)) <= 1e-12
+
         # Smoothed reducer against an independent scalar streaming average.
         for trial in range(20):
             rng2 = np.random.default_rng(1000 + trial)
@@ -117,7 +126,7 @@ def test_criterion_2_aggregation_oracles():
                     oracle[j] = oracle[j] + (mean[j] - oracle[j]) / t
                 assert np.max(np.abs(current - oracle)) <= 1e-12
 
-    report("criterion 2: combiner weighted mean and smoothed reducer match "
+    report("criterion 2: combiner weighted mean, plain and smoothed reducer match "
            "brute-force oracles to 1e-12", body)
 
 

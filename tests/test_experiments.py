@@ -1,5 +1,6 @@
 """Experiment runners: centralized, cross-eval, federated, synth, outputs."""
 
+import hashlib
 import json
 import warnings
 
@@ -250,6 +251,17 @@ def test_rerun_from_resolved_config_reproduces_run(tmp_path):
     run_experiment(replace(replay_cfg, out_dir=str(out_b)))
     assert (out_a / "rounds.csv").read_bytes() == (out_b / "rounds.csv").read_bytes()
     assert (out_a / "model.fwv").read_bytes() == (out_b / "model.fwv").read_bytes()
+
+
+def test_last_round_checksum_is_the_checkpoint_hash(tmp_path):
+    # Resuming from model.fwv and a weights_sha256 column in rounds.csv both
+    # rest on this: the logged checksum hashes the checkpoint's value bytes.
+    paths = [synth_csv(tmp_path, "d2", n=300, seed=72)]
+    out = tmp_path / "out"
+    result = run_experiment(cfg_for("federated", paths, out, rounds=3, chunks=(3,),
+                                    combiner_clients=(2, 1), reducer_mode="smoothed"))
+    digest = hashlib.sha256((out / "model.fwv").read_bytes()[4:]).hexdigest()
+    assert result.round_logs[-1].weights_checksum == digest
 
 
 # -------------------------------------------------------------------- synth

@@ -155,16 +155,33 @@ def test_combiner_order_invariance():
                                               updates[1], updates[3]]), forward)
 
 
-@given(st.integers(min_value=0, max_value=10 ** 6), st.integers(min_value=1, max_value=8))
-def test_combiner_output_inside_input_envelope(seed, k):
+def plain_reduce(updates):
+    return reducer_reduce([u.weights for u in updates], None, t=1, mode="plain")
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6), st.integers(min_value=1, max_value=8),
+       st.sampled_from([combiner_aggregate, plain_reduce]))
+def test_combiner_output_inside_input_envelope(seed, k, mean_of):
+    # Both tiers: the combiner's weighted mean and the reducer's plain mean.
     rng = np.random.default_rng(seed)
     updates = [ModelUpdate(i, rng.uniform(-1, 1, 10) * 10.0 ** rng.integers(-3, 3),
                            int(rng.integers(1, 1000)))
                for i in range(k)]
-    out = combiner_aggregate(updates)
+    out = mean_of(updates)
     stacked = np.array([u.weights for u in updates])
     assert np.all(out >= stacked.min(axis=0))
     assert np.all(out <= stacked.max(axis=0))
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_both_tiers_return_identical_models_bit_for_bit(k):
+    model = init_params(k)
+    expected = model.tobytes()
+    copies = [model.copy() for _ in range(k)]
+    updates = [ModelUpdate(i, w, 10 + i) for i, w in enumerate(copies)]
+    assert combiner_aggregate(updates).tobytes() == expected
+    assert reducer_reduce(copies, model, t=3, mode="plain").tobytes() == expected
+    assert reducer_reduce(copies, model, t=3, mode="smoothed").tobytes() == expected
 
 
 def test_combiner_rejects_empty_and_mismatched():
@@ -320,6 +337,17 @@ def test_partial_participation_skips_empty_combiners():
     one_sided = [log for log in logs
                  if len({cid // 3 for cid in log.participants}) == 1]
     assert one_sided, "expected at least one round handled by a single combiner"
+
+
+@pytest.mark.parametrize("mode", ["plain", "smoothed"])
+@pytest.mark.parametrize("combiners", [3, 5])
+def test_federation_keeps_dead_slots_at_init_for_any_combiner_count(combiners, mode):
+    topo = make_topology(n_clients=2 * combiners, per_combiner=2)
+    test_set = random_dataset(30, 12, seed=3, name="test")
+    config = RoundConfig(rounds=5, seed=8, reducer_mode=mode)
+    _, final = run_federation(topo, config, test_set)
+    dead = dead_slot_mask()
+    assert final[dead].tobytes() == init_params(config.seed)[dead].tobytes()
 
 
 def test_federation_attaches_round_context_to_errors():
