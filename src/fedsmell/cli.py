@@ -7,16 +7,11 @@ import sys
 
 import numpy as np
 
-from .config import CENTRALIZED, CROSS_EVAL, FEDERATED, SYNTH, parse_config
+from .config import EXPERIMENT_KINDS, parse_config
 from .errors import ConfigError, DataError, NumericError, StructuralError
 from .experiments import run_experiment
 
-_VERBS = {
-    "centralized": CENTRALIZED,
-    "cross-eval": CROSS_EVAL,
-    "federated": FEDERATED,
-    "synth": SYNTH,
-}
+_VERBS = {kind.replace("_", "-"): kind for kind in EXPERIMENT_KINDS}
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -1,10 +1,11 @@
 """Experiment configuration: strict INI parsing, defaults, resolved JSON.
 
 Configs are flat key/value INI files with one section per concern.
-Unknown sections or keys are rejected by name. A run echoes every
-resolved value to config.resolved.json, and that file parses back into
-the identical configuration, so any run can be reproduced from its
-output directory alone.
+Unknown sections or keys are rejected by name. An ExperimentConfig checks
+itself and fills its defaults when built, so every instance is valid. A
+run echoes every resolved value to config.resolved.json, and that file
+parses back into the identical configuration, so any run can be
+reproduced from its output directory alone.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ import configparser
 import json
 import math
 import typing
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .data import REBALANCE_MODES
-from .errors import ConfigError, StructuralError
+from .errors import ConfigError, StructuralError, error_context
 from .federation import RoundConfig
 from .nn import Hyperparams
 
@@ -48,6 +49,64 @@ class ExperimentConfig:
     synth_positive_rate: float = 0.5
     synth_shifts: tuple[float, ...] = ()
 
+    def __post_init__(self):
+        """Enforce every rule and fill the structural defaults. The class
+        stays frozen, so the filled values go in through object.__setattr__."""
+        datasets = tuple(self.datasets)
+        chunks = tuple(self.chunks)
+        combiner_clients = tuple(self.combiner_clients)
+        synth_shifts = tuple(self.synth_shifts)
+        if self.kind not in EXPERIMENT_KINDS:
+            raise ConfigError(f"kind must be one of {EXPERIMENT_KINDS}")
+        if not 1 <= len(datasets) <= 3:
+            raise ConfigError("datasets must list between 1 and 3 entries")
+        if self.kind == CROSS_EVAL and len(datasets) != 3:
+            raise ConfigError("cross_eval requires exactly 3 datasets")
+        if self.rebalance not in REBALANCE_MODES:
+            raise ConfigError(f"rebalance must be one of {REBALANCE_MODES}")
+        if not 0.0 < self.test_fraction < 1.0:
+            raise ConfigError("test_fraction must be in (0, 1)")
+        try:
+            self.round_config()
+            self.hyperparams()
+        except StructuralError as exc:
+            raise ConfigError(str(exc)) from exc
+        if self.synth_samples < 10:
+            raise ConfigError("synth samples must be >= 10")
+        if not 0.0 < self.synth_positive_rate < 1.0:
+            raise ConfigError("synth positive_rate must be in (0, 1)")
+
+        if self.kind == FEDERATED:
+            if not chunks:
+                chunks = (5, 1, 4) if len(datasets) == 3 else (1,) * len(datasets)
+            if len(chunks) != len(datasets):
+                raise ConfigError("chunks must list one entry per dataset")
+            if any(c < 1 for c in chunks):
+                raise ConfigError("every chunk count must be >= 1")
+            n_clients = sum(chunks)
+            if not combiner_clients:
+                if n_clients == 1:
+                    combiner_clients = (1,)
+                else:
+                    combiner_clients = (math.ceil(n_clients / 2), n_clients // 2)
+            if any(c < 1 for c in combiner_clients):
+                raise ConfigError("every combiner must be assigned at least one client")
+            if sum(combiner_clients) != n_clients:
+                raise ConfigError(f"combiner_clients sums to {sum(combiner_clients)} but "
+                                  f"chunks imply {n_clients} clients")
+        if self.kind == SYNTH:
+            if not synth_shifts:
+                synth_shifts = (0.0,) * len(datasets)
+            if len(synth_shifts) != len(datasets):
+                raise ConfigError("synth shifts must list one entry per dataset")
+            if not all(math.isfinite(s) for s in synth_shifts):
+                raise ConfigError("synth shifts must be finite")
+
+        for name, value in (("datasets", datasets), ("chunks", chunks),
+                            ("combiner_clients", combiner_clients),
+                            ("synth_shifts", synth_shifts)):
+            object.__setattr__(self, name, value)
+
     def hyperparams(self) -> Hyperparams:
         return Hyperparams(learning_rate=self.learning_rate, batch_size=self.batch_size,
                            local_epochs=self.local_epochs)
@@ -55,11 +114,6 @@ class ExperimentConfig:
     def round_config(self) -> RoundConfig:
         return RoundConfig(rounds=self.rounds, client_fraction=self.client_fraction,
                            seed=self.seed, reducer_mode=self.reducer_mode)
-
-    def to_resolved_dict(self) -> dict:
-        raw = asdict(self)
-        return {key: list(value) if isinstance(value, tuple) else value
-                for key, value in raw.items()}
 
 
 # config field -> (element type, is a list), read off the annotations
@@ -94,27 +148,16 @@ def _from_json(name: str, value):
     return tuple(_json_scalar(element, item) for item in value)
 
 
-# (section, key) -> config field
-_INI_KEYS = {
-    ("experiment", "kind"): "kind",
-    ("experiment", "datasets"): "datasets",
-    ("experiment", "seed"): "seed",
-    ("experiment", "out_dir"): "out_dir",
-    ("data", "rebalance"): "rebalance",
-    ("data", "test_fraction"): "test_fraction",
-    ("data", "chunks"): "chunks",
-    ("topology", "combiner_clients"): "combiner_clients",
-    ("federation", "rounds"): "rounds",
-    ("federation", "client_fraction"): "client_fraction",
-    ("federation", "reducer_mode"): "reducer_mode",
-    ("training", "learning_rate"): "learning_rate",
-    ("training", "batch_size"): "batch_size",
-    ("training", "local_epochs"): "local_epochs",
-    ("synth", "samples"): "synth_samples",
-    ("synth", "positive_rate"): "synth_positive_rate",
-    ("synth", "shifts"): "synth_shifts",
+# INI section -> the config fields it holds. A key is its field name
+# without the section prefix, so [synth] samples is synth_samples.
+_SECTIONS = {
+    "experiment": ("kind", "datasets", "seed", "out_dir"),
+    "data": ("rebalance", "test_fraction", "chunks"),
+    "topology": ("combiner_clients",),
+    "federation": ("rounds", "client_fraction", "reducer_mode"),
+    "training": ("learning_rate", "batch_size", "local_epochs"),
+    "synth": ("synth_samples", "synth_positive_rate", "synth_shifts"),
 }
-_KNOWN_SECTIONS = {section for section, _ in _INI_KEYS}
 
 
 def _read_ini(path: Path) -> dict:
@@ -129,14 +172,15 @@ def _read_ini(path: Path) -> dict:
 
     values: dict = {}
     for section in parser.sections():
-        if section not in _KNOWN_SECTIONS:
+        if section not in _SECTIONS:
             raise ConfigError(f"config {path}: unknown section {section!r}")
+        fields = {name.removeprefix(f"{section}_"): name for name in _SECTIONS[section]}
         for key, raw in parser.items(section):
-            if (section, key) not in _INI_KEYS:
+            if key not in fields:
                 raise ConfigError(
                     f"config {path}: unknown key {key!r} in section {section!r}"
                 )
-            name = _INI_KEYS[(section, key)]
+            name = fields[key]
             try:
                 values[name] = _from_ini(name, raw)
             except ValueError as exc:
@@ -166,88 +210,13 @@ def _read_resolved_json(path: Path) -> dict:
     return values
 
 
-def _resolve(values: dict, path, kind: str | None) -> ExperimentConfig:
-    file_kind = values.pop("kind", None)
-    if file_kind is None and kind is None:
-        raise ConfigError(f"config {path}: missing mandatory key 'kind'")
-    if file_kind is not None and kind is not None and file_kind != kind:
-        raise ConfigError(
-            f"config {path}: kind {file_kind!r} does not match requested {kind!r}"
-        )
-    resolved_kind = file_kind or kind
-
-    datasets = values.pop("datasets", None)
-    if not datasets:
-        raise ConfigError(f"config {path}: missing mandatory key 'datasets'")
-    cfg = ExperimentConfig(kind=resolved_kind, datasets=tuple(datasets), **values)
-    return validate_config(cfg, path)
-
-
-def validate_config(cfg: ExperimentConfig, path="<config>") -> ExperimentConfig:
-    """Fill structural defaults and enforce cross-field invariants."""
-    def fail(message):
-        raise ConfigError(f"config {path}: {message}")
-
-    if cfg.kind not in EXPERIMENT_KINDS:
-        fail(f"kind must be one of {EXPERIMENT_KINDS}")
-    if not 1 <= len(cfg.datasets) <= 3:
-        fail("datasets must list between 1 and 3 entries")
-    if cfg.kind == CROSS_EVAL and len(cfg.datasets) != 3:
-        fail("cross_eval requires exactly 3 datasets")
-    if cfg.rebalance not in REBALANCE_MODES:
-        fail(f"rebalance must be one of {REBALANCE_MODES}")
-    if not 0.0 < cfg.test_fraction < 1.0:
-        fail("test_fraction must be in (0, 1)")
-    try:
-        cfg.round_config()
-        cfg.hyperparams()
-    except StructuralError as exc:
-        fail(exc)
-    if cfg.synth_samples < 10:
-        fail("synth samples must be >= 10")
-    if not 0.0 < cfg.synth_positive_rate < 1.0:
-        fail("synth positive_rate must be in (0, 1)")
-
-    chunks = cfg.chunks
-    combiner_clients = cfg.combiner_clients
-    synth_shifts = cfg.synth_shifts
-    if cfg.kind == FEDERATED:
-        if not chunks:
-            chunks = (5, 1, 4) if len(cfg.datasets) == 3 else (1,) * len(cfg.datasets)
-        if len(chunks) != len(cfg.datasets):
-            fail("chunks must list one entry per dataset")
-        if any(c < 1 for c in chunks):
-            fail("every chunk count must be >= 1")
-        n_clients = sum(chunks)
-        if not combiner_clients:
-            if n_clients == 1:
-                combiner_clients = (1,)
-            else:
-                combiner_clients = (math.ceil(n_clients / 2), n_clients // 2)
-        if any(c < 1 for c in combiner_clients):
-            fail("every combiner must be assigned at least one client")
-        if sum(combiner_clients) != n_clients:
-            fail(f"combiner_clients sums to {sum(combiner_clients)} but chunks imply "
-                 f"{n_clients} clients")
-    if cfg.kind == SYNTH:
-        if not synth_shifts:
-            synth_shifts = (0.0,) * len(cfg.datasets)
-        if len(synth_shifts) != len(cfg.datasets):
-            fail("synth shifts must list one entry per dataset")
-        if not all(math.isfinite(s) for s in synth_shifts):
-            fail("synth shifts must be finite")
-
-    return replace(cfg, chunks=tuple(chunks), combiner_clients=tuple(combiner_clients),
-                   synth_shifts=tuple(synth_shifts))
-
-
 def parse_config(path, kind: str | None = None, **overrides) -> ExperimentConfig:
     """Parse an INI config (or an emitted config.resolved.json) and resolve it.
 
     `kind` is the experiment requested on the command line; a `kind` key
     inside the file is optional but must agree when present. Each override
     that is not None (the command line's seed and out_dir) replaces the
-    file's value before the one validation.
+    file's value before the config is built and checked.
     """
     path = Path(path)
     if path.suffix == ".json":
@@ -255,4 +224,12 @@ def parse_config(path, kind: str | None = None, **overrides) -> ExperimentConfig
     else:
         values = _read_ini(path)
     values.update((name, value) for name, value in overrides.items() if value is not None)
-    return _resolve(values, path, kind)
+    with error_context(f"config {path}"):
+        file_kind = values.pop("kind", None)
+        if file_kind is None and kind is None:
+            raise ConfigError("missing mandatory key 'kind'")
+        if file_kind is not None and kind is not None and file_kind != kind:
+            raise ConfigError(f"kind {file_kind!r} does not match requested {kind!r}")
+        if not values.get("datasets"):
+            raise ConfigError("missing mandatory key 'datasets'")
+        return ExperimentConfig(kind=file_kind or kind, **values)

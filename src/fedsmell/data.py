@@ -104,38 +104,28 @@ def load_csv(path) -> Dataset:
 
     _, header = rows[0]
     lower = {cell.strip().lower(): idx for idx, cell in enumerate(header)}
-    feature_idx = []
-    for column in FEATURE_NAMES:
+    columns = []
+    for column in FEATURE_NAMES + (LABEL_COLUMN,):
         if column.lower() not in lower:
             raise SchemaError(f"{path}: missing required column {column!r}")
-        feature_idx.append(lower[column.lower()])
-    if LABEL_COLUMN not in lower:
-        raise SchemaError(f"{path}: missing required column {LABEL_COLUMN!r}")
-    label_idx = lower[LABEL_COLUMN]
+        columns.append(lower[column.lower()])
 
-    features = []
-    labels = []
+    table = []
     for line_no, row in rows[1:]:
         try:
-            features.append([float(row[i]) for i in feature_idx])
+            table.append([float(row[i]) for i in columns])
         except (ValueError, IndexError) as exc:
-            raise ParseError(f"{path}: row {line_no}: non-numeric feature cell ({exc})") from exc
-        try:
-            label = float(row[label_idx])
-        except (ValueError, IndexError) as exc:
-            raise ParseError(f"{path}: row {line_no}: bad label cell ({exc})") from exc
-        if label not in (0.0, 1.0):
-            raise ParseError(f"{path}: row {line_no}: label must be 0 or 1, "
-                             f"got {row[label_idx]!r}")
-        labels.append(int(label))
-    if not features:
+            raise ParseError(f"{path}: row {line_no}: non-numeric cell ({exc})") from exc
+    if not table:
         raise StructuralError(f"{path}: no data rows")
-    features = np.array(features)
-    finite_rows = np.isfinite(features).all(axis=1)
-    if not finite_rows.all():
-        line_no = rows[1 + int(np.argmin(finite_rows))][0]
-        raise ParseError(f"{path}: row {line_no}: non-finite feature cell")
-    return Dataset(path.stem, features, np.array(labels))
+    table = np.array(table)
+    features, labels = table[:, :NUM_FEATURES], table[:, NUM_FEATURES]
+    good_rows = np.isfinite(features).all(axis=1) & ((labels == 0.0) | (labels == 1.0))
+    if not good_rows.all():
+        line_no = rows[1 + int(np.argmin(good_rows))][0]
+        raise ParseError(f"{path}: row {line_no}: feature cells must be finite "
+                         "and the label 0 or 1")
+    return Dataset(path.stem, features, labels)
 
 
 def save_csv(dataset: Dataset, path) -> None:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,9 +36,6 @@ class MetricReport:
     roc_auc: float
     kappa_band: str
     roc_band: str
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def accuracy(cm: ConfusionMatrix) -> float:

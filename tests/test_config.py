@@ -1,11 +1,13 @@
 """Config parsing: strict keys, defaults, resolved-JSON round trips, CLI codes."""
 
+import dataclasses
 import json
 
 import pytest
 
+from fedsmell import config
 from fedsmell.cli import main
-from fedsmell.config import ExperimentConfig, parse_config, validate_config
+from fedsmell.config import ExperimentConfig, parse_config
 from fedsmell.errors import ConfigError
 
 
@@ -104,7 +106,7 @@ def test_resolved_json_roundtrip(tmp_path):
             "[federation]\nrounds = 7\nreducer_mode = smoothed\n")
     cfg = parse_config(write(tmp_path / "c.ini", text))
     resolved = tmp_path / "config.resolved.json"
-    resolved.write_text(json.dumps(cfg.to_resolved_dict()), encoding="utf-8")
+    resolved.write_text(json.dumps(dataclasses.asdict(cfg)), encoding="utf-8")
     assert parse_config(resolved) == cfg
 
 
@@ -116,12 +118,34 @@ def test_resolved_json_unknown_key_rejected(tmp_path):
         parse_config(path)
 
 
-def test_validate_config_direct_construction():
-    cfg = ExperimentConfig(kind="federated", datasets=("a", "b", "c"))
-    resolved = validate_config(cfg)
+def test_direct_construction_fills_defaults_and_rejects_bad_kind():
+    resolved = ExperimentConfig(kind="federated", datasets=("a", "b", "c"))
     assert resolved.chunks == (5, 1, 4)
     with pytest.raises(ConfigError):
-        validate_config(ExperimentConfig(kind="bogus", datasets=("a",)))
+        ExperimentConfig(kind="bogus", datasets=("a",))
+
+
+def test_direct_construction_rejects_zero_rounds():
+    # Zero rounds would score the untrained initial weights as a result.
+    with pytest.raises(ConfigError, match="rounds"):
+        ExperimentConfig(kind="centralized", datasets=("alpha.csv",), rounds=0)
+
+
+def test_replace_checks_the_new_values():
+    cfg = ExperimentConfig(kind="centralized", datasets=("a.csv",))
+    with pytest.raises(ConfigError, match="seed"):
+        dataclasses.replace(cfg, seed=-1)
+    assert dataclasses.replace(cfg, seed=3).seed == 3
+
+
+def test_direct_construction_stores_lists_as_tuples():
+    cfg = ExperimentConfig(kind="federated", datasets=["a", "b"], chunks=[2, 3])
+    assert (cfg.datasets, cfg.chunks, cfg.combiner_clients) == (("a", "b"), (2, 3), (3, 2))
+
+
+def test_every_field_has_one_ini_section():
+    names = [name for fields in config._SECTIONS.values() for name in fields]
+    assert sorted(names) == sorted(f.name for f in dataclasses.fields(ExperimentConfig))
 
 
 # ----------------------------------------------------------------- CLI codes

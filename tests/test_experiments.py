@@ -3,12 +3,13 @@
 import hashlib
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fedsmell.cli import main
-from fedsmell.config import ExperimentConfig, validate_config
+from fedsmell.config import ExperimentConfig
 from fedsmell.data import domain_shift, load_csv, save_csv, synth_generate
 from fedsmell.experiments import (prepare_source, run_centralized, run_cross_eval,
                                   run_experiment, run_federated, train_centralized)
@@ -29,7 +30,7 @@ def cfg_for(kind, datasets, out_dir, **overrides):
     base = dict(kind=kind, datasets=tuple(datasets), out_dir=str(out_dir),
                 rounds=20, seed=7)
     base.update(overrides)
-    return validate_config(ExperimentConfig(**base))
+    return ExperimentConfig(**base)
 
 
 # -------------------------------------------------------------- centralized
@@ -264,7 +265,35 @@ def test_last_round_checksum_is_the_checkpoint_hash(tmp_path):
     assert result.round_logs[-1].weights_checksum == digest
 
 
+def test_directly_built_federated_config_runs_like_its_ini(tmp_path):
+    # No chunks or combiners given: the config fills (5, 1, 4) and (5, 5)
+    # when built, so a library caller gets the same run as the CLI.
+    paths = [synth_csv(tmp_path, name, n=300, seed=80 + i, shift_magnitude=m)
+             for i, (name, m) in enumerate((("alpha", 0.0), ("beta", 3.0), ("gamma", 0.0)))]
+    cfg = ExperimentConfig(kind="federated", datasets=tuple(paths), rounds=1,
+                           out_dir=str(tmp_path / "lib"))
+    result = run_experiment(cfg)
+    assert len(result.round_logs) == 1
+    assert result.round_logs[0].participants == tuple(range(10))
+
+    ini = tmp_path / "fed.ini"
+    ini.write_text(f"[experiment]\ndatasets = {', '.join(paths)}\n"
+                   "[federation]\nrounds = 1\n", encoding="utf-8")
+    assert main(["federated", "--config", str(ini), "--out", str(tmp_path / "cli")]) == 0
+    for name in ("rounds.csv", "model.fwv"):
+        assert (tmp_path / "lib" / name).read_bytes() == (tmp_path / "cli" / name).read_bytes()
+
+
 # -------------------------------------------------------------------- synth
+
+def test_directly_built_synth_config_fills_its_shifts(tmp_path):
+    out = tmp_path / "gen"
+    cfg = ExperimentConfig(kind="synth", datasets=("alpha", "beta"), synth_samples=40,
+                           out_dir=str(out))
+    assert cfg.synth_shifts == (0.0, 0.0)
+    run_experiment(cfg)
+    assert [len(load_csv(out / f"{name}.csv")) for name in ("alpha", "beta")] == [40, 40]
+
 
 def test_synth_experiment_writes_loadable_csvs(tmp_path):
     out = tmp_path / "gen"
@@ -413,7 +442,7 @@ def test_cli_bom_prefixed_csv_runs_like_its_plain_copy(tmp_path, capsys):
     source = synth_csv(tmp_path, "s", n=120, seed=5)
     for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
         (tmp_path / name).mkdir()
-        (tmp_path / name / "s.csv").write_bytes(prefix + open(source, "rb").read())
+        (tmp_path / name / "s.csv").write_bytes(prefix + Path(source).read_bytes())
         assert run_cli_centralized(tmp_path, f"out-{name}", tmp_path / name / "s.csv") == 0
     captured = capsys.readouterr()
     assert captured.err == ""

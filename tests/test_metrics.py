@@ -1,5 +1,6 @@
 """Metric formulas against brute-force oracles, interpretation bands, reports."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -310,7 +311,7 @@ def test_evaluate_constant_positive_fixture_hand_computed():
 
 def test_evaluate_report_json_fields():
     report = evaluate_model(np.zeros(PARAM_COUNT), random_dataset(20, 10, seed=4))
-    payload = report.to_json()
+    payload = dataclasses.asdict(report)
     assert set(payload) == {"accuracy_pct", "mean_loss", "kappa", "roc_auc",
                             "kappa_band", "roc_band"}
 
