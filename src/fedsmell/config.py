@@ -2,10 +2,10 @@
 
 Configs are flat key/value INI files with one section per concern.
 Unknown sections or keys are rejected by name. An ExperimentConfig checks
-itself and fills its defaults when built, so every instance is valid. A
-run echoes every resolved value to config.resolved.json, and that file
-parses back into the identical configuration, so any run can be
-reproduced from its output directory alone.
+each field's type and value and fills its defaults when built, however it
+is built, so every instance is valid. A run echoes every resolved value to
+config.resolved.json, and that file parses back into the identical
+configuration, so any run can be reproduced from its output directory alone.
 """
 
 from __future__ import annotations
@@ -50,12 +50,16 @@ class ExperimentConfig:
     synth_shifts: tuple[float, ...] = ()
 
     def __post_init__(self):
-        """Enforce every rule and fill the structural defaults. The class
-        stays frozen, so the filled values go in through object.__setattr__."""
-        datasets = tuple(self.datasets)
-        chunks = tuple(self.chunks)
-        combiner_clients = tuple(self.combiner_clients)
-        synth_shifts = tuple(self.synth_shifts)
+        """Check every field's type, then every rule, and fill the structural
+        defaults. The class stays frozen, so stored values go in through
+        object.__setattr__."""
+        for name, (element, is_list) in _FIELDS.items():
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, _typed(element, is_list, value))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"bad value for {name}: {value!r} ({exc})") from exc
+        datasets = self.datasets
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError(f"kind must be one of {EXPERIMENT_KINDS}")
         if not 1 <= len(datasets) <= 3:
@@ -77,35 +81,28 @@ class ExperimentConfig:
             raise ConfigError("synth positive_rate must be in (0, 1)")
 
         if self.kind == FEDERATED:
-            if not chunks:
-                chunks = (5, 1, 4) if len(datasets) == 3 else (1,) * len(datasets)
+            chunks = self.chunks or ((5, 1, 4) if len(datasets) == 3 else (1,) * len(datasets))
             if len(chunks) != len(datasets):
                 raise ConfigError("chunks must list one entry per dataset")
             if any(c < 1 for c in chunks):
                 raise ConfigError("every chunk count must be >= 1")
             n_clients = sum(chunks)
-            if not combiner_clients:
-                if n_clients == 1:
-                    combiner_clients = (1,)
-                else:
-                    combiner_clients = (math.ceil(n_clients / 2), n_clients // 2)
+            combiner_clients = self.combiner_clients or (
+                (1,) if n_clients == 1 else (math.ceil(n_clients / 2), n_clients // 2))
             if any(c < 1 for c in combiner_clients):
                 raise ConfigError("every combiner must be assigned at least one client")
             if sum(combiner_clients) != n_clients:
                 raise ConfigError(f"combiner_clients sums to {sum(combiner_clients)} but "
                                   f"chunks imply {n_clients} clients")
+            object.__setattr__(self, "chunks", chunks)
+            object.__setattr__(self, "combiner_clients", combiner_clients)
         if self.kind == SYNTH:
-            if not synth_shifts:
-                synth_shifts = (0.0,) * len(datasets)
-            if len(synth_shifts) != len(datasets):
+            shifts = self.synth_shifts or (0.0,) * len(datasets)
+            if len(shifts) != len(datasets):
                 raise ConfigError("synth shifts must list one entry per dataset")
-            if not all(math.isfinite(s) for s in synth_shifts):
-                raise ConfigError("synth shifts must be finite")
-
-        for name, value in (("datasets", datasets), ("chunks", chunks),
-                            ("combiner_clients", combiner_clients),
-                            ("synth_shifts", synth_shifts)):
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, "synth_shifts", shifts)
+        if not all(math.isfinite(s) for s in self.synth_shifts):
+            raise ConfigError("synth shifts must be finite")
 
     def hyperparams(self) -> Hyperparams:
         return Hyperparams(learning_rate=self.learning_rate, batch_size=self.batch_size,
@@ -130,22 +127,24 @@ def _from_ini(name: str, raw: str):
     return element(raw)
 
 
-def _json_scalar(element: type, value):
+def _scalar(element: type, value):
+    """A field value of its own type: a bool is not an int, a float field
+    takes any number and stores a float, and a string holds no NUL."""
     accepted = (int, float) if element is float else element
     if isinstance(value, bool) or not isinstance(value, accepted):
-        raise ValueError(f"expected {element.__name__}")
+        raise TypeError(f"expected {element.__name__}")
+    if element is str and "\0" in value:
+        raise ValueError("contains a NUL character")
     return element(value)
 
 
-def _from_json(name: str, value):
-    """Check a JSON value against its field: integers are not booleans,
-    floats take any number, lists hold their element type."""
-    element, is_list = _FIELDS[name]
+def _typed(element: type, is_list: bool, value):
+    """Check a value against its field; a list field is stored as a tuple."""
     if not is_list:
-        return _json_scalar(element, value)
-    if not isinstance(value, list):
-        raise ValueError(f"expected a list of {element.__name__}")
-    return tuple(_json_scalar(element, item) for item in value)
+        return _scalar(element, value)
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"expected a list of {element.__name__}")
+    return tuple(_scalar(element, item) for item in value)
 
 
 # INI section -> the config fields it holds. A key is its field name
@@ -165,7 +164,7 @@ def _read_ini(path: Path) -> dict:
     try:
         with open(path, encoding="utf-8-sig") as fh:
             parser.read_file(fh, source=str(path))
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8, or a NUL in the path
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"config {path}: {exc}") from exc
@@ -193,21 +192,16 @@ def _read_ini(path: Path) -> dict:
 def _read_resolved_json(path: Path) -> dict:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path}: line {exc.lineno}: {exc.msg}") from exc
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: deep nesting
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path}: top level must be an object")
-    values = {}
-    for key, value in raw.items():
+    for key in raw:
         if key not in _FIELDS:
             raise ConfigError(f"config {path}: unknown key {key!r}")
-        try:
-            values[key] = _from_json(key, value)
-        except (ValueError, OverflowError) as exc:
-            raise ConfigError(f"config {path}: bad value for {key}: {value!r} ({exc})") from exc
-    return values
+    return raw
 
 
 def parse_config(path, kind: str | None = None, **overrides) -> ExperimentConfig:
@@ -232,4 +226,4 @@ def parse_config(path, kind: str | None = None, **overrides) -> ExperimentConfig
             raise ConfigError(f"kind {file_kind!r} does not match requested {kind!r}")
         if not values.get("datasets"):
             raise ConfigError("missing mandatory key 'datasets'")
-        return ExperimentConfig(kind=file_kind or kind, **values)
+        return ExperimentConfig(kind=kind if file_kind is None else file_kind, **values)

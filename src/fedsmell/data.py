@@ -97,7 +97,7 @@ def load_csv(path) -> Dataset:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = [(line_no, row) for line_no, row in enumerate(csv.reader(fh), start=1)
                     if any(cell.strip() for cell in row)]
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read dataset {path}: {exc}") from exc
     if not rows:
         raise StructuralError(f"{path}: empty file")

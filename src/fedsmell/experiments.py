@@ -252,13 +252,17 @@ _RUNNERS = {CENTRALIZED: run_centralized, CROSS_EVAL: run_cross_eval,
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
-    """Create the output directory, run the experiment, and write all outputs."""
+    """Create the output directory, run the experiment, and write all outputs;
+    a directory that cannot be made or written to is a ConfigError."""
     try:
         Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {cfg.out_dir}: {exc}") from exc
     started = time.perf_counter()
-    result = _RUNNERS[cfg.kind](cfg)
-    result.wall_clock_seconds = time.perf_counter() - started
-    emit_outputs(cfg.out_dir, result)
+    try:
+        result = _RUNNERS[cfg.kind](cfg)
+        result.wall_clock_seconds = time.perf_counter() - started
+        emit_outputs(cfg.out_dir, result)
+    except OSError as exc:  # datasets are read through load_csv, which raises DataError
+        raise ConfigError(f"cannot write outputs to {cfg.out_dir}: {exc}") from exc
     return result

@@ -2,13 +2,19 @@
 
 import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fedsmell import config
 from fedsmell.cli import main
-from fedsmell.config import ExperimentConfig, parse_config
+from fedsmell.config import EXPERIMENT_KINDS, ExperimentConfig, parse_config
+from fedsmell.data import REBALANCE_MODES
 from fedsmell.errors import ConfigError
+from fedsmell.federation import REDUCER_MODES
 
 
 def write(path, text):
@@ -143,6 +149,83 @@ def test_direct_construction_stores_lists_as_tuples():
     assert (cfg.datasets, cfg.chunks, cfg.combiner_clients) == (("a", "b"), (2, 3), (3, 2))
 
 
+BAD_VALUES = [("datasets", "abc"), ("rounds", "3"), ("seed", True), ("batch_size", 32.0),
+              ("chunks", ["a"]), ("out_dir", 5), ("test_fraction", None),
+              ("datasets", ("a\0.csv",)), ("out_dir", "o\0ut")]
+
+
+@pytest.mark.parametrize("name, value", BAD_VALUES)
+def test_direct_construction_and_replace_reject_wrong_types_and_nul(name, value):
+    base = {"kind": "federated", "datasets": ("a.csv",)}
+    with pytest.raises(ConfigError, match=f"bad value for {name}: "):
+        ExperimentConfig(**{**base, name: value})
+    with pytest.raises(ConfigError, match=f"bad value for {name}: "):
+        dataclasses.replace(ExperimentConfig(**base), **{name: value})
+
+
+def test_float_field_stores_an_int_as_float():
+    cfg = ExperimentConfig(kind="centralized", datasets=("a.csv",), learning_rate=1)
+    assert type(cfg.learning_rate) is float and cfg.learning_rate == 1.0
+    assert type(dataclasses.replace(cfg, learning_rate=2).learning_rate) is float
+
+
+_MIXED_SCALAR = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                          st.text(max_size=4))
+_MIXED = st.one_of(_MIXED_SCALAR, st.lists(_MIXED_SCALAR, max_size=3),
+                   st.lists(_MIXED_SCALAR, max_size=3).map(tuple))
+_NUMBER = st.one_of(st.floats(), st.integers(-2, 3))
+_PLAUSIBLE = {
+    "kind": st.sampled_from(EXPERIMENT_KINDS),
+    "datasets": st.lists(st.text(max_size=5), min_size=1, max_size=3),
+    "seed": st.integers(min_value=0),
+    "out_dir": st.text(max_size=5),
+    "rebalance": st.sampled_from(REBALANCE_MODES),
+    "test_fraction": _NUMBER,
+    "chunks": st.lists(st.integers(0, 4), max_size=3),
+    "combiner_clients": st.lists(st.integers(0, 6), max_size=3),
+    "rounds": st.integers(0, 5),
+    "client_fraction": _NUMBER,
+    "reducer_mode": st.sampled_from(REDUCER_MODES),
+    "learning_rate": _NUMBER,
+    "batch_size": st.integers(0, 64),
+    "local_epochs": st.integers(0, 3),
+    "synth_samples": st.integers(5, 100),
+    "synth_positive_rate": _NUMBER,
+    "synth_shifts": st.lists(_NUMBER, max_size=3),
+}
+
+
+@st.composite
+def config_kwargs(draw):
+    """Keyword arguments for ExperimentConfig: a few fields of any type, the
+    rest plausible or left at their defaults."""
+    wrong = draw(st.sets(st.sampled_from(sorted(_PLAUSIBLE)), max_size=2))
+    kwargs = {}
+    for name, plausible in _PLAUSIBLE.items():
+        if name in wrong:
+            kwargs[name] = draw(_MIXED)
+        elif name in ("kind", "datasets") or draw(st.booleans()):
+            kwargs[name] = draw(plausible)
+    return kwargs
+
+
+@settings(derandomize=True)
+@given(config_kwargs())
+def test_built_config_is_rejected_or_reads_back_identical(kwargs):
+    try:
+        cfg = ExperimentConfig(**kwargs)
+    except ConfigError:
+        return
+    for name, (element, is_list) in config._FIELDS.items():
+        value = getattr(cfg, name)
+        items = value if is_list else (value,)
+        assert (type(value) is tuple) == is_list and all(type(v) is element for v in items)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.resolved.json"
+        path.write_text(json.dumps(dataclasses.asdict(cfg)), encoding="utf-8")
+        assert parse_config(path) == cfg
+
+
 def test_every_field_has_one_ini_section():
     names = [name for fields in config._SECTIONS.values() for name in fields]
     assert sorted(names) == sorted(f.name for f in dataclasses.fields(ExperimentConfig))
@@ -167,9 +250,10 @@ def test_cli_missing_dataset_exits_3(tmp_path, capsys):
 
 
 def test_cli_missing_config_file_exits_2(tmp_path, capsys):
-    code = main(["centralized", "--config", str(tmp_path / "ghost.ini")])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("CONFIG_ERROR:")
+    for name in ("ghost.ini", "gh\0st.ini", "gh\0st.json"):
+        code = main(["centralized", "--config", str(tmp_path / name)])
+        assert code == 2, name
+        assert capsys.readouterr().err.startswith("CONFIG_ERROR:"), name
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -213,14 +297,19 @@ def test_cli_malformed_ini_exits_2(tmp_path, capsys):
 
 def test_cli_resolved_json_wrong_types_exit_2(tmp_path, capsys):
     base = {"kind": "centralized", "datasets": ["a.csv"]}
-    for key, value in (("rounds", "x"), ("seed", True), ("chunks", ["a"]),
-                       ("learning_rate", "0.1"), ("datasets", "a.csv")):
-        path = tmp_path / "config.resolved.json"
+    path = tmp_path / "config.resolved.json"
+    for key, value, reason in (
+            ("rounds", "x", "expected int"),
+            ("seed", True, "expected int"),
+            ("chunks", ["a"], "expected int"),
+            ("learning_rate", "0.1", "expected float"),
+            ("datasets", "a.csv", "expected a list of str"),
+            ("learning_rate", 10**400, "int too large to convert to float"),
+            ("rounds", None, "expected int")):
         path.write_text(json.dumps({**base, key: value}), encoding="utf-8")
         assert main(["centralized", "--config", str(path)]) == 2, key
-        err = capsys.readouterr().err
-        assert err.startswith("CONFIG_ERROR:") and key in err, key
-        assert len(err.strip().splitlines()) == 1
+        assert capsys.readouterr().err == (
+            f"CONFIG_ERROR: config {path}: bad value for {key}: {value!r} ({reason})\n")
 
 
 def test_resolved_json_numbers_follow_their_fields(tmp_path):
@@ -246,6 +335,33 @@ def test_cli_out_naming_a_file_exits_2_before_any_work(tmp_path, capsys):
     assert occupied.read_text(encoding="utf-8") == "not a directory\n"
 
 
+def test_cli_nul_in_a_path_exits_2_before_any_directory_is_made(tmp_path, capsys):
+    resolved = tmp_path / "config.resolved.json"
+    resolved.write_text(json.dumps({"kind": "centralized", "datasets": ["a\0.csv"]}),
+                        encoding="utf-8")
+    out = str(tmp_path / "out")
+    cases = [
+        ("datasets", write(tmp_path / "d.ini", MINIMAL.replace("a.csv", "a\0.csv")), out),
+        ("out_dir", write(tmp_path / "o.ini", MINIMAL + f"out_dir = {out}\0\n"), None),
+        ("datasets", resolved, out),
+        ("out_dir", write(tmp_path / "c.ini", MINIMAL), f"{out}\0"),
+    ]
+    for field, cfg, out_arg in cases:
+        extra = [] if out_arg is None else ["--out", out_arg]
+        assert main(["centralized", "--config", str(cfg), *extra]) == 2, cfg
+        err = capsys.readouterr().err
+        assert err.startswith("CONFIG_ERROR:") and f"bad value for {field}: " in err, err
+        assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_deeply_nested_resolved_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "config.resolved.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert main(["centralized", "--config", str(path)]) == 2
+    assert_one_error_line(capsys, f"CONFIG_ERROR: cannot read config {path}: ")
+
+
 def test_cli_bad_dataset_bytes_and_cells_exit_3(tmp_path, capsys):
     from fedsmell.data import FEATURE_NAMES, LABEL_COLUMN
     header = ",".join(list(FEATURE_NAMES) + [LABEL_COLUMN]).encode("utf-8")
@@ -254,6 +370,8 @@ def test_cli_bad_dataset_bytes_and_cells_exit_3(tmp_path, capsys):
         "latin1": b",".join([b"1"] * 15 + [b"\xe9", b"1"]),
         "fraction_label": b",".join([b"1"] * 16 + [b"0.7"]),
         "nan_cell": b",".join([b"nan"] + [b"1"] * 15 + [b"1"]),
+        # One quoted cell over the csv module's 131,072-character field limit.
+        "huge_cell": b'"' + b"1" * 140_000 + b'"' + b",1" * 16,
     }
     for name, bad_row in bad_rows.items():
         csv_path = tmp_path / f"{name}.csv"
@@ -309,3 +427,62 @@ def test_cli_bom_prefixed_config_runs_like_its_plain_copy(tmp_path, capsys):
     assert [r.pop("out_dir") for r in resolved] == [str(tmp_path / "bom"),
                                                     str(tmp_path / "plain")]
     assert resolved[0] == resolved[1]
+
+
+# ------------------------------------------------------------ reader fuzzing
+
+# Syntax characters of INI and JSON, digits, letters of true/false/null/nan/inf
+_TOKENS = st.text(st.sampled_from(list(' \n,:=[]{}"\\-+.0123456789eEtrufalsni\0')),
+                  max_size=12)
+
+
+@st.composite
+def mutated(draw, base: bytes):
+    """Bytes of a valid config with one span replaced by other bytes."""
+    start = draw(st.integers(0, len(base)))
+    end = draw(st.integers(start, len(base)))
+    middle = draw(st.one_of(_TOKENS.map(str.encode), st.text(max_size=6).map(str.encode),
+                            st.binary(max_size=12)))
+    return base[:start] + middle + base[end:]
+
+
+FUZZ_INI = (MINIMAL.replace("a.csv", "missing.csv")
+            + "[federation]\nrounds = 3\n[data]\nchunks = 1\n").encode("utf-8")
+FUZZ_JSON = json.dumps({"kind": "centralized", "datasets": ["missing.csv"], "rounds": 3,
+                        "learning_rate": 0.01, "chunks": [1]}).encode("utf-8")
+
+
+# Resolved-JSON objects whose values are any JSON, so the constructor's type
+# check is reached as often as the JSON syntax errors are.
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4)),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=2),
+    max_leaves=5)
+_JSON_OBJECTS = st.fixed_dictionaries(
+    {"datasets": st.just(["missing.csv"]) | _JSON_VALUES},
+    optional={name: _JSON_VALUES for name in config._FIELDS if name != "datasets"}
+).map(lambda obj: json.dumps(obj).encode("utf-8"))
+
+
+@pytest.mark.parametrize("name, fuzzed", [
+    ("c.ini", mutated(FUZZ_INI)),
+    ("config.resolved.json", mutated(FUZZ_JSON) | _JSON_OBJECTS),
+])
+def test_fuzzed_config_bytes_exit_2_or_3_with_one_line(tmp_path, monkeypatch, capsys,
+                                                       name, fuzzed):
+    # The config names a CSV that does not exist, so no input reaches training:
+    # every run ends in a config error (2) or a data error (3), on one line.
+    monkeypatch.chdir(tmp_path)
+
+    @settings(derandomize=True, max_examples=200,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(fuzzed | st.binary(max_size=64))
+    def run(data):
+        (tmp_path / name).write_bytes(data)
+        code = main(["centralized", "--config", name, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code in (2, 3), (data, err)
+        assert err.endswith("\n") and len(err.splitlines()) == 1, (data, err)
+
+    run()

@@ -438,6 +438,25 @@ def test_cli_floating_point_faults_exit_4_with_one_line(tmp_path, capsys):
             assert len(err.splitlines()) == 1, err
 
 
+def test_cli_failed_output_write_exits_2_with_one_line(tmp_path, capsys):
+    # A directory where an output file belongs makes that write fail.
+    synth_ini = tmp_path / "s.ini"
+    synth_ini.write_text("[experiment]\ndatasets = a\n[synth]\nsamples = 20\n",
+                         encoding="utf-8")
+    fed_ini = tmp_path / "f.ini"
+    fed_ini.write_text(f"[experiment]\ndatasets = {synth_csv(tmp_path, 'f', n=120)}\n"
+                       "[federation]\nrounds = 1\n", encoding="utf-8")
+    for verb, ini, blocked in (("synth", synth_ini, "summary.json"),
+                               ("synth", synth_ini, "a.csv"),
+                               ("federated", fed_ini, "model.fwv")):
+        out = tmp_path / f"{verb}-{blocked}"
+        (out / blocked).mkdir(parents=True)
+        assert main([verb, "--config", str(ini), "--out", str(out)]) == 2, blocked
+        err = capsys.readouterr().err
+        assert err.startswith(f"CONFIG_ERROR: cannot write outputs to {out}: "), err
+        assert len(err.splitlines()) == 1, err
+
+
 def test_cli_bom_prefixed_csv_runs_like_its_plain_copy(tmp_path, capsys):
     source = synth_csv(tmp_path, "s", n=120, seed=5)
     for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
