@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,6 +24,7 @@ FEATURE_NAMES = (
 )
 NUM_FEATURES = len(FEATURE_NAMES)
 LABEL_COLUMN = "is_god_class"
+_COLUMNS = FEATURE_NAMES + (LABEL_COLUMN,)  # in table order
 
 OVERSAMPLE = "oversample"
 UNDERSAMPLE = "undersample"
@@ -91,8 +94,73 @@ def load_csv(path) -> Dataset:
     the label column; extra columns are ignored and file row order is
     preserved. Blank lines are skipped. Labels must equal 0 or 1 and
     feature cells must be finite; a bad cell is reported with its row.
+
+    numpy's C reader parses the file. Any file it cannot take is read cell
+    by cell with the csv module and float(), so accepted inputs and error
+    messages are those of the cell-by-cell reader.
     """
     path = Path(path)
+    table = _read_table(path)
+    if table is None:
+        return _load_csv_by_cell(path)
+    return Dataset(path.stem, table[:, :NUM_FEATURES], table[:, NUM_FEATURES])
+
+
+def _read_table(path: Path) -> np.ndarray | None:
+    """The (rows, 17) table of features then label through np.loadtxt, or
+    None unless it holds at least one row and every row is valid."""
+    try:
+        if not _fields_within_csv_limit(path):
+            return None
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            columns = _header_columns(next(csv.reader(fh), []))
+            if None in columns:
+                return None
+            # An input with no data rows makes loadtxt warn, not raise.
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
+                                   usecols=columns, ndmin=2)
+    except (OSError, ValueError, Warning, csv.Error):
+        return None
+    if len(table) == 0 or not _valid_rows(table).all():
+        return None
+    return table
+
+
+def _fields_within_csv_limit(path: Path) -> bool:
+    """Whether no field of the file can outgrow csv.field_size_limit(),
+    which the cell-by-cell reader enforces and loadtxt does not.
+
+    True when the whole file is within the limit, or when no line is longer
+    than the limit and none holds a quote, so no field spans lines.
+    """
+    limit = csv.field_size_limit()
+    with open(path, "rb") as fh:
+        if os.fstat(fh.fileno()).st_size <= limit:
+            return True
+        return all(len(line) <= limit and b'"' not in line for line in fh)
+
+
+def _header_columns(header) -> list[int | None]:
+    """Header index of each feature column then the label, None if missing."""
+    lower = {cell.strip().lower(): idx for idx, cell in enumerate(header)}
+    return [lower.get(column.lower()) for column in _COLUMNS]
+
+
+def _valid_rows(table: np.ndarray) -> np.ndarray:
+    """Per row: every feature finite and the label 0 or 1."""
+    features, labels = table[:, :NUM_FEATURES], table[:, NUM_FEATURES]
+    return np.isfinite(features).all(axis=1) & ((labels == 0.0) | (labels == 1.0))
+
+
+def _load_csv_by_cell(path: Path) -> Dataset:
+    """load_csv through csv.reader and float(), one cell at a time.
+
+    It takes every input that load_csv accepts, and some that loadtxt
+    rejects (whitespace-only rows, underscores and non-ASCII digits in
+    numbers), and it raises every error that load_csv reports.
+    """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = [(line_no, row) for line_no, row in enumerate(csv.reader(fh), start=1)
@@ -103,12 +171,10 @@ def load_csv(path) -> Dataset:
         raise StructuralError(f"{path}: empty file")
 
     _, header = rows[0]
-    lower = {cell.strip().lower(): idx for idx, cell in enumerate(header)}
-    columns = []
-    for column in FEATURE_NAMES + (LABEL_COLUMN,):
-        if column.lower() not in lower:
+    columns = _header_columns(header)
+    for column, index in zip(_COLUMNS, columns):
+        if index is None:
             raise SchemaError(f"{path}: missing required column {column!r}")
-        columns.append(lower[column.lower()])
 
     table = []
     for line_no, row in rows[1:]:
@@ -119,22 +185,26 @@ def load_csv(path) -> Dataset:
     if not table:
         raise StructuralError(f"{path}: no data rows")
     table = np.array(table)
-    features, labels = table[:, :NUM_FEATURES], table[:, NUM_FEATURES]
-    good_rows = np.isfinite(features).all(axis=1) & ((labels == 0.0) | (labels == 1.0))
+    good_rows = _valid_rows(table)
     if not good_rows.all():
         line_no = rows[1 + int(np.argmin(good_rows))][0]
         raise ParseError(f"{path}: row {line_no}: feature cells must be finite "
                          "and the label 0 or 1")
-    return Dataset(path.stem, features, labels)
+    return Dataset(path.stem, table[:, :NUM_FEATURES], table[:, NUM_FEATURES])
 
 
 def save_csv(dataset: Dataset, path) -> None:
-    """Write a dataset in the canonical CSV layout."""
+    """Write a dataset in the canonical CSV layout.
+
+    A header, then one line per row: the repr of each feature's float and
+    the 0/1 label, comma-separated, with csv.writer's CRLF line ends.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(FEATURE_NAMES) + [LABEL_COLUMN])
-        for row, label in zip(dataset.features, dataset.labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+        fh.write(",".join(_COLUMNS) + "\r\n")
+        # One row's floats at a time: no numpy scalar per cell, and no
+        # table-sized list of Python floats.
+        for row, label in zip(dataset.features, dataset.labels.tolist()):
+            fh.write(f"{','.join(map(repr, row.tolist()))},{label}\r\n")
 
 
 @dataclass(frozen=True)

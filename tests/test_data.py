@@ -1,16 +1,19 @@
 """Dataset ingestion, normalization, splitting, chunking, rebalancing, synthesis."""
 
+import csv
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fedsmell import data as datamod
 from fedsmell.data import (CLASS_AXIS, CONTEXT_AXIS, FEATURE_NAMES, LABEL_COLUMN,
                            NUM_FEATURES, apply_normalizer, concat_datasets, domain_shift,
                            extract_chunks, fit_normalizer, load_csv, partition_chunks,
                            rebalance, save_csv, split_train_test, synth_generate)
-from fedsmell.errors import (DataError, NumericError, ParseError, SchemaError,
-                             StructuralError)
+from fedsmell.errors import (DataError, FedsmellError, NumericError, ParseError,
+                             SchemaError, StructuralError)
 from util import make_dataset, random_dataset, rows_multiset
 
 
@@ -99,6 +102,181 @@ def test_save_load_roundtrip(tmp_path):
     save_csv(d, path)
     loaded = load_csv(path)
     assert rows_multiset(loaded) == rows_multiset(d)
+
+
+# The cell-by-cell reader is load_csv's oracle: on every input, load_csv
+# returns its table bit for bit or raises its exception and message.
+
+COLUMNS = list(FEATURE_NAMES) + [LABEL_COLUMN]
+GOOD_ROWS = [[f"{0.25 * (i + j)!r}" for j in range(16)] + [str(i % 2)] for i in range(3)]
+# Cells that numpy's reader and float() may disagree on, or both reject.
+ODD_CELLS = ["1_0", " 2 ", "\t3", "\u0663", "nan", "1e500", "0x1", "#", "", '"4"',
+             '" 5 "', '"6\n"', '"7"8', "-0", "+1e-3", "inf", "\xa09", "1\x00"]
+EXTRA_CELLS = ["ant", "", "#", '"a,b"', '"multi\nline"', '"cr\r\nlf"', '"q""uote"',
+               'x"y', "\u0663", "1_0"]
+
+
+def read_outcome(reader, path):
+    """A reader's dataset as exact bytes, or its error's type and message."""
+    try:
+        d = reader(path)
+    except FedsmellError as exc:
+        return type(exc), str(exc)
+    return d.name, d.features.shape, d.features.tobytes(), d.labels.tobytes()
+
+
+def assert_reads_like_cell_reader(path):
+    outcome = read_outcome(load_csv, path)
+    assert outcome == read_outcome(datamod._load_csv_by_cell, path)
+    return outcome
+
+
+def csv_text(rows, end="\n", bom=False):
+    return ("\ufeff" if bom else "") + "".join(",".join(row) + end for row in rows)
+
+
+def with_cell(row_index, column, cell, rows=GOOD_ROWS):
+    rows = [list(row) for row in rows]
+    rows[row_index][column] = cell
+    return rows
+
+
+HUGE = 140_000  # over the csv module's default field limit of 131,072 characters
+EDGE_CASES = {
+    "lf": csv_text([COLUMNS] + GOOD_ROWS),
+    "crlf": csv_text([COLUMNS] + GOOD_ROWS, end="\r\n"),
+    "cr": csv_text([COLUMNS] + GOOD_ROWS, end="\r"),
+    "bom_crlf": csv_text([COLUMNS] + GOOD_ROWS, end="\r\n", bom=True),
+    "no_final_newline": csv_text([COLUMNS] + GOOD_ROWS)[:-1],
+    "leading_blank_lines": "\n\r\n" + csv_text([COLUMNS] + GOOD_ROWS),
+    "leading_comma_line": ",,,,\n" + csv_text([COLUMNS] + GOOD_ROWS),
+    "blank_rows": csv_text([COLUMNS, GOOD_ROWS[0], [""], GOOD_ROWS[1], [""]]),
+    "whitespace_row": csv_text([COLUMNS, GOOD_ROWS[0], ["   "], GOOD_ROWS[1]]),
+    "commas_row": csv_text([COLUMNS, GOOD_ROWS[0], [",,,,"], GOOD_ROWS[1]]),
+    "quoted_cells": csv_text([[f'"{c}"' for c in COLUMNS]]
+                             + [[f'"{c}"' for c in row] for row in GOOD_ROWS]),
+    "multiline_extra_cell": csv_text([COLUMNS + ["comment"]]
+                                     + [row + ['"two\nlines"'] for row in GOOD_ROWS]),
+    "multiline_header_cell": csv_text([COLUMNS + ['"a\nb"']] + GOOD_ROWS),
+    "reordered_extra_columns": csv_text(
+        [["project"] + COLUMNS[::-1]] + [["ant"] + row[::-1] for row in GOOD_ROWS]),
+    "duplicate_column": csv_text([COLUMNS + ["tloc"]] + [row + ["9"] for row in GOOD_ROWS]),
+    "missing_column": csv_text([COLUMNS[1:]] + [row[1:] for row in GOOD_ROWS]),
+    "short_row": csv_text([COLUMNS, GOOD_ROWS[0], GOOD_ROWS[1][:10]]),
+    "long_row": csv_text([COLUMNS] + [row + ["1", "2"] for row in GOOD_ROWS]),
+    "header_only": csv_text([COLUMNS]),
+    "empty": "",
+    "huge_extra_cell": csv_text([COLUMNS + ["comment"]]
+                                + [row + ["x" * HUGE] for row in GOOD_ROWS]),
+    "huge_finite_cell": csv_text([COLUMNS] + with_cell(1, 0, "0" * HUGE)),
+    # Lines within the limit, but one quoted cell over it.
+    "huge_quoted_lines": csv_text([COLUMNS + ["comment"]]
+                                  + [row + ['"' + "x\n" * HUGE + '"'] for row in GOOD_ROWS]),
+}
+for _cell in ODD_CELLS:
+    EDGE_CASES[f"feature {_cell!r}"] = csv_text([COLUMNS] + with_cell(1, 3, _cell))
+    EDGE_CASES[f"label {_cell!r}"] = csv_text([COLUMNS] + with_cell(2, 16, _cell))
+
+
+@pytest.mark.parametrize("text", EDGE_CASES.values(), ids=EDGE_CASES.keys())
+def test_load_csv_matches_cell_reader_on_edge_cases(tmp_path, text):
+    path = tmp_path / "edge.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert_reads_like_cell_reader(path)
+
+
+def test_load_csv_reads_canonical_and_quoted_files_without_the_cell_reader(
+        tmp_path, monkeypatch):
+    save_csv(random_dataset(50, 20, seed=4), tmp_path / "fast.csv")
+    quoted = csv_text([[f'"{c}"' for c in COLUMNS + ["comment"]]]
+                      + [[f'"{c}"' for c in row] + ['"a,\nb"'] for row in GOOD_ROWS],
+                      end="\r", bom=True)
+    (tmp_path / "quoted.csv").write_bytes(quoted.encode("utf-8"))
+    paths = [tmp_path / "fast.csv", tmp_path / "quoted.csv"]
+    expected = [read_outcome(datamod._load_csv_by_cell, path) for path in paths]
+
+    def refuse(path):
+        raise AssertionError(f"{path} fell back to the cell-by-cell reader")
+
+    monkeypatch.setattr(datamod, "_load_csv_by_cell", refuse)
+    assert [read_outcome(load_csv, path) for path in paths] == expected
+
+
+@st.composite
+def csv_texts(draw):
+    """Dataset CSV texts built from the pieces that load_csv's two readers
+    may treat differently; roughly half hold no odd cell or row."""
+    extra = draw(st.lists(st.sampled_from(["project", "comment", "tloc"]), max_size=2,
+                          unique=True))
+    roles = draw(st.permutations(COLUMNS + extra))
+    header = [draw(st.sampled_from([name, name.lower(), f" {name.upper()} ", f'"{name}"']))
+              for name in roles]
+    noisy = draw(st.booleans())
+    number = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    odd = st.sampled_from(ODD_CELLS)
+    feature = st.one_of(number, odd) if noisy else number
+    label = st.sampled_from(["0", "1", "0.0", "1.0", '"1"', " 0 "])
+    if noisy:
+        label = st.one_of(label, odd)
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row", "row", "blank", "spaces", "commas", "short"]
+                                    if noisy else ["row", "row", "row", "blank"]))
+        if kind == "blank":
+            rows.append("")
+        elif kind == "spaces":
+            rows.append(draw(st.sampled_from([" ", "\t", "  \t "])))
+        elif kind == "commas":
+            rows.append(",,,,")
+        else:
+            cells = [draw(label if role == LABEL_COLUMN else
+                          feature if role in FEATURE_NAMES else st.sampled_from(EXTRA_CELLS))
+                     for role in roles]
+            if kind == "short":
+                cells = cells[:draw(st.integers(1, len(cells) - 1))]
+            rows.append(",".join(cells))
+    ends = draw(st.sampled_from([["\n"], ["\r\n"], ["\r"], ["\n", "\r\n", "\r"]]))
+    lead = draw(st.sampled_from(["", "\n", "\r\n\r\n", " \n", ",,\n"]) if noisy else st.just(""))
+    lines = [lead + ",".join(header)] + rows
+    text = "".join(line + draw(st.sampled_from(ends)) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+@settings(derandomize=True, max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(csv_texts())
+def test_load_csv_matches_cell_reader(tmp_path, text):
+    path = tmp_path / "drawn.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert_reads_like_cell_reader(path)
+
+
+def save_csv_by_cell(dataset, path):
+    """save_csv's oracle: csv.writer with the repr of each cell's float."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(COLUMNS)
+        for row, label in zip(dataset.features, dataset.labels):
+            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+
+
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -2.5e-310, 1e16, 1e-5, 1e300, -1e300, 0.1, 1 / 3]
+
+
+@settings(derandomize=True, max_examples=30,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8),
+       st.sampled_from([1, 2, 3, 100, 1025]),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_save_csv_writes_the_bytes_of_csv_writer(tmp_path, drawn, n, seed):
+    rng = np.random.default_rng(seed)
+    values = np.array(drawn + SPECIAL_FLOATS)
+    d = make_dataset(rng.choice(values, size=(n, NUM_FEATURES)), rng.integers(0, 2, size=n))
+    save_csv(d, tmp_path / "fast.csv")
+    save_csv_by_cell(d, tmp_path / "cell.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "cell.csv").read_bytes()
 
 
 # ------------------------------------------------------------ normalization

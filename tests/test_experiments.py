@@ -7,10 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fedsmell.cli import main
 from fedsmell.config import ExperimentConfig
-from fedsmell.data import domain_shift, load_csv, save_csv, synth_generate
+from fedsmell.data import (FEATURE_NAMES, LABEL_COLUMN, domain_shift, load_csv,
+                           save_csv, synth_generate)
 from fedsmell.experiments import (prepare_source, run_centralized, run_cross_eval,
                                   run_experiment, run_federated, train_centralized)
 from fedsmell.metrics import evaluate_model
@@ -470,3 +473,42 @@ def test_cli_bom_prefixed_csv_runs_like_its_plain_copy(tmp_path, capsys):
     for summary in summaries:
         summary.pop("wall_clock_seconds")
     assert summaries[0] == summaries[1]
+
+
+# A span of a valid dataset CSV (start, length) replaced by a few bytes,
+# often ones that keep it a CSV of numbers.
+CSV_BYTES = st.text(alphabet='0123456789,.-+eE"\r\n ', max_size=12).map(str.encode)
+SPAN_MUTATIONS = st.lists(st.tuples(st.integers(0, 2 ** 31), st.integers(0, 40),
+                                    st.one_of(CSV_BYTES, st.binary(max_size=12))),
+                          min_size=1, max_size=3)
+
+
+@settings(derandomize=True, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(SPAN_MUTATIONS, st.binary(max_size=400)))
+def test_cli_fuzzed_dataset_bytes_exit_cleanly_with_at_most_one_line(tmp_path, capsys,
+                                                                     mutation):
+    path = tmp_path / "fuzz.csv"
+    save_csv(random_dataset(24, 12, seed=5), path)
+    content = path.read_bytes()
+    if isinstance(mutation, bytes):
+        content = mutation
+    else:
+        for start, length, replacement in mutation:
+            start %= len(content) + 1
+            content = content[:start] + replacement + content[start + length:]
+    path.write_bytes(content)
+    code = run_cli_centralized(tmp_path, "fuzz", path)
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4), err
+    assert len(err.splitlines()) <= 1, err
+
+
+def test_cli_header_only_csv_is_one_data_error_line(tmp_path, capsys):
+    path = tmp_path / "header.csv"
+    path.write_text(",".join(FEATURE_NAMES + (LABEL_COLUMN,)) + "\r\n", encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli_centralized(tmp_path, "header", path) == 3
+    assert caught == []
+    assert capsys.readouterr().err == f"DATA_ERROR: dataset {path}: {path}: no data rows\n"
