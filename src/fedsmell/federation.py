@@ -139,14 +139,15 @@ def client_update(client: ClientNode, weights, update_seed: int) -> ModelUpdate:
     data = client.local_data
     hyper = client.hyper
     order = np.random.default_rng(update_seed).permutation(len(data))
-    batches = [order[start:start + hyper.batch_size]
+    features, labels = data.features[order], data.labels[order]
+    batches = [(features[start:start + hyper.batch_size], labels[start:start + hyper.batch_size])
                for start in range(0, len(data), hyper.batch_size)]
 
     params = unflatten_params(values)
     grad, m, v = np.zeros((3, PARAM_COUNT))
     grad_views = unflatten_params(grad)
-    for step, batch in enumerate(batches * hyper.local_epochs, start=1):
-        loss_and_gradient(data.features[batch], data.labels[batch], params, grad, grad_views)
+    for step, (X, y) in enumerate(batches * hyper.local_epochs, start=1):
+        loss_and_gradient(X, y, params, grad, grad_views)
         adam_update(values, grad, m, v, step, hyper.learning_rate)
     if not np.all(np.isfinite(values)):  # an overflow while float errors are ignored
         raise NumericError(f"client {client.id}: training produced non-finite weights")

@@ -6,7 +6,8 @@ head. Everything is plain numpy float64. Parameters travel between
 federation nodes as one flat vector with a fixed canonical layout, so
 model exchange and aggregation reduce to vector arithmetic.
 `unflatten_params` is the one place that knows the layout: it hands the
-forward and backward passes views of the vector's live slots.
+forward and backward passes views of the vector's live slots, the three
+live LSTM gates as one stacked view that each pass runs as one matmul.
 """
 
 from __future__ import annotations
@@ -56,15 +57,17 @@ PARAM_COUNT = _ENDS[-1]
 class ModelParams:
     """Views of the live slots of a canonical flat vector.
 
-    `gates` holds (weights, bias) for the input, output and candidate
-    gates, each weights view only that gate's x-columns (HIDDEN_DIM,
-    INPUT_DIM); `layers` holds (weights, bias) for each relu layer, then
-    for the head. The initial LSTM state is zero, so the forget gate and
-    the h_prev columns never reach the output: they keep their place in
-    the flat layout, but no view covers them and they never train.
+    `gates` is one (weights, bias) pair stacking the input, output and
+    candidate gates: weights (3, HIDDEN_DIM, INPUT_DIM) holds their
+    x-columns, bias (3, HIDDEN_DIM). Each gate's block, a (16, 32) matrix
+    then 16 biases, is 33 rows of 16 with the x-columns in the odd rows and
+    the biases last. `layers` holds (weights, bias) for each relu layer,
+    then for the head. The initial LSTM state is zero, so the forget gate
+    and the h_prev columns never reach the output: they keep their place
+    in the flat layout, but no view covers them and they never train.
     """
 
-    gates: tuple[tuple[np.ndarray, np.ndarray], ...]
+    gates: tuple[np.ndarray, np.ndarray]
     layers: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
@@ -86,22 +89,27 @@ class Hyperparams:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # The tanh form cannot overflow, so no split by sign is needed.
-    return 0.5 + 0.5 * np.tanh(0.5 * x)
+    # 0.5 + 0.5 * tanh(0.5 * x) on one fresh array; it cannot overflow.
+    out = 0.5 * x
+    np.tanh(out, out=out)
+    out *= 0.5
+    out += 0.5
+    return out
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Row softmax of (n, 2) logits, in place; the row max and sum are columnwise."""
+    logits -= np.maximum(logits[:, :1], logits[:, 1:])
+    np.exp(logits, out=logits)
+    logits /= logits[:, :1] + logits[:, 1:]
+    return logits
 
 
 @dataclass
 class ForwardCache:
     """Intermediates of a batched forward pass, consumed by the backward pass."""
 
-    i: np.ndarray
-    o: np.ndarray
+    io: np.ndarray  # input and output gates, (2, n, HIDDEN_DIM)
     g: np.ndarray
     tanh_c: np.ndarray
     dense_inputs: list  # input activation of each dense layer, head included
@@ -121,22 +129,25 @@ def _forward(X: np.ndarray, p: ModelParams):
     probs has shape (n, 2) and sums to 1 per row. Nothing is checked here:
     `Dataset` owns the batch's shape, finiteness and labels.
     """
-    (w_i, b_i), (w_o, b_o), (w_c, b_c) = p.gates
-    i = _sigmoid(X @ w_i.T + b_i)
-    o = _sigmoid(X @ w_o.T + b_o)
-    g = np.tanh(X @ w_c.T + b_c)
-    tanh_c = np.tanh(i * g)
-    a = o * tanh_c
+    weights, bias = p.gates
+    pre = X @ weights.transpose(0, 2, 1)  # (3, n, HIDDEN_DIM): input, output, candidate
+    pre += bias[:, None]
+    io = _sigmoid(pre[:2])
+    g = np.tanh(pre[2], out=pre[2])
+    tanh_c = np.tanh(io[0] * g)
+    a = io[1] * tanh_c
 
     dense_inputs = []
     for weights, bias in p.layers[:-1]:
         dense_inputs.append(a)
-        a = np.maximum(a @ weights.T + bias, 0.0)
+        a = a @ weights.T
+        np.maximum(np.add(a, bias, out=a), 0.0, out=a)
     dense_inputs.append(a)
 
     weights, bias = p.layers[-1]
-    probs = _softmax(a @ weights.T + bias)
-    return probs, ForwardCache(i=i, o=o, g=g, tanh_c=tanh_c, dense_inputs=dense_inputs)
+    logits = a @ weights.T
+    logits += bias
+    return _softmax(logits), ForwardCache(io=io, g=g, tanh_c=tanh_c, dense_inputs=dense_inputs)
 
 
 def forward_batch(X: np.ndarray, p: ModelParams) -> np.ndarray:
@@ -148,8 +159,8 @@ def forward_batch(X: np.ndarray, p: ModelParams) -> np.ndarray:
 def mean_cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
     """Mean clamp-protected cross-entropy over (n, 2) probabilities and 0/1 labels."""
     picked = probs[np.arange(len(labels)), labels]
-    picked = np.clip(picked, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return float(np.mean(-np.log(picked)))
+    picked = np.minimum(np.maximum(picked, PROB_CLAMP), 1.0 - PROB_CLAMP)
+    return float((-np.log(picked)).sum() / len(labels))
 
 
 def loss_and_gradient(X: np.ndarray, y: np.ndarray, p: ModelParams,
@@ -188,14 +199,15 @@ def loss_and_gradient(X: np.ndarray, y: np.ndarray, p: ModelParams,
             # Layer k's input is relu(pre) of layer k - 1, positive where pre is.
             dpre = da * (cache.dense_inputs[k] > 0)
 
-    dh = da
-    da_o = dh * cache.tanh_c * cache.o * (1.0 - cache.o)
-    dc = dh * cache.o * (1.0 - cache.tanh_c ** 2)
-    da_i = dc * cache.g * cache.i * (1.0 - cache.i)
-    da_c = dc * cache.i * (1.0 - cache.g ** 2)
-    for (g_weights, g_bias), da_gate in zip(gp.gates, (da_i, da_o, da_c)):
-        np.matmul(da_gate.T, X, out=g_weights)
-        da_gate.sum(axis=0, out=g_bias)
+    # da is the LSTM output's gradient; the gate pre-activation gradients stack like p.gates.
+    (i, o), g, tanh_c = cache.io, cache.g, cache.tanh_c
+    dc = da * o * (1.0 - tanh_c ** 2)
+    dpre = np.empty((3, n, HIDDEN_DIM))
+    np.multiply(dc * g * i, 1.0 - i, out=dpre[0])
+    np.multiply(da * tanh_c * o, 1.0 - o, out=dpre[1])
+    np.multiply(dc * i, 1.0 - g ** 2, out=dpre[2])
+    np.matmul(dpre.transpose(0, 2, 1), X, out=gp.gates[0])
+    dpre.sum(axis=1, out=gp.gates[1])
     return loss, grad
 
 
@@ -231,8 +243,10 @@ def unflatten_params(values) -> ModelParams:
     if values.size != PARAM_COUNT:
         raise StructuralError(f"parameter vector must have length {PARAM_COUNT}, got {values.size}")
     blocks = _blocks(values)
-    # blocks[0:2] is the forget gate; the h_prev columns lead each gate matrix.
-    gates = tuple((w[:, HIDDEN_DIM:], b) for w, b in zip(blocks[2:8:2], blocks[3:8:2]))
+    # blocks[0:2] is the forget gate; the live gates' blocks follow, 33 rows
+    # of 16 each (HIDDEN_DIM == INPUT_DIM), x-columns in the odd rows.
+    rows = values[_ENDS[2]:_ENDS[8]].reshape(3, 2 * HIDDEN_DIM + 1, INPUT_DIM)
+    gates = (rows[:, 1:2 * HIDDEN_DIM:2], rows[:, 2 * HIDDEN_DIM])
     return ModelParams(gates=gates, layers=tuple(zip(blocks[8::2], blocks[9::2])))
 
 

@@ -5,14 +5,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedsmell.errors import StructuralError
-from fedsmell.nn import (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, DENSE_UNITS, HIDDEN_DIM,
-                         INPUT_DIM, NUM_CLASSES, PARAM_COUNT, _forward, _sigmoid, adam_update,
-                         init_params, load_weights, loss_and_gradient, mean_cross_entropy,
-                         save_weights, unflatten_params)
+from fedsmell.nn import (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, DENSE_UNITS, EVAL_BLOCK,
+                         HIDDEN_DIM, INPUT_DIM, NUM_CLASSES, PARAM_COUNT, PROB_CLAMP, _forward,
+                         _sigmoid, _softmax, adam_update, forward_batch, init_params,
+                         load_weights, loss_and_gradient, mean_cross_entropy, save_weights,
+                         unflatten_params)
 
 from util import dead_slot_mask, layout_blocks
 
@@ -48,8 +49,7 @@ def test_param_count_recomputed_from_layer_shapes():
 def test_lstm_forward_zero_params_gives_half_gates_and_zero_state():
     x = np.linspace(-1, 1, INPUT_DIM)
     _, cache = forward_one(x, zero_params())
-    assert np.array_equal(cache.i[0], np.full(HIDDEN_DIM, 0.5))
-    assert np.array_equal(cache.o[0], np.full(HIDDEN_DIM, 0.5))
+    assert np.array_equal(cache.io[:, 0], np.full((2, HIDDEN_DIM), 0.5))
     assert np.array_equal(cache.g[0], np.zeros(HIDDEN_DIM))
     assert np.array_equal(cache.tanh_c[0], np.zeros(HIDDEN_DIM))
     assert np.array_equal(cache.dense_inputs[0][0], np.zeros(HIDDEN_DIM))
@@ -313,6 +313,104 @@ def test_sgd_descent_sanity_over_seeds():
         assert loss1 <= loss0 + 1e-6
 
 
+# ------------------------------------------- bitwise reference kernels
+# The per-gate kernels the stacked ones replaced, kept as written then. The
+# stacked kernels are exact reformulations, so they must agree to the bit.
+
+def reference_softmax(logits):
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def reference_cross_entropy(probs, labels):
+    picked = probs[np.arange(len(labels)), labels]
+    picked = np.clip(picked, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    return float(np.mean(-np.log(picked)))
+
+
+def reference_forward(X, values):
+    """(probs, i, o, g, tanh_c, dense_inputs) through one chain per gate."""
+    blocks = layout_blocks(values)
+    (w_i, b_i), (w_o, b_o), (w_c, b_c) = [(w[:, HIDDEN_DIM:], b)
+                                          for w, b in zip(blocks[2:8:2], blocks[3:8:2])]
+    i = 0.5 + 0.5 * np.tanh(0.5 * (X @ w_i.T + b_i))
+    o = 0.5 + 0.5 * np.tanh(0.5 * (X @ w_o.T + b_o))
+    g = np.tanh(X @ w_c.T + b_c)
+    tanh_c = np.tanh(i * g)
+    a = o * tanh_c
+    dense_inputs = []
+    for weights, bias in zip(blocks[8:-2:2], blocks[9:-2:2]):
+        dense_inputs.append(a)
+        a = np.maximum(a @ weights.T + bias, 0.0)
+    dense_inputs.append(a)
+    probs = reference_softmax(a @ blocks[-2].T + blocks[-1])
+    return probs, i, o, g, tanh_c, dense_inputs
+
+
+def reference_loss_and_gradient(X, y, values):
+    probs, i, o, g, tanh_c, dense_inputs = reference_forward(X, values)
+    n = len(y)
+    loss = reference_cross_entropy(probs, y)
+    grad = np.zeros(PARAM_COUNT)
+    blocks, g_blocks = layout_blocks(values), layout_blocks(grad)
+    dpre = probs
+    dpre[np.arange(n), y] -= 1.0
+    dpre /= n
+    for k in reversed(range(len(dense_inputs))):
+        np.matmul(dpre.T, dense_inputs[k], out=g_blocks[8 + 2 * k])
+        dpre.sum(axis=0, out=g_blocks[9 + 2 * k])
+        da = dpre @ blocks[8 + 2 * k]
+        if k:
+            dpre = da * (dense_inputs[k] > 0)
+    dh = da
+    da_o = dh * tanh_c * o * (1.0 - o)
+    dc = dh * o * (1.0 - tanh_c ** 2)
+    da_i = dc * g * i * (1.0 - i)
+    da_c = dc * i * (1.0 - g ** 2)
+    for k, da_gate in zip((2, 4, 6), (da_i, da_o, da_c)):
+        np.matmul(da_gate.T, X, out=g_blocks[k][:, HIDDEN_DIM:])
+        da_gate.sum(axis=0, out=g_blocks[k + 1])
+    return loss, grad
+
+
+# Logits that stress the softmax and the loss clamp.
+SPECIAL_LOGITS = np.array([0.0, -0.0, 700.0, -700.0, 1.0, -1.0])
+
+
+@settings(derandomize=True)
+@given(n=st.integers(1, 600), scale=st.sampled_from([0.3, 3.0]), seed=st.integers(0, 2 ** 32 - 1))
+@example(n=1, scale=0.3, seed=0)
+@example(n=32, scale=3.0, seed=1)
+@example(n=511, scale=0.3, seed=2)
+@example(n=512, scale=3.0, seed=3)
+@example(n=513, scale=0.3, seed=4)
+def test_stacked_kernels_match_per_gate_references_bitwise(n, scale, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(PARAM_COUNT) * scale
+    X = rng.standard_normal((n, INPUT_DIM)) * 2.0
+    y = rng.integers(0, 2, n)
+    p = unflatten_params(values)
+
+    blocks = [reference_forward(X[s:s + EVAL_BLOCK], values)[0] for s in range(0, n, EVAL_BLOCK)]
+    assert forward_batch(X, p).tobytes() == np.concatenate(blocks).tobytes()
+    loss, grad = loss_and_gradient(X, y, p)
+    ref_loss, ref_grad = reference_loss_and_gradient(X, y, values)
+    assert loss.hex() == ref_loss.hex()
+    assert grad.tobytes() == ref_grad.tobytes()
+
+    # Ties, saturating logits and signed zeros straight into the head.
+    logits = rng.standard_normal((n, NUM_CLASSES)) * 3.0
+    special = rng.random((n, NUM_CLASSES)) < 0.3
+    logits[special] = rng.choice(SPECIAL_LOGITS, np.count_nonzero(special))
+    tied = rng.random(n) < 0.2
+    logits[tied, 1] = logits[tied, 0]
+    probs = _softmax(logits.copy())
+    ref_probs = reference_softmax(logits)
+    assert probs.tobytes() == ref_probs.tobytes()
+    assert mean_cross_entropy(probs, y).hex() == reference_cross_entropy(ref_probs, y).hex()
+
+
 # ----------------------------------------------------------- layout / init
 
 def test_unflatten_rejects_wrong_length():
@@ -338,8 +436,8 @@ def test_unflatten_returns_views_onto_the_flat_vector():
 def test_unflatten_views_cover_exactly_the_live_slots_once():
     v = np.zeros(PARAM_COUNT)
     p = unflatten_params(v)
-    assert p.gates[0][0].shape == (HIDDEN_DIM, INPUT_DIM)
-    for weights, bias in (*p.gates, *p.layers):
+    assert p.gates[0].shape == (3, HIDDEN_DIM, INPUT_DIM)
+    for weights, bias in (p.gates, *p.layers):
         weights += 1.0
         bias += 1.0
     assert np.array_equal(v != 0, ~dead_slot_mask())
