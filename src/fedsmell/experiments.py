@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -205,7 +206,7 @@ def run_synth(cfg: ExperimentConfig) -> RunResult:
             derive_seed(cfg.seed, 0, _SYNTH_OFFSET + index),
             name=name,
         )
-        datamod.save_csv(dataset, out_dir / f"{name}.csv")
+        _write_whole(out_dir / f"{name}.csv", lambda temp: datamod.save_csv(dataset, temp))
         _, positives = dataset.class_counts()
         rows.append(_cell(name, str(out_dir / f"{name}.csv"), 100.0 * positives / len(dataset)))
     return RunResult(cfg, rows)
@@ -226,25 +227,43 @@ def write_rounds_csv(logs, path) -> None:
             ])
 
 
-def emit_outputs(out_dir, result: RunResult) -> None:
-    """Write config.resolved.json, summary.json, and federated artifacts."""
-    out_dir = Path(out_dir)
-    with open(out_dir / "config.resolved.json", "w", encoding="utf-8") as fh:
-        json.dump(asdict(result.config), fh, indent=2, sort_keys=True)
+def _write_whole(path: Path, write) -> None:
+    """Make `path` through `write(temp)` on a temp name beside it and one
+    os.replace, so the file is whole or absent; a failed write removes the
+    temp file."""
+    temp = path.with_name(f".{path.name}.tmp")
+    try:
+        write(temp)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
+def _write_json(obj, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def emit_outputs(out_dir, result: RunResult) -> None:
+    """Write config.resolved.json, the federated rounds.csv and model.fwv,
+    then summary.json, each file whole or not at all: a summary.json marks
+    a finished run."""
+    out_dir = Path(out_dir)
+    _write_whole(out_dir / "config.resolved.json",
+                lambda temp: _write_json(asdict(result.config), temp))
+    if result.round_logs:
+        _write_whole(out_dir / "rounds.csv", lambda temp: write_rounds_csv(result.round_logs, temp))
+    if result.final_weights is not None:
+        _write_whole(out_dir / "model.fwv", lambda temp: save_weights(temp, result.final_weights))
     summary = {
         "experiment": result.config.kind,
         "cells": result.rows,
         "final": asdict(result.final_report) if result.final_report else None,
         "wall_clock_seconds": result.wall_clock_seconds,
     }
-    with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    if result.round_logs:
-        write_rounds_csv(result.round_logs, out_dir / "rounds.csv")
-    if result.final_weights is not None:
-        save_weights(out_dir / "model.fwv", result.final_weights)
+    _write_whole(out_dir / "summary.json", lambda temp: _write_json(summary, temp))
 
 
 _RUNNERS = {CENTRALIZED: run_centralized, CROSS_EVAL: run_cross_eval,

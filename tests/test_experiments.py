@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fedsmell import experiments
 from fedsmell.cli import main
 from fedsmell.config import ExperimentConfig
 from fedsmell.data import (FEATURE_NAMES, LABEL_COLUMN, domain_shift, load_csv,
@@ -458,6 +459,63 @@ def test_cli_failed_output_write_exits_2_with_one_line(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"CONFIG_ERROR: cannot write outputs to {out}: "), err
         assert len(err.splitlines()) == 1, err
+
+
+# Each verb's INI body and the files it writes, summary.json last.
+OUTPUT_FILES = {
+    "synth": ("[synth]\nsamples = 20\n", ("a.csv", "b.csv", "config.resolved.json")),
+    "centralized": ("", ("config.resolved.json",)),
+    "cross-eval": ("", ("config.resolved.json",)),
+    "federated": ("", ("config.resolved.json", "rounds.csv", "model.fwv")),
+}
+
+
+def _write_verb_ini(tmp_path, verb):
+    body, _ = OUTPUT_FILES[verb]
+    if verb == "synth":
+        datasets = "a, b"
+    else:
+        count = 3 if verb == "cross-eval" else 1
+        datasets = ", ".join(synth_csv(tmp_path, f"{verb}{i}", n=120, seed=i)
+                             for i in range(count))
+    ini = tmp_path / f"{verb}.ini"
+    ini.write_text(f"[experiment]\ndatasets = {datasets}\n[federation]\nrounds = 1\n{body}",
+                   encoding="utf-8")
+    return ini
+
+
+def _assert_unfinished(out, err, outputs):
+    assert err.startswith(f"CONFIG_ERROR: cannot write outputs to {out}: "), err
+    assert len(err.splitlines()) == 1, err
+    assert not (out / "summary.json").is_file()
+    # Only output names are left: no temp file survives the failed write.
+    assert {entry.name for entry in out.iterdir()} <= set(outputs)
+
+
+@pytest.mark.parametrize("verb", sorted(OUTPUT_FILES))
+def test_cli_failed_output_write_leaves_no_summary_and_no_temp_file(tmp_path, capsys, verb):
+    ini = _write_verb_ini(tmp_path, verb)
+    outputs = OUTPUT_FILES[verb][1] + ("summary.json",)
+    for blocked in outputs:
+        out = tmp_path / f"out-{blocked}"
+        (out / blocked).mkdir(parents=True)
+        assert main([verb, "--config", str(ini), "--out", str(out)]) == 2, blocked
+        _assert_unfinished(out, capsys.readouterr().err, outputs)
+    out = tmp_path / "out"
+    assert main([verb, "--config", str(ini), "--out", str(out)]) == 0
+    assert sorted(entry.name for entry in out.iterdir()) == sorted(outputs)
+
+
+def test_cli_write_failing_midway_leaves_no_partial_file(tmp_path, capsys, monkeypatch):
+    def failing_save(path, values):
+        Path(path).write_bytes(b"\x00" * 100)
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(experiments, "save_weights", failing_save)
+    ini = _write_verb_ini(tmp_path, "federated")
+    out = tmp_path / "out"
+    assert main(["federated", "--config", str(ini), "--out", str(out)]) == 2
+    _assert_unfinished(out, capsys.readouterr().err, ("config.resolved.json", "rounds.csv"))
 
 
 def test_cli_bom_prefixed_csv_runs_like_its_plain_copy(tmp_path, capsys):
