@@ -98,7 +98,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    """Row softmax of (n, 2) logits, in place; the row max and sum are columnwise."""
+    """Row softmax of (n, 2) logits, in place; row max and sum act on the two columns."""
     logits -= np.maximum(logits[:, :1], logits[:, 1:])
     np.exp(logits, out=logits)
     logits /= logits[:, :1] + logits[:, 1:]

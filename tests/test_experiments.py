@@ -442,25 +442,6 @@ def test_cli_floating_point_faults_exit_4_with_one_line(tmp_path, capsys):
             assert len(err.splitlines()) == 1, err
 
 
-def test_cli_failed_output_write_exits_2_with_one_line(tmp_path, capsys):
-    # A directory where an output file belongs makes that write fail.
-    synth_ini = tmp_path / "s.ini"
-    synth_ini.write_text("[experiment]\ndatasets = a\n[synth]\nsamples = 20\n",
-                         encoding="utf-8")
-    fed_ini = tmp_path / "f.ini"
-    fed_ini.write_text(f"[experiment]\ndatasets = {synth_csv(tmp_path, 'f', n=120)}\n"
-                       "[federation]\nrounds = 1\n", encoding="utf-8")
-    for verb, ini, blocked in (("synth", synth_ini, "summary.json"),
-                               ("synth", synth_ini, "a.csv"),
-                               ("federated", fed_ini, "model.fwv")):
-        out = tmp_path / f"{verb}-{blocked}"
-        (out / blocked).mkdir(parents=True)
-        assert main([verb, "--config", str(ini), "--out", str(out)]) == 2, blocked
-        err = capsys.readouterr().err
-        assert err.startswith(f"CONFIG_ERROR: cannot write outputs to {out}: "), err
-        assert len(err.splitlines()) == 1, err
-
-
 # Each verb's INI body and the files it writes, summary.json last.
 OUTPUT_FILES = {
     "synth": ("[synth]\nsamples = 20\n", ("a.csv", "b.csv", "config.resolved.json")),
@@ -492,18 +473,20 @@ def _assert_unfinished(out, err, outputs):
     assert {entry.name for entry in out.iterdir()} <= set(outputs)
 
 
-@pytest.mark.parametrize("verb", sorted(OUTPUT_FILES))
-def test_cli_failed_output_write_leaves_no_summary_and_no_temp_file(tmp_path, capsys, verb):
-    ini = _write_verb_ini(tmp_path, verb)
-    outputs = OUTPUT_FILES[verb][1] + ("summary.json",)
-    for blocked in outputs:
-        out = tmp_path / f"out-{blocked}"
-        (out / blocked).mkdir(parents=True)
-        assert main([verb, "--config", str(ini), "--out", str(out)]) == 2, blocked
-        _assert_unfinished(out, capsys.readouterr().err, outputs)
-    out = tmp_path / "out"
-    assert main([verb, "--config", str(ini), "--out", str(out)]) == 0
-    assert sorted(entry.name for entry in out.iterdir()) == sorted(outputs)
+def test_cli_failed_output_write_exits_2_with_one_line(tmp_path, capsys):
+    # A directory where an output file belongs makes that write fail, for
+    # each file of each verb; the run leaves no summary.json and no temp file.
+    for verb, (_, files) in OUTPUT_FILES.items():
+        ini = _write_verb_ini(tmp_path, verb)
+        outputs = files + ("summary.json",)
+        for blocked in outputs:
+            out = tmp_path / f"{verb}-{blocked}"
+            (out / blocked).mkdir(parents=True)
+            assert main([verb, "--config", str(ini), "--out", str(out)]) == 2, (verb, blocked)
+            _assert_unfinished(out, capsys.readouterr().err, outputs)
+        out = tmp_path / verb
+        assert main([verb, "--config", str(ini), "--out", str(out)]) == 0
+        assert sorted(entry.name for entry in out.iterdir()) == sorted(outputs)
 
 
 def test_cli_write_failing_midway_leaves_no_partial_file(tmp_path, capsys, monkeypatch):
