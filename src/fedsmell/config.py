@@ -39,12 +39,12 @@ class ExperimentConfig:
     test_fraction: float = 0.3
     chunks: tuple[int, ...] = ()
     combiner_clients: tuple[int, ...] = ()
-    rounds: int = 100
-    client_fraction: float = 1.0
-    reducer_mode: str = "plain"
-    learning_rate: float = 0.001
-    batch_size: int = 32
-    local_epochs: int = 1
+    rounds: int = RoundConfig.rounds
+    client_fraction: float = RoundConfig.client_fraction
+    reducer_mode: str = RoundConfig.reducer_mode
+    learning_rate: float = Hyperparams.learning_rate
+    batch_size: int = Hyperparams.batch_size
+    local_epochs: int = Hyperparams.local_epochs
     synth_samples: int = 2000
     synth_positive_rate: float = 0.5
     synth_shifts: tuple[float, ...] = ()
@@ -189,9 +189,20 @@ def _read_ini(path: Path) -> dict:
     return values
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict; a key given twice is a ConfigError."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _read_resolved_json(path: Path) -> dict:
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        with error_context(f"config {path}"):
+            raw = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path}: line {exc.lineno}: {exc.msg}") from exc
     except (OSError, ValueError, RecursionError) as exc:  # RecursionError: deep nesting

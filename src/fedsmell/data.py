@@ -50,7 +50,8 @@ class Dataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)  # checked as given: the cast truncates 0.7 to 0
+        self.labels = labels.astype(np.int64, copy=False)
         if self.features.ndim != 2 or self.features.shape[1] != NUM_FEATURES:
             raise StructuralError(
                 f"features must be (n, {NUM_FEATURES}), got {self.features.shape}"
@@ -61,7 +62,7 @@ class Dataset:
             raise StructuralError("dataset must contain at least one sample")
         if not np.all(np.isfinite(self.features)):
             raise NumericError(f"dataset {self.name!r} contains non-finite features")
-        if not np.all((self.labels == 0) | (self.labels == 1)):
+        if not np.all((labels == 0) | (labels == 1)):
             raise StructuralError(f"dataset {self.name!r} labels must be 0 or 1")
 
     def __len__(self) -> int:

@@ -279,6 +279,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         raise ConfigError(f"cannot create output directory {cfg.out_dir}: {exc}") from exc
     started = time.perf_counter()
     try:
+        # A summary.json marks a finished run: an earlier run's must not
+        # outlive the first file this run replaces.
+        (Path(cfg.out_dir) / "summary.json").unlink(missing_ok=True)
         result = _RUNNERS[cfg.kind](cfg)
         result.wall_clock_seconds = time.perf_counter() - started
         emit_outputs(cfg.out_dir, result)

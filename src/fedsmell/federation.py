@@ -132,10 +132,7 @@ def client_update(client: ClientNode, weights, update_seed: int) -> ModelUpdate:
     per pass; optimizer state starts fresh and only weights leave the client.
     """
     values = np.array(weights, dtype=float)
-    if values.shape != (PARAM_COUNT,):
-        raise StructuralError(
-            f"weight vector must have length {PARAM_COUNT}, got shape {values.shape}"
-        )
+    params = unflatten_params(values)  # checks the length
     data = client.local_data
     hyper = client.hyper
     order = np.random.default_rng(update_seed).permutation(len(data))
@@ -143,11 +140,10 @@ def client_update(client: ClientNode, weights, update_seed: int) -> ModelUpdate:
     batches = [(features[start:start + hyper.batch_size], labels[start:start + hyper.batch_size])
                for start in range(0, len(data), hyper.batch_size)]
 
-    params = unflatten_params(values)
     grad, m, v = np.zeros((3, PARAM_COUNT))
     grad_views = unflatten_params(grad)
     for step, (X, y) in enumerate(batches * hyper.local_epochs, start=1):
-        loss_and_gradient(X, y, params, grad, grad_views)
+        loss_and_gradient(X, y, params, grad_views)
         adam_update(values, grad, m, v, step, hyper.learning_rate)
     if not np.all(np.isfinite(values)):  # an overflow while float errors are ignored
         raise NumericError(f"client {client.id}: training produced non-finite weights")
@@ -169,8 +165,6 @@ def _weighted_mean(vectors, weights) -> np.ndarray:
     acc = (weights[0] / total) * vectors[0]
     for vector, weight in zip(vectors[1:], weights[1:]):
         acc = acc + (weight / total) * vector
-    if len(vectors) == 1:
-        return acc
     stacked = np.array(vectors)
     return np.clip(acc, stacked.min(axis=0), stacked.max(axis=0))
 
@@ -210,8 +204,6 @@ def sample_clients(topology: FederationTopology, fraction: float, round_seed: in
         raise StructuralError("fraction must be in (0, 1]")
     ids = topology.client_ids()
     count = max(1, int(math.floor(fraction * len(ids) + 0.5)))
-    if count >= len(ids):
-        return ids
     rng = np.random.default_rng(round_seed)
     chosen = rng.choice(len(ids), size=count, replace=False)
     return sorted(ids[i] for i in chosen)

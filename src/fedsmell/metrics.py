@@ -81,14 +81,10 @@ def roc_auc(scores, labels) -> float:
     if n_pos == 0 or n_neg == 0:
         raise StructuralError("ROC needs at least one sample of each class")
 
-    order = np.argsort(scores, kind="mergesort")
-    sorted_scores = scores[order]
-    # Each run of tied scores [start, stop) shares the 1-based midrank.
-    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
-    stops = np.r_[starts[1:], len(scores)]
-    ranks = np.empty(len(scores))
-    ranks[order] = np.repeat((starts + stops + 1) / 2.0, stops - starts)
-    pos_rank_sum = ranks[labels == 1].sum()
+    # Each group of tied scores shares the 1-based midrank of its run in sorted order.
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    midranks = np.cumsum(counts) - (counts - 1) / 2.0
+    pos_rank_sum = midranks[group[labels == 1]].sum()
     return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
@@ -125,14 +121,13 @@ def interpret_roc(a: float) -> str:
 
 
 def confusion_from_predictions(predicted: np.ndarray, labels: np.ndarray) -> ConfusionMatrix:
+    """Count the four cells of matching 0/1 predictions and labels."""
     predicted = np.asarray(predicted, dtype=int)
     labels = np.asarray(labels, dtype=int)
-    return ConfusionMatrix(
-        tp=int(((predicted == 1) & (labels == 1)).sum()),
-        tn=int(((predicted == 0) & (labels == 0)).sum()),
-        fp=int(((predicted == 1) & (labels == 0)).sum()),
-        fn=int(((predicted == 0) & (labels == 1)).sum()),
-    )
+    if not (np.isin(predicted, (0, 1)).all() and np.isin(labels, (0, 1)).all()):
+        raise StructuralError("predictions and labels must be 0 or 1")
+    tn, fp, fn, tp = np.bincount(2 * labels + predicted, minlength=4).tolist()
+    return ConfusionMatrix(tp=tp, tn=tn, fp=fp, fn=fn)
 
 
 def evaluate_model(weights, test: Dataset) -> MetricReport:

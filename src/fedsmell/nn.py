@@ -57,8 +57,9 @@ PARAM_COUNT = _ENDS[-1]
 class ModelParams:
     """Views of the live slots of a canonical flat vector.
 
-    `gates` is one (weights, bias) pair stacking the input, output and
-    candidate gates: weights (3, HIDDEN_DIM, INPUT_DIM) holds their
+    `values` is the flat vector itself, the array every view writes
+    through. `gates` is one (weights, bias) pair stacking the input, output
+    and candidate gates: weights (3, HIDDEN_DIM, INPUT_DIM) holds their
     x-columns, bias (3, HIDDEN_DIM). Each gate's block, a (16, 32) matrix
     then 16 biases, is 33 rows of 16 with the x-columns in the odd rows and
     the biases last. `layers` holds (weights, bias) for each relu layer,
@@ -67,6 +68,7 @@ class ModelParams:
     in the flat layout, but no view covers them and they never train.
     """
 
+    values: np.ndarray
     gates: tuple[np.ndarray, np.ndarray]
     layers: tuple[tuple[np.ndarray, np.ndarray], ...]
 
@@ -164,7 +166,7 @@ def mean_cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
 
 
 def loss_and_gradient(X: np.ndarray, y: np.ndarray, p: ModelParams,
-                      grad: np.ndarray | None = None, gp: ModelParams | None = None):
+                      gp: ModelParams | None = None):
     """Mean batch loss and its gradient in canonical flat layout.
 
     Backpropagates softmax cross-entropy through the head, the relu
@@ -172,14 +174,12 @@ def loss_and_gradient(X: np.ndarray, y: np.ndarray, p: ModelParams,
     forget gate and the h_prev columns receive exactly zero gradient;
     that is the correct derivative, not an omission.
 
-    The gradient is written through `gp`, the views of `grad`, and `grad`
-    is returned. Only the live slots are written, so a reused buffer keeps
-    its dead slots at 0; with no buffer, a fresh zeroed one is allocated.
+    The gradient is written through `gp` and `gp.values` is returned. Only
+    the live slots are written, so a reused buffer keeps its dead slots
+    at 0; with no `gp`, views of a fresh zero vector are made.
     """
-    if grad is None:
-        grad = np.zeros(PARAM_COUNT)
     if gp is None:
-        gp = unflatten_params(grad)
+        gp = unflatten_params(np.zeros(PARAM_COUNT))
     probs, cache = _forward(X, p)
     n = len(y)
     loss = mean_cross_entropy(probs, y)
@@ -208,7 +208,7 @@ def loss_and_gradient(X: np.ndarray, y: np.ndarray, p: ModelParams,
     np.multiply(dc * i, 1.0 - g ** 2, out=dpre[2])
     np.matmul(dpre.transpose(0, 2, 1), X, out=gp.gates[0])
     dpre.sum(axis=1, out=gp.gates[1])
-    return loss, grad
+    return loss, gp.values
 
 
 def adam_update(values: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
@@ -228,26 +228,25 @@ def adam_update(values: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarr
     values -= learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
 
 
-def _blocks(values: np.ndarray) -> list[np.ndarray]:
-    """Views of `values` shaped as the LAYOUT blocks, in order."""
-    return [values[start:stop].reshape(shape) for (start, stop), shape in zip(_SPANS, LAYOUT)]
-
-
 def unflatten_params(values) -> ModelParams:
     """Views of the live slots of a canonical flat vector; nothing is copied.
 
     Writing through a returned array writes the vector, and the other way
-    round. Input that is not already float64 is converted first.
+    round. Input that is not already float64 is converted first; the
+    result's `values` is the array its views write through.
     """
-    values = np.asarray(values, dtype=float).ravel()
-    if values.size != PARAM_COUNT:
-        raise StructuralError(f"parameter vector must have length {PARAM_COUNT}, got {values.size}")
-    blocks = _blocks(values)
-    # blocks[0:2] is the forget gate; the live gates' blocks follow, 33 rows
+    values = np.asarray(values, dtype=float)
+    if values.shape != (PARAM_COUNT,):
+        raise StructuralError(
+            f"parameter vector must have length {PARAM_COUNT}, got shape {values.shape}"
+        )
+    # LAYOUT[0:2] is the forget gate; the live gates' blocks follow, 33 rows
     # of 16 each (HIDDEN_DIM == INPUT_DIM), x-columns in the odd rows.
     rows = values[_ENDS[2]:_ENDS[8]].reshape(3, 2 * HIDDEN_DIM + 1, INPUT_DIM)
     gates = (rows[:, 1:2 * HIDDEN_DIM:2], rows[:, 2 * HIDDEN_DIM])
-    return ModelParams(gates=gates, layers=tuple(zip(blocks[8::2], blocks[9::2])))
+    dense = [values[start:stop].reshape(shape)
+             for (start, stop), shape in zip(_SPANS[8:], LAYOUT[8:])]
+    return ModelParams(values=values, gates=gates, layers=tuple(zip(dense[::2], dense[1::2])))
 
 
 def init_params(seed: int) -> np.ndarray:

@@ -312,6 +312,14 @@ def test_cli_resolved_json_wrong_types_exit_2(tmp_path, capsys):
             f"CONFIG_ERROR: config {path}: bad value for {key}: {value!r} ({reason})\n")
 
 
+def test_cli_resolved_json_duplicate_key_exits_2(tmp_path, capsys):
+    path = tmp_path / "config.resolved.json"
+    path.write_text('{"kind": "centralized", "datasets": ["a.csv"], "rounds": 1, "rounds": 100}',
+                    encoding="utf-8")
+    assert main(["centralized", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"CONFIG_ERROR: config {path}: duplicate key 'rounds'\n"
+
+
 def test_resolved_json_numbers_follow_their_fields(tmp_path):
     path = tmp_path / "config.resolved.json"
     path.write_text(json.dumps({"kind": "centralized", "datasets": ["a.csv"],

@@ -470,9 +470,14 @@ def test_dataset_rejects_one_feature_column_short():
 
 
 def test_dataset_rejects_labels_other_than_0_and_1():
-    for label in (2, -1):
-        with pytest.raises(StructuralError):
-            make_dataset(np.zeros((2, NUM_FEATURES)), [0, label])
+    # Checked before the int64 cast, which would truncate 0.7 to 0.
+    for label in (2, -1, 0.7, 1.5, -0.2):
+        with pytest.raises(StructuralError, match="labels must be 0 or 1"):
+            datamod.Dataset("x", np.zeros((2, NUM_FEATURES)), [0, label])
+    for labels in ([0, 1], [False, True], [0.0, 1.0]):
+        dataset = datamod.Dataset("x", np.zeros((2, NUM_FEATURES)), labels)
+        assert dataset.labels.dtype == np.int64
+        assert dataset.labels.tolist() == [0, 1]
 
 
 def test_dataset_rejects_empty_batch():

@@ -489,6 +489,20 @@ def test_cli_failed_output_write_exits_2_with_one_line(tmp_path, capsys):
         assert sorted(entry.name for entry in out.iterdir()) == sorted(outputs)
 
 
+def test_cli_failed_rerun_leaves_no_earlier_summary(tmp_path, capsys):
+    # A rerun that fails after replacing some outputs must not leave the
+    # first run's summary.json beside files it no longer describes.
+    for verb, (_, files) in OUTPUT_FILES.items():
+        ini = _write_verb_ini(tmp_path, verb)
+        out = tmp_path / verb
+        assert main([verb, "--config", str(ini), "--out", str(out)]) == 0
+        blocked = out / files[-1]
+        blocked.unlink()
+        blocked.mkdir()
+        assert main([verb, "--config", str(ini), "--out", str(out), "--seed", "7"]) == 2, verb
+        _assert_unfinished(out, capsys.readouterr().err, files + ("summary.json",))
+
+
 def test_cli_write_failing_midway_leaves_no_partial_file(tmp_path, capsys, monkeypatch):
     def failing_save(path, values):
         Path(path).write_bytes(b"\x00" * 100)

@@ -197,6 +197,8 @@ def test_roc_vectorized_midranks_equal_scalar_loop_bitwise():
     rng = np.random.default_rng(8)
     cases = [random_scored(rng, 500, ties=ties) for ties in (False, True)]
     cases += [heavily_tied(rng, n) for n in (2, 3, 1000)]
+    signed_zeros = rng.choice([0.0, -0.0, 0.5, 1.0], 400)
+    cases.append((signed_zeros, heavily_tied(rng, 400)[1]))
     for scores, labels in cases:
         assert roc_auc(scores, labels) == auc_midrank_loop(scores, labels)
 
@@ -361,3 +363,9 @@ def test_evaluate_model_scores_with_one_blocked_forward_call(monkeypatch):
 def test_confusion_from_predictions_counts():
     cm = confusion_from_predictions(np.array([1, 1, 0, 0, 1]), np.array([1, 0, 0, 1, 1]))
     assert (cm.tp, cm.tn, cm.fp, cm.fn) == (2, 1, 1, 1)
+    # An entry other than 0 or 1 fits no cell.
+    for bad in (2, -1):
+        with pytest.raises(StructuralError):
+            confusion_from_predictions(np.array([1, bad]), np.array([1, 0]))
+        with pytest.raises(StructuralError):
+            confusion_from_predictions(np.array([1, 0]), np.array([bad, 0]))

@@ -200,8 +200,8 @@ def test_backward_into_reused_buffer_equals_fresh_allocation_bitwise():
         X = rng.standard_normal((n, INPUT_DIM))
         y = rng.integers(0, 2, n)
         fresh_loss, fresh = loss_and_gradient(X, y, p)
-        loss, returned = loss_and_gradient(X, y, p, grad, gp)
-        assert returned is grad
+        loss, returned = loss_and_gradient(X, y, p, gp)
+        assert returned is gp.values is grad
         assert loss == fresh_loss
         assert grad.tobytes() == fresh.tobytes()
         assert np.all(grad[dead] == 0.0)
