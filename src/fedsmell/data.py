@@ -224,7 +224,9 @@ def fit_normalizer(train: Dataset) -> NormalizationStats:
 
 
 def apply_normalizer(d: Dataset, stats: NormalizationStats) -> Dataset:
-    return Dataset(d.name, (d.features - stats.mean) / stats.std, d.labels)
+    features = d.features - stats.mean
+    features /= stats.std
+    return Dataset(d.name, features, d.labels)
 
 
 def split_train_test(d: Dataset, test_fraction: float, seed: int):

@@ -9,7 +9,6 @@ training starts. `run_experiment` dispatches and writes all outputs
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import time
@@ -187,6 +186,7 @@ def run_federated(cfg: ExperimentConfig) -> RunResult:
     sources = _prepare_all(cfg, score_tests=False)
     topology = build_federated_clients(sources, cfg)
     pooled_test = datamod.concat_datasets("pooled-test", [s.test for s in sources])
+    del sources  # the clients and the pooled test own copies of what training needs
     _require_both_classes(pooled_test)
     logs, final_weights = run_federation(topology, cfg.round_config(), pooled_test)
     report = logs[-1].report
@@ -213,18 +213,14 @@ def run_synth(cfg: ExperimentConfig) -> RunResult:
 
 
 def write_rounds_csv(logs, path) -> None:
-    """Experiment-level round CSV with the extra kappa_pct column."""
+    """Experiment-level round CSV with the extra kappa_pct column, CRLF line ends."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["round", "loss", "accuracy", "kappa", "kappa_pct",
-                         "roc_auc", "participants"])
+        fh.write("round,loss,accuracy,kappa,kappa_pct,roc_auc,participants\r\n")
         for log in logs:
-            report = log.report
-            writer.writerow([
-                log.round, repr(report.mean_loss), repr(report.accuracy_pct),
-                repr(report.kappa), repr(report.kappa * 100.0), repr(report.roc_auc),
-                ";".join(str(i) for i in log.participants),
-            ])
+            r = log.report
+            fh.write("{},{!r},{!r},{!r},{!r},{!r},{}\r\n".format(
+                log.round, r.mean_loss, r.accuracy_pct, r.kappa, r.kappa * 100.0, r.roc_auc,
+                ";".join(map(str, log.participants))))
 
 
 def _write_whole(path: Path, write) -> None:

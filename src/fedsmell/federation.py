@@ -10,6 +10,7 @@ whole run replays bit-for-bit.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -66,22 +67,19 @@ class FederationTopology:
         self.clients = tuple(self.clients)
         if not self.combiners or not self.clients:
             raise StructuralError("topology needs at least one combiner and one client")
-        ids = [c.id for c in self.clients]
-        if len(set(ids)) != len(ids):
+        self._by_id = {c.id: c for c in self.clients}
+        if len(self._by_id) != len(self.clients):
             raise StructuralError("client ids must be unique")
         known = set(self.combiners)
         if len(known) != len(self.combiners):
             raise StructuralError("combiner ids must be unique")
-        used = set()
         for client in self.clients:
             if client.combiner_id not in known:
                 raise StructuralError(
                     f"client {client.id} maps to unknown combiner {client.combiner_id}"
                 )
-            used.add(client.combiner_id)
-        if used != known:
+        if {c.combiner_id for c in self.clients} != known:
             raise StructuralError("every combiner must have at least one client")
-        self._by_id = {c.id: c for c in self.clients}
 
     def client_by_id(self, client_id: int) -> ClientNode:
         return self._by_id[client_id]
@@ -163,10 +161,12 @@ def _weighted_mean(vectors, weights) -> np.ndarray:
         raise StructuralError("all weight vectors must share one length")
     total = sum(weights)
     acc = (weights[0] / total) * vectors[0]
+    low, high = vectors[0].copy(), vectors[0].copy()
     for vector, weight in zip(vectors[1:], weights[1:]):
-        acc = acc + (weight / total) * vector
-    stacked = np.array(vectors)
-    return np.clip(acc, stacked.min(axis=0), stacked.max(axis=0))
+        acc += (weight / total) * vector
+        np.minimum(low, vector, out=low)
+        np.maximum(high, vector, out=high)
+    return np.clip(acc, low, high, out=acc)
 
 
 def combiner_aggregate(updates) -> np.ndarray:
@@ -212,10 +212,11 @@ def sample_clients(topology: FederationTopology, fraction: float, round_seed: in
 def run_federation(topology: FederationTopology, config: RoundConfig, test_set: Dataset):
     """Drive the round loop; returns (round logs, final global weights).
 
-    Per round: sample clients, run their local updates on the broadcast
-    weights, aggregate per combiner, reduce, and score the new global
-    model on the held-out test set. Combiners with no sampled client skip
-    the round. Any error aborts the run with the round attached.
+    Per round: sample clients; each combiner in ascending id trains its
+    sampled clients on the broadcast weights and averages them before the
+    next one starts; then reduce, and score the new global model on the
+    held-out test set. Combiners with no sampled client skip the round.
+    Any error aborts the run with the round attached.
     """
     values = init_params(config.seed)
     logs: list[RoundLog] = []
@@ -224,13 +225,11 @@ def run_federation(topology: FederationTopology, config: RoundConfig, test_set: 
             selected = sample_clients(
                 topology, config.client_fraction, derive_seed(config.seed, t, SAMPLING_SLOT)
             )
-            by_combiner: dict[int, list[ModelUpdate]] = {}
-            for client_id in selected:
-                client = topology.client_by_id(client_id)
-                update = client_update(client, values, derive_seed(config.seed, t, client_id))
-                by_combiner.setdefault(client.combiner_id, []).append(update)
-            combiner_models = [combiner_aggregate(by_combiner[cid])
-                               for cid in sorted(by_combiner)]
+            clients = sorted(map(topology.client_by_id, selected), key=lambda c: c.combiner_id)
+            combiner_models = [
+                combiner_aggregate([client_update(c, values, derive_seed(config.seed, t, c.id))
+                                    for c in group])
+                for _, group in itertools.groupby(clients, key=lambda c: c.combiner_id)]
             values = reducer_reduce(combiner_models, values, t, config.reducer_mode)
             report = evaluate_model(values, test_set)
         logs.append(RoundLog(round=t, weights_checksum=weights_checksum(values),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,36 +89,25 @@ def roc_auc(scores, labels) -> float:
     return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
+# A kappa band holds k < its edge; a ROC band holds a <= its edge.
+_KAPPA_EDGES = (0.21, 0.41, 0.61, 0.81)
+_KAPPA_BANDS = ("Poor", "Fair", "Moderate", "Substantial", "Almost perfect")
+_ROC_EDGES = (0.5, 0.6, 0.7, 0.8, 0.9)
+_ROC_BANDS = ("Fail (<=0.5)", "Fail", "Poor", "Fair", "Good", "Excellent")
+
+
 def interpret_kappa(k: float) -> str:
     """Agreement band for a kappa value; gap values fall to the lower band."""
     if not -1.0 <= k <= 1.0:
         raise StructuralError(f"kappa must be in [-1, 1], got {k}")
-    if k < 0.21:
-        return "Poor"
-    if k < 0.41:
-        return "Fair"
-    if k < 0.61:
-        return "Moderate"
-    if k < 0.81:
-        return "Substantial"
-    return "Almost perfect"
+    return _KAPPA_BANDS[bisect.bisect_right(_KAPPA_EDGES, k)]
 
 
 def interpret_roc(a: float) -> str:
     """Quality band for a ROC-AUC value; values <= 0.5 flag an inverted model."""
     if not 0.0 <= a <= 1.0:
         raise StructuralError(f"ROC area must be in [0, 1], got {a}")
-    if a <= 0.5:
-        return "Fail (<=0.5)"
-    if a <= 0.6:
-        return "Fail"
-    if a <= 0.7:
-        return "Poor"
-    if a <= 0.8:
-        return "Fair"
-    if a <= 0.9:
-        return "Good"
-    return "Excellent"
+    return _ROC_BANDS[bisect.bisect_left(_ROC_EDGES, a)]
 
 
 def confusion_from_predictions(predicted: np.ndarray, labels: np.ndarray) -> ConfusionMatrix:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -232,6 +233,28 @@ def test_federated_run_scores_each_model_once(tmp_path, monkeypatch):
     result = run_experiment(cfg_for("federated", paths, tmp_path / "out", rounds=2,
                                     client_fraction=0.5, reducer_mode="smoothed"))
     assert result.final_report is result.round_logs[-1].report
+
+
+def test_federated_run_keeps_no_prepared_source_while_training(tmp_path, monkeypatch):
+    # Once the clients and the pooled test exist, the raw tables, splits and
+    # stats of every source are garbage before the first round starts.
+    prepared, checked = [], []
+    real_prepare, real_federation = experiments.prepare_source, experiments.run_federation
+
+    def tracked_prepare(*args):
+        source = real_prepare(*args)
+        prepared.append(weakref.ref(source))
+        return source
+
+    def checked_federation(*args):
+        checked.append(sum(ref() is not None for ref in prepared))
+        return real_federation(*args)
+
+    monkeypatch.setattr(experiments, "prepare_source", tracked_prepare)
+    monkeypatch.setattr(experiments, "run_federation", checked_federation)
+    paths = [synth_csv(tmp_path, f"gone{i}", n=300, seed=90 + i) for i in range(2)]
+    run_federated(cfg_for("federated", paths, tmp_path / "out", rounds=1))
+    assert checked == [0]
 
 
 def test_rounds_csv_is_byte_identical_across_runs(tmp_path):

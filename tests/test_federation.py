@@ -1,12 +1,14 @@
 """Client updates, weighted aggregation, reducer modes, and the round loop."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fedsmell import federation
 from fedsmell.data import (concat_datasets, domain_shift, extract_chunks,
                            partition_chunks, synth_generate)
 from fedsmell.errors import NumericError, StructuralError
@@ -348,6 +350,32 @@ def test_federation_keeps_dead_slots_at_init_for_any_combiner_count(combiners, m
     _, final = run_federation(topo, config, test_set)
     dead = dead_slot_mask()
     assert final[dead].tobytes() == init_params(config.seed)[dead].tobytes()
+
+
+def test_round_holds_one_combiners_updates_and_none_while_scoring(monkeypatch):
+    # 5 clients under 2 combiners (3 + 2), all sampled: a combiner's updates
+    # are folded before the next combiner trains, and all are gone by scoring.
+    refs, peaks = [], []
+    alive = lambda: sum(ref() is not None for ref in refs)
+    real_update, real_evaluate = federation.client_update, federation.evaluate_model
+
+    def tracked_update(*args):
+        update = real_update(*args)
+        refs.append(weakref.ref(update))
+        peaks.append(alive())
+        return update
+
+    def checked_evaluate(*args):
+        assert alive() == 0, "client updates outlive the round's reduce"
+        return real_evaluate(*args)
+
+    monkeypatch.setattr(federation, "client_update", tracked_update)
+    monkeypatch.setattr(federation, "evaluate_model", checked_evaluate)
+    topo = make_topology(n_clients=5, per_combiner=3)
+    test_set = random_dataset(30, 12, seed=4, name="test")
+    logs, _ = run_federation(topo, RoundConfig(rounds=2, seed=6), test_set)
+    assert len(logs) == 2 and len(peaks) == 10
+    assert max(peaks) == 3
 
 
 def test_federation_attaches_round_context_to_errors():
