@@ -8,8 +8,8 @@ explicit seeds and are reproducible.
 from __future__ import annotations
 
 import csv
+import io
 import math
-import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,20 +50,22 @@ class Dataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
-        labels = np.asarray(self.labels)  # checked as given: the cast truncates 0.7 to 0
-        self.labels = labels.astype(np.int64, copy=False)
+        # Checked as given, before the cast, which truncates 0.7 to 0 and
+        # has no int64 for NaN.
+        labels = np.asarray(self.labels)
         if self.features.ndim != 2 or self.features.shape[1] != NUM_FEATURES:
             raise StructuralError(
                 f"features must be (n, {NUM_FEATURES}), got {self.features.shape}"
             )
-        if self.labels.shape != (self.features.shape[0],):
+        if labels.shape != (self.features.shape[0],):
             raise StructuralError("labels must align 1:1 with feature rows")
-        if len(self.labels) == 0:
+        if len(labels) == 0:
             raise StructuralError("dataset must contain at least one sample")
         if not np.all(np.isfinite(self.features)):
             raise NumericError(f"dataset {self.name!r} contains non-finite features")
         if not np.all((labels == 0) | (labels == 1)):
             raise StructuralError(f"dataset {self.name!r} labels must be 0 or 1")
+        self.labels = labels.astype(np.int64, copy=False)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -96,51 +98,44 @@ def load_csv(path) -> Dataset:
     preserved. Blank lines are skipped. Labels must equal 0 or 1 and
     feature cells must be finite; a bad cell is reported with its row.
 
-    numpy's C reader parses the file. Any file it cannot take is read cell
-    by cell with the csv module and float(), so accepted inputs and error
-    messages are those of the cell-by-cell reader.
+    The file is read once, numpy's C reader parses it, and Dataset checks
+    every cell. Any file that this cannot take is read cell by cell with
+    the csv module and float(), so accepted inputs and error messages are
+    those of the cell-by-cell reader.
     """
     path = Path(path)
     table = _read_table(path)
-    if table is None:
-        return _load_csv_by_cell(path)
-    return Dataset(path.stem, table[:, :NUM_FEATURES], table[:, NUM_FEATURES])
+    if table is not None:
+        try:
+            return Dataset(path.stem, table[:, :NUM_FEATURES], table[:, NUM_FEATURES])
+        except (NumericError, StructuralError):
+            pass  # no rows or a bad cell: the cell-by-cell reader names its row
+    return _load_csv_by_cell(path)
 
 
 def _read_table(path: Path) -> np.ndarray | None:
     """The (rows, 17) table of features then label through np.loadtxt, or
-    None unless it holds at least one row and every row is valid."""
+    None when the file cannot be read that way."""
     try:
-        if not _fields_within_csv_limit(path):
+        raw = path.read_bytes()
+        # csv.reader caps a field at csv.field_size_limit() characters and
+        # loadtxt does not. No field can pass the cap in a file of fewer bytes,
+        # nor in one with no quote and no line of more bytes.
+        limit = csv.field_size_limit()
+        if len(raw) > limit and (b'"' in raw or max(map(len, io.BytesIO(raw))) > limit):
             return None
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            columns = _header_columns(next(csv.reader(fh), []))
-            if None in columns:
-                return None
-            # An input with no data rows makes loadtxt warn, not raise.
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                table = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None,
-                                   usecols=columns, ndmin=2)
+        # Decoded as loadtxt reads it: an io.StringIO would take 4 bytes a character.
+        stream = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="")
+        columns = _header_columns(next(csv.reader(stream), []))
+        if None in columns:
+            return None
+        # An input with no data rows makes loadtxt warn, not raise.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(stream, delimiter=",", quotechar='"', comments=None,
+                              usecols=columns, ndmin=2)
     except (OSError, ValueError, Warning, csv.Error):
         return None
-    if len(table) == 0 or not _valid_rows(table).all():
-        return None
-    return table
-
-
-def _fields_within_csv_limit(path: Path) -> bool:
-    """Whether no field of the file can outgrow csv.field_size_limit(),
-    which the cell-by-cell reader enforces and loadtxt does not.
-
-    True when the whole file is within the limit, or when no line is longer
-    than the limit and none holds a quote, so no field spans lines.
-    """
-    limit = csv.field_size_limit()
-    with open(path, "rb") as fh:
-        if os.fstat(fh.fileno()).st_size <= limit:
-            return True
-        return all(len(line) <= limit and b'"' not in line for line in fh)
 
 
 def _header_columns(header) -> list[int | None]:

@@ -21,7 +21,7 @@ from . import data as datamod
 from .config import CENTRALIZED, CROSS_EVAL, FEDERATED, SYNTH, ExperimentConfig
 from .errors import ConfigError, StructuralError, error_context
 from .federation import ClientNode, FederationTopology, client_update, run_federation
-from .metrics import MetricReport, evaluate_model
+from .metrics import evaluate_model
 from .nn import Hyperparams, init_params, save_weights
 from .seeds import derive_seed
 
@@ -37,7 +37,6 @@ _SYNTH_OFFSET = 400
 class PreparedSource:
     """One ingested dataset: normalized train/test splits plus raw form."""
 
-    name: str
     raw: datamod.Dataset
     train: datamod.Dataset  # rebalanced + normalized
     test: datamod.Dataset  # normalized with the train stats
@@ -53,7 +52,6 @@ class RunResult:
     rows: list[dict]
     round_logs: list = field(default_factory=list)
     final_weights: np.ndarray | None = None
-    final_report: MetricReport | None = None
     wall_clock_seconds: float = 0.0
 
 
@@ -81,7 +79,6 @@ def prepare_source(path, cfg: ExperimentConfig, index: int) -> PreparedSource:
     )
     stats = datamod.fit_normalizer(train)
     return PreparedSource(
-        name=raw.name,
         raw=raw,
         train=datamod.apply_normalizer(train, stats),
         test=datamod.apply_normalizer(test, stats),
@@ -132,7 +129,7 @@ def run_centralized(cfg: ExperimentConfig) -> RunResult:
     for path, source, weights in zip(cfg.datasets, sources, _train_each(cfg, sources)):
         with error_context(f"dataset {path}"):
             report = evaluate_model(weights, source.test)
-        rows.append(_cell(source.name, source.name, report.accuracy_pct))
+        rows.append(_cell(source.raw.name, source.raw.name, report.accuracy_pct))
     return RunResult(cfg, rows)
 
 
@@ -152,7 +149,7 @@ def run_cross_eval(cfg: ExperimentConfig) -> RunResult:
             with error_context(f"dataset {path}"):
                 foreign = datamod.apply_normalizer(other.raw, trainer.stats)
                 report = evaluate_model(weights, foreign)
-            rows.append(_cell(trainer.name, other.name, report.accuracy_pct))
+            rows.append(_cell(trainer.raw.name, other.raw.name, report.accuracy_pct))
     return RunResult(cfg, rows)
 
 
@@ -177,7 +174,7 @@ def build_federated_clients(sources, cfg: ExperimentConfig):
 
 
 def run_federated(cfg: ExperimentConfig) -> RunResult:
-    """Full federated run: round logs, final weights and their report.
+    """Full federated run: round logs and final weights.
 
     Clients are the shuffled chunks of each dataset's train split; the
     global model is scored every round on the pooled union of the
@@ -189,9 +186,8 @@ def run_federated(cfg: ExperimentConfig) -> RunResult:
     del sources  # the clients and the pooled test own copies of what training needs
     _require_both_classes(pooled_test)
     logs, final_weights = run_federation(topology, cfg.round_config(), pooled_test)
-    report = logs[-1].report
-    return RunResult(cfg, [_cell("federated", pooled_test.name, report.accuracy_pct)],
-                     round_logs=logs, final_weights=final_weights, final_report=report)
+    return RunResult(cfg, [_cell("federated", pooled_test.name, logs[-1].report.accuracy_pct)],
+                     round_logs=logs, final_weights=final_weights)
 
 
 def run_synth(cfg: ExperimentConfig) -> RunResult:
@@ -199,13 +195,16 @@ def run_synth(cfg: ExperimentConfig) -> RunResult:
     out_dir = Path(cfg.out_dir)
     rows = []
     for index, name in enumerate(cfg.datasets):
-        dataset = datamod.synth_generate(
-            cfg.synth_samples,
-            cfg.synth_positive_rate,
-            datamod.domain_shift(cfg.synth_shifts[index]),
-            derive_seed(cfg.seed, 0, _SYNTH_OFFSET + index),
-            name=name,
-        )
+        try:
+            dataset = datamod.synth_generate(
+                cfg.synth_samples,
+                cfg.synth_positive_rate,
+                datamod.domain_shift(cfg.synth_shifts[index]),
+                derive_seed(cfg.seed, 0, _SYNTH_OFFSET + index),
+                name=name,
+            )
+        except (ValueError, MemoryError) as exc:  # numpy cannot allocate that many rows
+            raise ConfigError(f"cannot generate {cfg.synth_samples} synth samples: {exc}") from exc
         _write_whole(out_dir / f"{name}.csv", lambda temp: datamod.save_csv(dataset, temp))
         _, positives = dataset.class_counts()
         rows.append(_cell(name, str(out_dir / f"{name}.csv"), 100.0 * positives / len(dataset)))
@@ -256,7 +255,7 @@ def emit_outputs(out_dir, result: RunResult) -> None:
     summary = {
         "experiment": result.config.kind,
         "cells": result.rows,
-        "final": asdict(result.final_report) if result.final_report else None,
+        "final": asdict(result.round_logs[-1].report) if result.round_logs else None,
         "wall_clock_seconds": result.wall_clock_seconds,
     }
     _write_whole(out_dir / "summary.json", lambda temp: _write_json(summary, temp))

@@ -140,7 +140,8 @@ def client_update(client: ClientNode, weights, update_seed: int) -> ModelUpdate:
 
     grad, m, v = np.zeros((3, PARAM_COUNT))
     grad_views = unflatten_params(grad)
-    for step, (X, y) in enumerate(batches * hyper.local_epochs, start=1):
+    epochs = (batch for _ in range(hyper.local_epochs) for batch in batches)
+    for step, (X, y) in enumerate(epochs, start=1):
         loss_and_gradient(X, y, params, grad_views)
         adam_update(values, grad, m, v, step, hyper.learning_rate)
     if not np.all(np.isfinite(values)):  # an overflow while float errors are ignored

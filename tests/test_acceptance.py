@@ -347,7 +347,7 @@ def test_criterion_10_federated_reference_run(tmp_path):
         paths = benchmark_paths()
         cfg = cfg_for("federated", paths, tmp_path / "f", rounds=100, seed=0)
         result = run_experiment(cfg)
-        final = result.final_report
+        final = result.round_logs[-1].report
         assert final.accuracy_pct >= 96.0
         assert final.kappa_band in ("Substantial", "Almost perfect")
 

@@ -420,6 +420,15 @@ def test_cli_non_finite_synth_shifts_exit_2(tmp_path, capsys):
     assert not (tmp_path / "out" / "x.csv").exists()
 
 
+def test_cli_synth_samples_numpy_cannot_allocate_exit_2(tmp_path, capsys):
+    # 10**20 rows exceed numpy's largest dimension, so nothing is allocated.
+    cfg = write(tmp_path / "s.ini",
+                f"[experiment]\nkind = synth\ndatasets = x\n[synth]\nsamples = {10**20}\n")
+    assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert_one_error_line(capsys, "CONFIG_ERROR:")
+    assert not (tmp_path / "out" / "x.csv").exists()
+
+
 def test_cli_bom_prefixed_config_runs_like_its_plain_copy(tmp_path, capsys):
     text = "[experiment]\nkind = synth\ndatasets = x, y\nseed = 2\n[synth]\nsamples = 30\n"
     plain = write(tmp_path / "plain.ini", text)

@@ -1,6 +1,10 @@
 """Dataset ingestion, normalization, splitting, chunking, rebalancing, synthesis."""
 
+import builtins
 import csv
+import io
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,11 +192,13 @@ def test_load_csv_matches_cell_reader_on_edge_cases(tmp_path, text):
 def test_load_csv_reads_canonical_and_quoted_files_without_the_cell_reader(
         tmp_path, monkeypatch):
     save_csv(random_dataset(50, 20, seed=4), tmp_path / "fast.csv")
+    save_csv(random_dataset(600, 200, seed=5), tmp_path / "big.csv")
+    assert (tmp_path / "big.csv").stat().st_size > csv.field_size_limit()
     quoted = csv_text([[f'"{c}"' for c in COLUMNS + ["comment"]]]
                       + [[f'"{c}"' for c in row] + ['"a,\nb"'] for row in GOOD_ROWS],
                       end="\r", bom=True)
     (tmp_path / "quoted.csv").write_bytes(quoted.encode("utf-8"))
-    paths = [tmp_path / "fast.csv", tmp_path / "quoted.csv"]
+    paths = [tmp_path / "fast.csv", tmp_path / "big.csv", tmp_path / "quoted.csv"]
     expected = [read_outcome(datamod._load_csv_by_cell, path) for path in paths]
 
     def refuse(path):
@@ -200,6 +206,21 @@ def test_load_csv_reads_canonical_and_quoted_files_without_the_cell_reader(
 
     monkeypatch.setattr(datamod, "_load_csv_by_cell", refuse)
     assert [read_outcome(load_csv, path) for path in paths] == expected
+
+
+def test_load_csv_opens_a_canonical_file_once(tmp_path, monkeypatch):
+    path = tmp_path / "big.csv"
+    save_csv(random_dataset(600, 200, seed=5), path)
+    opened = []
+
+    def counting_open(file, *args, real_open=open, **kwargs):
+        opened.append(Path(file) == path)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(io, "open", counting_open)
+    assert len(load_csv(path)) == 600
+    assert opened.count(True) == 1
 
 
 @st.composite
@@ -478,6 +499,19 @@ def test_dataset_rejects_labels_other_than_0_and_1():
         dataset = datamod.Dataset("x", np.zeros((2, NUM_FEATURES)), labels)
         assert dataset.labels.dtype == np.int64
         assert dataset.labels.tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("label", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_a_nonfinite_label_before_casting_it(label):
+    # The int64 cast has no value for these: it warns, or raises a
+    # FloatingPointError under np.errstate(invalid="raise").
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StructuralError, match="labels must be 0 or 1"):
+            datamod.Dataset("x", np.zeros((2, NUM_FEATURES)), [0.0, label])
+    with np.errstate(invalid="raise"):
+        with pytest.raises(StructuralError, match="labels must be 0 or 1"):
+            datamod.Dataset("x", np.zeros((2, NUM_FEATURES)), [0.0, label])
 
 
 def test_dataset_rejects_empty_batch():

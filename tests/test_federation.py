@@ -5,7 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsmell import federation
@@ -13,13 +13,14 @@ from fedsmell.data import (concat_datasets, domain_shift, extract_chunks,
                            partition_chunks, synth_generate)
 from fedsmell.errors import NumericError, StructuralError
 from fedsmell.federation import (ClientNode, FederationTopology, ModelUpdate,
-                                 RoundConfig, client_update, combiner_aggregate,
-                                 reducer_reduce, run_federation, sample_clients)
+                                 RoundConfig, RoundLog, client_update, combiner_aggregate,
+                                 reducer_reduce, run_federation, sample_clients,
+                                 weights_checksum)
 from fedsmell.experiments import write_rounds_csv
 from fedsmell.metrics import evaluate_model
 from fedsmell.nn import (Hyperparams, PARAM_COUNT, adam_update, init_params,
                          loss_and_gradient, unflatten_params)
-from fedsmell.seeds import derive_seed
+from fedsmell.seeds import SAMPLING_SLOT, derive_seed
 from util import dead_slot_mask, random_dataset
 
 
@@ -66,6 +67,27 @@ def test_client_update_step_count_continues_across_local_epochs():
             adam_update(values, grad, m, v, step, 0.001)
     assert step == 9
     assert np.array_equal(update.weights, values)
+
+
+def test_client_update_walks_its_batches_once_per_epoch(monkeypatch):
+    # No list of batches * local_epochs: a huge epoch count trains until
+    # stopped, here by the third Adam step.
+    class Stop(Exception):
+        pass
+
+    calls = []
+
+    def counting_adam(*args):
+        calls.append(args[4])
+        if len(calls) == 3:
+            raise Stop
+        adam_update(*args)
+
+    client = small_client(n=20, batch_size=16, local_epochs=10**20)
+    monkeypatch.setattr(federation, "adam_update", counting_adam)
+    with pytest.raises(Stop):
+        client_update(client, init_params(0), update_seed=1)
+    assert calls == [1, 2, 3]
 
 
 def test_client_update_zero_learning_rate_is_identity():
@@ -376,6 +398,64 @@ def test_round_holds_one_combiners_updates_and_none_while_scoring(monkeypatch):
     logs, _ = run_federation(topo, RoundConfig(rounds=2, seed=6), test_set)
     assert len(logs) == 2 and len(peaks) == 10
     assert max(peaks) == 3
+
+
+def reference_federation(topology, config, test_set):
+    """run_federation's oracle, in the round loop's old shape: train every
+    sampled client, bucket the updates by combiner, fold the buckets in
+    sorted combiner order, reduce, score and checksum."""
+    values = init_params(config.seed)
+    logs = []
+    for t in range(1, config.rounds + 1):
+        selected = sample_clients(topology, config.client_fraction,
+                                  derive_seed(config.seed, t, SAMPLING_SLOT))
+        by_combiner = {}
+        for client_id in selected:
+            client = topology.client_by_id(client_id)
+            update = client_update(client, values, derive_seed(config.seed, t, client_id))
+            by_combiner.setdefault(client.combiner_id, []).append(update)
+        models = [combiner_aggregate(by_combiner[cid]) for cid in sorted(by_combiner)]
+        values = reducer_reduce(models, values, t, config.reducer_mode)
+        logs.append(RoundLog(t, weights_checksum(values), evaluate_model(values, test_set),
+                             tuple(selected)))
+    return logs, values
+
+
+@st.composite
+def federations(draw):
+    """A topology whose combiners have arbitrary ids and whose clients have
+    non-contiguous ids interleaved across the combiners, plus a round config."""
+    combiner_ids = draw(st.lists(st.integers(0, 40), min_size=1, max_size=4, unique=True))
+    client_ids = draw(st.lists(st.integers(0, 60), min_size=len(combiner_ids), max_size=9,
+                               unique=True))
+    owners = combiner_ids + draw(st.lists(st.sampled_from(combiner_ids),
+                                          min_size=len(client_ids) - len(combiner_ids),
+                                          max_size=len(client_ids) - len(combiner_ids)))
+    owners = draw(st.permutations(owners))
+    # Batch size 1 takes most of the time, so it is drawn rarely.
+    hyper = Hyperparams(batch_size=draw(st.sampled_from([7, 32, 7, 32, 7, 32, 1])),
+                        local_epochs=draw(st.integers(1, 2)))
+    clients = []
+    for client_id, owner in zip(client_ids, owners):
+        n = draw(st.integers(10, 70))
+        data = random_dataset(n, draw(st.integers(0, n)), seed=client_id)
+        clients.append(ClientNode(client_id, data, hyper, owner))
+    config = RoundConfig(rounds=draw(st.integers(1, 3)),
+                         client_fraction=draw(st.sampled_from([0.3, 0.6, 1.0])),
+                         seed=draw(st.integers(0, 2**16)),
+                         reducer_mode=draw(st.sampled_from(["plain", "smoothed"])))
+    return FederationTopology(tuple(combiner_ids), tuple(clients)), config
+
+
+@settings(derandomize=True, max_examples=40)
+@given(federations())
+def test_federation_matches_the_reference_round_loop(federation_case):
+    topology, config = federation_case
+    test_set = random_dataset(40, 16, seed=99, name="test")
+    logs, final = run_federation(topology, config, test_set)
+    expected_logs, expected = reference_federation(topology, config, test_set)
+    assert final.tobytes() == expected.tobytes()
+    assert logs == expected_logs
 
 
 def test_federation_attaches_round_context_to_errors():
