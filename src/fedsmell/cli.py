@@ -14,8 +14,13 @@ from .experiments import run_experiment
 _VERBS = {kind.replace("_", "-"): kind for kind in EXPERIMENT_KINDS}
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is a config error; subparsers inherit this
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fedsmell",
         description="Federated god-class code-smell detection experiments",
     )
@@ -33,8 +38,8 @@ def _one_line(message: str) -> str:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         # A float overflow, invalid operation or division by zero is a
         # numeric error, not a warning next to a silently wrong value.
         with np.errstate(over="raise", invalid="raise", divide="raise"):

@@ -40,6 +40,15 @@ CONTEXT_AXIS = np.array([1.0, -1.0] * (NUM_FEATURES // 2)) / math.sqrt(NUM_FEATU
 _SHIFT_CLASS_FRACTION = 2.0 / 3.0
 
 
+def binary(values, what: str) -> np.ndarray:
+    """`values` as int64, each checked to equal 0 or 1 before the cast,
+    which would truncate 0.7 to 0 and has no int64 for NaN."""
+    values = np.asarray(values)
+    if not np.all((values == 0) | (values == 1)):
+        raise StructuralError(f"{what} must be 0 or 1")
+    return values.astype(np.int64, copy=False)
+
+
 @dataclass
 class Dataset:
     """Named collection of samples backed by dense arrays."""
@@ -50,22 +59,17 @@ class Dataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
-        # Checked as given, before the cast, which truncates 0.7 to 0 and
-        # has no int64 for NaN.
-        labels = np.asarray(self.labels)
         if self.features.ndim != 2 or self.features.shape[1] != NUM_FEATURES:
             raise StructuralError(
                 f"features must be (n, {NUM_FEATURES}), got {self.features.shape}"
             )
-        if labels.shape != (self.features.shape[0],):
+        if np.shape(self.labels) != (self.features.shape[0],):
             raise StructuralError("labels must align 1:1 with feature rows")
-        if len(labels) == 0:
+        if len(self.features) == 0:
             raise StructuralError("dataset must contain at least one sample")
         if not np.all(np.isfinite(self.features)):
             raise NumericError(f"dataset {self.name!r} contains non-finite features")
-        if not np.all((labels == 0) | (labels == 1)):
-            raise StructuralError(f"dataset {self.name!r} labels must be 0 or 1")
-        self.labels = labels.astype(np.int64, copy=False)
+        self.labels = binary(self.labels, f"dataset {self.name!r} labels")
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -75,7 +79,10 @@ class Dataset:
         return len(self.labels) - pos, pos
 
     def subset(self, indices, name: str | None = None) -> "Dataset":
-        idx = np.asarray(indices, dtype=int)
+        idx = np.asarray(indices)
+        if idx.size and idx.dtype.kind not in "iu":  # a mask or 1.9 would pick other rows
+            raise StructuralError("subset indices must be integers")
+        idx = idx.astype(int, copy=False)
         return Dataset(name or self.name, self.features[idx], self.labels[idx])
 
 

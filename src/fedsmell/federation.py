@@ -20,7 +20,7 @@ from .data import Dataset
 from .errors import NumericError, StructuralError, error_context
 from .metrics import MetricReport, evaluate_model
 from .nn import (Hyperparams, PARAM_COUNT, adam_update, init_params, loss_and_gradient,
-                 unflatten_params)
+                 unflatten_params, weight_vector)
 from .seeds import SAMPLING_SLOT, derive_seed
 
 PLAIN = "plain"
@@ -117,7 +117,7 @@ class RoundLog:
 
 
 def weights_checksum(values: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(values, dtype="<f8").tobytes()).hexdigest()
+    return hashlib.sha256(weight_vector(values).astype("<f8", copy=False).tobytes()).hexdigest()
 
 
 def client_update(client: ClientNode, weights, update_seed: int) -> ModelUpdate:

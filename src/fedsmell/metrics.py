@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, binary
 from .errors import NumericError, StructuralError
 from .nn import forward_batch, mean_cross_entropy, unflatten_params
 
@@ -72,7 +72,7 @@ def roc_auc(scores, labels) -> float:
     negative, ties counted half.
     """
     scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels, dtype=int)
+    labels = binary(labels, "labels")
     if scores.ndim != 1 or labels.shape != scores.shape:
         raise StructuralError("scores and labels must be matching 1-D arrays")
     if not np.all(np.isfinite(scores)):
@@ -112,10 +112,7 @@ def interpret_roc(a: float) -> str:
 
 def confusion_from_predictions(predicted: np.ndarray, labels: np.ndarray) -> ConfusionMatrix:
     """Count the four cells of matching 0/1 predictions and labels."""
-    predicted = np.asarray(predicted, dtype=int)
-    labels = np.asarray(labels, dtype=int)
-    if not (np.isin(predicted, (0, 1)).all() and np.isin(labels, (0, 1)).all()):
-        raise StructuralError("predictions and labels must be 0 or 1")
+    predicted, labels = binary(predicted, "predictions"), binary(labels, "labels")
     tn, fp, fn, tp = np.bincount(2 * labels + predicted, minlength=4).tolist()
     return ConfusionMatrix(tp=tp, tn=tn, fp=fp, fn=fn)
 

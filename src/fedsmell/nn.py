@@ -165,8 +165,7 @@ def mean_cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
     return float((-np.log(picked)).sum() / len(labels))
 
 
-def loss_and_gradient(X: np.ndarray, y: np.ndarray, p: ModelParams,
-                      gp: ModelParams | None = None):
+def loss_and_gradient(X: np.ndarray, y: np.ndarray, p: ModelParams, gp: ModelParams):
     """Mean batch loss and its gradient in canonical flat layout.
 
     Backpropagates softmax cross-entropy through the head, the relu
@@ -175,11 +174,8 @@ def loss_and_gradient(X: np.ndarray, y: np.ndarray, p: ModelParams,
     that is the correct derivative, not an omission.
 
     The gradient is written through `gp` and `gp.values` is returned. Only
-    the live slots are written, so a reused buffer keeps its dead slots
-    at 0; with no `gp`, views of a fresh zero vector are made.
+    the live slots are written, so a reused buffer keeps its dead slots at 0.
     """
-    if gp is None:
-        gp = unflatten_params(np.zeros(PARAM_COUNT))
     probs, cache = _forward(X, p)
     n = len(y)
     loss = mean_cross_entropy(probs, y)
@@ -228,6 +224,15 @@ def adam_update(values: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarr
     values -= learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
 
 
+def weight_vector(values) -> np.ndarray:
+    """`values` as a float64 array, checked to be one canonical flat vector."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (PARAM_COUNT,):
+        raise StructuralError(f"parameter vector must have length {PARAM_COUNT}, "
+                              f"got shape {values.shape}")
+    return values
+
+
 def unflatten_params(values) -> ModelParams:
     """Views of the live slots of a canonical flat vector; nothing is copied.
 
@@ -235,11 +240,7 @@ def unflatten_params(values) -> ModelParams:
     round. Input that is not already float64 is converted first; the
     result's `values` is the array its views write through.
     """
-    values = np.asarray(values, dtype=float)
-    if values.shape != (PARAM_COUNT,):
-        raise StructuralError(
-            f"parameter vector must have length {PARAM_COUNT}, got shape {values.shape}"
-        )
+    values = weight_vector(values)
     # LAYOUT[0:2] is the forget gate; the live gates' blocks follow, 33 rows
     # of 16 each (HIDDEN_DIM == INPUT_DIM), x-columns in the odd rows.
     rows = values[_ENDS[2]:_ENDS[8]].reshape(3, 2 * HIDDEN_DIM + 1, INPUT_DIM)
@@ -267,13 +268,12 @@ def init_params(seed: int) -> np.ndarray:
 def save_weights(path, values) -> None:
     """Write a flat weight vector as a .fwv checkpoint.
 
-    Format: little-endian uint32 value count, then the values as
-    little-endian float64 in canonical layout order.
+    Format: little-endian uint32 value count, always PARAM_COUNT, then
+    the values as little-endian float64 in canonical layout order.
     """
-    arr = np.ascontiguousarray(np.asarray(values, dtype="<f8").ravel())
+    raw = struct.pack("<I", PARAM_COUNT) + weight_vector(values).astype("<f8").tobytes()
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<I", arr.size))
-        fh.write(arr.tobytes())
+        fh.write(raw)
 
 
 def load_weights(path) -> np.ndarray:
@@ -287,4 +287,4 @@ def load_weights(path) -> np.ndarray:
         raise StructuralError(
             f"checkpoint declares {count} values but holds {(len(raw) - 4) // 8}"
         )
-    return np.frombuffer(raw, dtype="<f8", offset=4).astype(float)
+    return weight_vector(np.frombuffer(raw, dtype="<f8", offset=4).astype(float))

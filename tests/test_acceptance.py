@@ -31,7 +31,7 @@ from fedsmell.nn import (Hyperparams, PARAM_COUNT, init_params, loss_and_gradien
 from fedsmell.seeds import derive_seed
 from test_gradients import assert_gradients_match, fd_gradient
 from test_metrics import auc_pair_oracle, kappa_oracle
-from util import random_dataset
+from util import grad_buffer, random_dataset
 
 
 def report(criterion: str, body):
@@ -66,7 +66,7 @@ def test_criterion_1_gradient_oracle():
             X = rng.standard_normal((8, 16))
             y = rng.integers(0, 2, 8)
             base = init_params(seed)
-            _, analytic = loss_and_gradient(X, y, unflatten_params(base))
+            _, analytic = loss_and_gradient(X, y, unflatten_params(base), grad_buffer())
             numeric = fd_gradient(base, X, y, coords)
             assert_gradients_match(analytic, numeric, coords)
 

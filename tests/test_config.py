@@ -242,6 +242,13 @@ def test_cli_config_error_exits_2(tmp_path, capsys):
     assert "\n" not in err.strip()
 
 
+def test_cli_usage_error_exits_2_with_one_config_error_line(capsys):
+    for argv in (["federated", "--config", "x", "--seed", "abc"], ["federated"], ["bogus"]):
+        assert main(argv) == 2, argv
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("CONFIG_ERROR: "), (argv, lines)
+
+
 def test_cli_missing_dataset_exits_3(tmp_path, capsys):
     cfg = write(tmp_path / "c.ini", MINIMAL)
     code = main(["centralized", "--config", str(cfg), "--out", str(tmp_path / "out")])

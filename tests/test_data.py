@@ -514,6 +514,19 @@ def test_dataset_rejects_a_nonfinite_label_before_casting_it(label):
             datamod.Dataset("x", np.zeros((2, NUM_FEATURES)), [0.0, label])
 
 
+def test_subset_takes_integer_indices_only():
+    d = make_dataset(np.arange(3 * NUM_FEATURES).reshape(3, NUM_FEATURES), [0, 1, 0])
+    # An int cast would read the mask as rows 1, 0, 1 and 1.9 as row 1.
+    for bad in ([True, False, True], np.array([True, False, True]), [1.9], np.array([1.0])):
+        with pytest.raises(StructuralError, match="subset indices must be integers"):
+            d.subset(bad)
+    for good in ([2, 0], np.array([2, 0]), np.array([2, 0], dtype=np.uint8)):
+        assert d.subset(good).labels.tolist() == [0, 0]
+        assert np.array_equal(d.subset(good).features, d.features[[2, 0]])
+    with pytest.raises(StructuralError, match="at least one sample"):
+        d.subset([])
+
+
 def test_dataset_rejects_empty_batch():
     with pytest.raises(StructuralError):
         make_dataset(np.zeros((0, NUM_FEATURES)), np.zeros(0, dtype=int))

@@ -21,12 +21,21 @@ from fedsmell.metrics import evaluate_model
 from fedsmell.nn import (Hyperparams, PARAM_COUNT, adam_update, init_params,
                          loss_and_gradient, unflatten_params)
 from fedsmell.seeds import SAMPLING_SLOT, derive_seed
-from util import dead_slot_mask, random_dataset
+from util import dead_slot_mask, grad_buffer, random_dataset
 
 
 def small_client(n=20, n_pos=8, seed=0, client_id=0, combiner_id=0, **hyper):
     data = random_dataset(n, n_pos, seed=seed, name=f"client{client_id}")
     return ClientNode(client_id, data, Hyperparams(**hyper), combiner_id)
+
+
+def test_weights_checksum_takes_one_canonical_vector():
+    values = np.zeros(PARAM_COUNT)
+    assert weights_checksum(values) == weights_checksum(values.tolist())
+    # A (2, 4958) array would otherwise hash like the flat zero vector.
+    for bad in (values.reshape(2, -1), values[:-1]):
+        with pytest.raises(StructuralError, match=f"must have length {PARAM_COUNT}"):
+            weights_checksum(bad)
 
 
 # ------------------------------------------------------------ client_update
@@ -40,7 +49,7 @@ def test_client_update_single_batch_takes_exactly_one_step():
     order = np.random.default_rng(5).permutation(12)
     params = unflatten_params(start)
     _, grad = loss_and_gradient(client.local_data.features[order],
-                                client.local_data.labels[order], params)
+                                client.local_data.labels[order], params, grad_buffer())
     expected = start.copy()
     adam_update(expected, grad, np.zeros(PARAM_COUNT), np.zeros(PARAM_COUNT), 1, 0.001)
     assert np.array_equal(update.weights, expected)
@@ -62,7 +71,7 @@ def test_client_update_step_count_continues_across_local_epochs():
             batch = order[begin:begin + 8]
             _, grad = loss_and_gradient(client.local_data.features[batch],
                                         client.local_data.labels[batch],
-                                        unflatten_params(values))
+                                        unflatten_params(values), grad_buffer())
             step += 1
             adam_update(values, grad, m, v, step, 0.001)
     assert step == 9

@@ -5,7 +5,7 @@ import numpy as np
 from fedsmell.nn import (PARAM_COUNT, forward_batch, init_params, loss_and_gradient,
                          mean_cross_entropy, unflatten_params)
 
-from util import dead_slot_mask
+from util import dead_slot_mask, grad_buffer
 
 DELTA = 1e-5
 REL_TOL = 1e-4
@@ -48,7 +48,7 @@ def test_gradient_matches_finite_differences_sampled_coordinates():
         X = rng.standard_normal((8, 16))
         y = rng.integers(0, 2, 8)
         base = init_params(seed)
-        _, analytic = loss_and_gradient(X, y, unflatten_params(base))
+        _, analytic = loss_and_gradient(X, y, unflatten_params(base), grad_buffer())
 
         sampled = rng.choice(PARAM_COUNT, size=300, replace=False)
         coords = np.unique(np.concatenate([sampled, rng.choice(forget_block, 40)]))
@@ -60,7 +60,7 @@ def test_forget_gate_gradient_exactly_zero_with_zero_initial_cell():
     rng = np.random.default_rng(11)
     X = rng.standard_normal((8, 16))
     y = rng.integers(0, 2, 8)
-    _, grad = loss_and_gradient(X, y, unflatten_params(init_params(11)))
+    _, grad = loss_and_gradient(X, y, unflatten_params(init_params(11)), grad_buffer())
     assert np.all(grad[:16 * 32 + 16] == 0.0)
 
 
@@ -72,5 +72,5 @@ def test_dead_slots_get_exactly_zero_gradient():
         X = rng.standard_normal((32, 16))
         y = rng.integers(0, 2, 32)
         params = unflatten_params(rng.standard_normal(PARAM_COUNT) * 0.3)
-        _, grad = loss_and_gradient(X, y, params)
+        _, grad = loss_and_gradient(X, y, params, grad_buffer())
         assert np.all(grad[dead] == 0.0)

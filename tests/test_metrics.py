@@ -184,6 +184,14 @@ def test_roc_rejects_mismatched_scores_and_labels():
         roc_auc([0.5, 0.6, 0.7], [0, 1])
 
 
+def test_roc_rejects_labels_other_than_0_or_1_before_any_cast():
+    # An int cast before the check would give 2.0 for [0, 1, 2] and 1.0 for the others.
+    for labels in ([0, 1, 2], [0, 1, 0.5], [0, 1.7, 0], [0, 1, np.nan]):
+        with pytest.raises(StructuralError, match="labels must be 0 or 1"):
+            roc_auc([0.1, 0.9, 0.5], labels)
+    assert roc_auc([0.1, 0.9, 0.5], [0.0, 1.0, False]) == 1.0
+
+
 def test_roc_matches_pair_counting_oracle():
     rng = np.random.default_rng(3)
     cases = [random_scored(rng, 20, ties=ties) for ties in (False, True)]
@@ -364,8 +372,13 @@ def test_confusion_from_predictions_counts():
     cm = confusion_from_predictions(np.array([1, 1, 0, 0, 1]), np.array([1, 0, 0, 1, 1]))
     assert (cm.tp, cm.tn, cm.fp, cm.fn) == (2, 1, 1, 1)
     # An entry other than 0 or 1 fits no cell.
-    for bad in (2, -1):
+    # Checked before any cast, which would count 0.7 as 0 and 1.9 as 1.
+    for bad in (2, -1, 0.7, 1.9):
         with pytest.raises(StructuralError):
             confusion_from_predictions(np.array([1, bad]), np.array([1, 0]))
         with pytest.raises(StructuralError):
             confusion_from_predictions(np.array([1, 0]), np.array([bad, 0]))
+    with pytest.raises(StructuralError, match="predictions must be 0 or 1"):
+        confusion_from_predictions([0.7, 1], [1, 1])
+    with pytest.raises(StructuralError, match="labels must be 0 or 1"):
+        confusion_from_predictions([1, 0], [1.9, 0])

@@ -15,7 +15,7 @@ from fedsmell.nn import (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, DENSE_UNITS, EVAL
                          load_weights, loss_and_gradient, mean_cross_entropy, save_weights,
                          unflatten_params)
 
-from util import dead_slot_mask, layout_blocks
+from util import dead_slot_mask, grad_buffer, layout_blocks
 
 
 def zero_params():
@@ -182,8 +182,8 @@ def test_loss_nonnegative_after_clamp():
 def test_backward_duplicated_sample_equals_single():
     p = seeded_params(3)
     x = np.random.default_rng(3).standard_normal(INPUT_DIM)
-    _, single = loss_and_gradient(x[None, :], np.array([1]), p)
-    _, doubled = loss_and_gradient(np.stack([x, x]), np.array([1, 1]), p)
+    _, single = loss_and_gradient(x[None, :], np.array([1]), p, grad_buffer())
+    _, doubled = loss_and_gradient(np.stack([x, x]), np.array([1, 1]), p, grad_buffer())
     assert np.allclose(single, doubled, atol=1e-15)
 
 
@@ -199,23 +199,13 @@ def test_backward_into_reused_buffer_equals_fresh_allocation_bitwise():
     for n in [1, 7, 32] * 6 + [32, 5]:
         X = rng.standard_normal((n, INPUT_DIM))
         y = rng.integers(0, 2, n)
-        fresh_loss, fresh = loss_and_gradient(X, y, p)
+        fresh_loss, fresh = loss_and_gradient(X, y, p, grad_buffer())
         loss, returned = loss_and_gradient(X, y, p, gp)
         assert returned is gp.values is grad
         assert loss == fresh_loss
         assert grad.tobytes() == fresh.tobytes()
         assert np.all(grad[dead] == 0.0)
         values -= 0.05 * fresh
-
-
-def test_backward_without_buffer_returns_unshared_gradients():
-    X = np.random.default_rng(4).standard_normal((3, INPUT_DIM))
-    y = np.array([0, 1, 1])
-    p = seeded_params(4)
-    _, first = loss_and_gradient(X, y, p)
-    _, second = loss_and_gradient(X, y, p)
-    assert not np.shares_memory(first, second)
-    assert np.array_equal(first, second)
 
 
 def test_backward_dead_relu_unit_gets_zero_gradient():
@@ -225,7 +215,7 @@ def test_backward_dead_relu_unit_gets_zero_gradient():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((6, INPUT_DIM))
     y = rng.integers(0, 2, 6)
-    _, grad = loss_and_gradient(X, y, p)
+    _, grad = loss_and_gradient(X, y, p, grad_buffer())
 
     # Locate the dead unit's incoming parameters via a marker vector.
     marker = np.zeros(PARAM_COUNT)
@@ -307,9 +297,9 @@ def test_sgd_descent_sanity_over_seeds():
         X = rng.standard_normal((16, INPUT_DIM))
         y = rng.integers(0, 2, 16)
         values = init_params(seed)
-        loss0, grad = loss_and_gradient(X, y, unflatten_params(values))
+        loss0, grad = loss_and_gradient(X, y, unflatten_params(values), grad_buffer())
         stepped = unflatten_params(values - 1e-3 * grad)
-        loss1, _ = loss_and_gradient(X, y, stepped)
+        loss1, _ = loss_and_gradient(X, y, stepped, grad_buffer())
         assert loss1 <= loss0 + 1e-6
 
 
@@ -394,7 +384,7 @@ def test_stacked_kernels_match_per_gate_references_bitwise(n, scale, seed):
 
     blocks = [reference_forward(X[s:s + EVAL_BLOCK], values)[0] for s in range(0, n, EVAL_BLOCK)]
     assert forward_batch(X, p).tobytes() == np.concatenate(blocks).tobytes()
-    loss, grad = loss_and_gradient(X, y, p)
+    loss, grad = loss_and_gradient(X, y, p, grad_buffer())
     ref_loss, ref_grad = reference_loss_and_gradient(X, y, values)
     assert loss.hex() == ref_loss.hex()
     assert grad.tobytes() == ref_grad.tobytes()
@@ -499,7 +489,20 @@ def test_checkpoint_roundtrip_and_format(tmp_path):
 
 def test_checkpoint_truncated_file_rejected(tmp_path):
     path = tmp_path / "bad.fwv"
-    save_weights(path, np.ones(8))
+    save_weights(path, np.ones(PARAM_COUNT))
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(StructuralError):
+        load_weights(path)
+
+
+def test_checkpoint_holds_exactly_one_canonical_vector(tmp_path):
+    path = tmp_path / "bad.fwv"
+    # Only the canonical vector is a .fwv; nothing is written for any other.
+    for bad in (np.zeros((2, PARAM_COUNT // 2)), np.zeros(5), np.zeros(PARAM_COUNT + 1)):
+        with pytest.raises(StructuralError, match=f"must have length {PARAM_COUNT}"):
+            save_weights(path, bad)
+        assert not path.exists()
+    # A well-formed file of any other count is refused on reading.
+    path.write_bytes((5).to_bytes(4, "little") + np.zeros(5).tobytes())
+    with pytest.raises(StructuralError, match=f"must have length {PARAM_COUNT}"):
         load_weights(path)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from fedsmell.data import NUM_FEATURES, Dataset
-from fedsmell.nn import HIDDEN_DIM, LAYOUT, PARAM_COUNT
+from fedsmell.nn import HIDDEN_DIM, LAYOUT, PARAM_COUNT, unflatten_params
 
 
 def make_dataset(features, labels, name="fixture") -> Dataset:
@@ -25,6 +25,11 @@ def rows_multiset(d: Dataset):
     """Sorted (features..., label) tuples for multiset comparisons."""
     rows = [tuple(d.features[i]) + (int(d.labels[i]),) for i in range(len(d))]
     return sorted(rows)
+
+
+def grad_buffer():
+    """Views of a fresh zero vector, the gradient buffer loss_and_gradient writes."""
+    return unflatten_params(np.zeros(PARAM_COUNT))
 
 
 def layout_blocks(values):
