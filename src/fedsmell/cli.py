@@ -5,8 +5,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .config import EXPERIMENT_KINDS, parse_config
 from .errors import ConfigError, DataError, NumericError, StructuralError
 from .experiments import run_experiment
@@ -40,12 +38,9 @@ def _one_line(message: str) -> str:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        # A float overflow, invalid operation or division by zero is a
-        # numeric error, not a warning next to a silently wrong value.
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            cfg = parse_config(args.config, kind=_VERBS[args.verb], seed=args.seed,
-                               out_dir=args.out)
-            result = run_experiment(cfg)
+        cfg = parse_config(args.config, kind=_VERBS[args.verb], seed=args.seed,
+                           out_dir=args.out)
+        result = run_experiment(cfg)
     except ConfigError as exc:
         print(f"CONFIG_ERROR: {_one_line(exc)}", file=sys.stderr)
         return 2

@@ -2,6 +2,8 @@
 
 from contextlib import contextmanager
 
+import numpy as np
+
 
 class FedsmellError(Exception):
     """Base class for every error raised by this package."""
@@ -33,10 +35,12 @@ class ConfigError(FedsmellError):
 
 @contextmanager
 def error_context(context: str):
-    """Prefix any package error or float fault raised in the block with
-    `<context>: `, keeping its type; a FloatingPointError becomes a NumericError."""
+    """Run the block with float overflow, invalid operations and division by zero
+    raising (underflow keeps the caller's setting), and prefix any package error or
+    float fault raised in it with `<context>: `, a float fault as a NumericError."""
     try:
-        yield
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
     except (FedsmellError, FloatingPointError) as exc:
         kind = type(exc) if isinstance(exc, FedsmellError) else NumericError
         raise kind(f"{context}: {exc}") from exc

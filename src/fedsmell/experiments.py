@@ -157,10 +157,10 @@ def build_federated_clients(sources, cfg: ExperimentConfig):
     """Partition each source's train split into chunks and assign combiners."""
     hyper = cfg.hyperparams()
     chunk_sets = []
-    for index, source in enumerate(sources):
-        chunks = datamod.partition_chunks(
-            source.train, cfg.chunks[index], derive_seed(cfg.seed, 0, _PARTITION_OFFSET + index)
-        )
+    for index, (path, source) in enumerate(zip(cfg.datasets, sources)):
+        with error_context(f"dataset {path}"):
+            chunks = datamod.partition_chunks(source.train, cfg.chunks[index],
+                                              derive_seed(cfg.seed, 0, _PARTITION_OFFSET + index))
         chunk_sets.extend(datamod.extract_chunks(source.train, chunks))
 
     assignment = []
@@ -274,9 +274,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         raise ConfigError(f"cannot create output directory {cfg.out_dir}: {exc}") from exc
     started = time.perf_counter()
     try:
-        # A summary.json marks a finished run: an earlier run's must not
-        # outlive the first file this run replaces.
-        (Path(cfg.out_dir) / "summary.json").unlink(missing_ok=True)
+        # A summary.json marks a finished run, so no earlier run's output may survive into this one.
+        for name in ("summary.json", "rounds.csv", "model.fwv"):
+            (Path(cfg.out_dir) / name).unlink(missing_ok=True)
         result = _RUNNERS[cfg.kind](cfg)
         result.wall_clock_seconds = time.perf_counter() - started
         emit_outputs(cfg.out_dir, result)

@@ -23,6 +23,8 @@ class ConfusionMatrix:
         for name in ("tp", "tn", "fp", "fn"):
             if getattr(self, name) < 0:
                 raise StructuralError(f"confusion cell {name} must be non-negative")
+        if self.total < 1:
+            raise StructuralError("confusion matrix is empty")
 
     @property
     def total(self) -> int:
@@ -41,8 +43,6 @@ class MetricReport:
 
 def accuracy(cm: ConfusionMatrix) -> float:
     """Correct predictions as a percentage of all predictions."""
-    if cm.total < 1:
-        raise StructuralError("confusion matrix is empty")
     return (cm.tp + cm.tn) / cm.total * 100.0
 
 
@@ -55,8 +55,6 @@ def cohen_kappa(cm: ConfusionMatrix) -> float:
     and 0 otherwise.
     """
     n = cm.total
-    if n < 1:
-        raise StructuralError("confusion matrix is empty")
     p_o = (cm.tp + cm.tn) / n
     p_e = ((cm.tp + cm.fp) * (cm.tp + cm.fn) + (cm.fn + cm.tn) * (cm.fp + cm.tn)) / (n * n)
     if p_e == 1.0:

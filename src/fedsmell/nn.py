@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import binary
 from .errors import StructuralError
 
 INPUT_DIM = 16
@@ -160,6 +161,7 @@ def forward_batch(X: np.ndarray, p: ModelParams) -> np.ndarray:
 
 def mean_cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
     """Mean clamp-protected cross-entropy over (n, 2) probabilities and 0/1 labels."""
+    labels = binary(labels, "labels")
     picked = probs[np.arange(len(labels)), labels]
     picked = np.minimum(np.maximum(picked, PROB_CLAMP), 1.0 - PROB_CLAMP)
     return float((-np.log(picked)).sum() / len(labels))
@@ -182,9 +184,10 @@ def loss_and_gradient(X: np.ndarray, y: np.ndarray, p: ModelParams, gp: ModelPar
 
     # Head first, then each relu layer: dpre is the gradient of layer k's
     # pre-activation. For the head's logits it is (probs - onehot(y)) / n,
-    # built in place, as probs is not needed again.
+    # built in place, as probs is not needed again; the loss checked y.
     dpre = probs
-    dpre[np.arange(n), y] -= 1.0
+    dpre[:, 0] -= 1 - y
+    dpre[:, 1] -= y
     dpre /= n
     for k in reversed(range(len(p.layers))):
         g_weights, g_bias = gp.layers[k]

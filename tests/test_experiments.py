@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 from fedsmell import experiments
 from fedsmell.cli import main
-from fedsmell.config import ExperimentConfig
+from fedsmell.config import ExperimentConfig, parse_config
 from fedsmell.data import (FEATURE_NAMES, LABEL_COLUMN, domain_shift, load_csv,
                            save_csv, synth_generate)
+from fedsmell.errors import NumericError, StructuralError, error_context
 from fedsmell.experiments import (prepare_source, run_centralized, run_cross_eval,
                                   run_experiment, run_federated, train_centralized)
 from fedsmell.metrics import evaluate_model
@@ -429,17 +430,25 @@ def test_cli_scored_set_lacking_a_class_fails_before_training(tmp_path, monkeypa
     assert passes
 
 
-def run_cli_centralized(tmp_path, name, datasets, training=""):
+def centralized_ini(tmp_path, name, datasets, training=""):
     ini = tmp_path / f"{name}.ini"
     ini.write_text(f"[experiment]\nkind = centralized\ndatasets = {datasets}\n"
                    f"[federation]\nrounds = 1\n{training}", encoding="utf-8")
+    return ini
+
+
+def run_cli_centralized(tmp_path, name, datasets, training=""):
+    ini = centralized_ini(tmp_path, name, datasets, training)
     return main(["centralized", "--config", str(ini), "--out", str(tmp_path / name)])
 
 
-def test_cli_floating_point_faults_exit_4_with_one_line(tmp_path, capsys):
-    # A huge learning rate overflows the first forward pass after one step;
-    # a column of finite values near 1e200 overflows the z-score's std. The
-    # line names the dataset, or the round of a federated run.
+def float_fault_cases(tmp_path):
+    """The README's float faults as (start of the error, verb, config).
+
+    A huge learning rate overflows the first forward pass after one step;
+    a column of finite values near 1e200 overflows the z-score's std. The
+    error names the dataset, or the round of a federated run.
+    """
     plain = synth_csv(tmp_path, "plain", n=120, seed=4)
     huge = load_csv(plain)
     huge.features[:, 3] *= 1e200
@@ -448,20 +457,57 @@ def test_cli_floating_point_faults_exit_4_with_one_line(tmp_path, capsys):
     fed_ini = tmp_path / "fed.ini"
     fed_ini.write_text(f"[experiment]\nkind = federated\ndatasets = {plain}\n"
                        f"[federation]\nrounds = 2\n{lr}", encoding="utf-8")
-    cases = (
-        (f"dataset {plain}: overflow", lambda: run_cli_centralized(tmp_path, "lr", plain, lr)),
-        (f"dataset {tmp_path / 'huge.csv'}: overflow",
-         lambda: run_cli_centralized(tmp_path, "huge", tmp_path / "huge.csv")),
-        ("round 1: overflow", lambda: main(["federated", "--config", str(fed_ini),
-                                            "--out", str(tmp_path / "fed")])),
+    return (
+        (f"dataset {plain}: overflow", "centralized", centralized_ini(tmp_path, "lr", plain, lr)),
+        (f"dataset {tmp_path / 'huge.csv'}: overflow", "centralized",
+         centralized_ini(tmp_path, "huge", tmp_path / "huge.csv")),
+        ("round 1: overflow", "federated", fed_ini),
     )
+
+
+def test_cli_floating_point_faults_exit_4_with_one_line(tmp_path, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for context, run in cases:
-            assert run() == 4, context
+        for context, verb, ini in float_fault_cases(tmp_path):
+            assert main([verb, "--config", str(ini), "--out", str(tmp_path / ini.stem)]) == 4
             err = capsys.readouterr().err
             assert err.startswith(f"NUMERIC_ERROR: {context}"), err
             assert len(err.splitlines()) == 1, err
+
+
+def test_library_run_raises_the_cli_numeric_error(tmp_path, capsys):
+    # Under numpy's default float settings, run_experiment stops at the same
+    # fault with the same message as the CLI, not with a wrong value.
+    for context, verb, ini in float_fault_cases(tmp_path):
+        with pytest.raises(NumericError) as raised:
+            run_experiment(parse_config(ini, out_dir=str(tmp_path / "library")))
+        assert str(raised.value).startswith(context), raised.value
+        assert main([verb, "--config", str(ini), "--out", str(tmp_path / "cli")]) == 4
+        assert capsys.readouterr().err == f"NUMERIC_ERROR: {raised.value}\n"
+
+
+def test_error_context_restores_the_callers_float_settings():
+    with np.errstate(over="ignore", under="raise"):
+        before = np.geterr()
+        with error_context("stage"):
+            assert np.geterr()["under"] == "raise"
+        assert np.geterr() == before
+        with pytest.raises(StructuralError, match="^stage: inner$"):
+            with error_context("stage"):
+                raise StructuralError("inner")
+        assert np.geterr() == before
+
+
+def test_cli_partition_error_names_its_dataset(tmp_path, capsys):
+    first = synth_csv(tmp_path, "first", n=120, seed=2)
+    second = synth_csv(tmp_path, "second", n=120, seed=3)
+    ini = tmp_path / "fed.ini"
+    ini.write_text(f"[experiment]\nkind = federated\ndatasets = {first}, {second}\n"
+                   "[data]\nchunks = 2, 900\n[federation]\nrounds = 1\n", encoding="utf-8")
+    assert main(["federated", "--config", str(ini), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"DATA_ERROR: dataset {second}: cannot split "), err
+    assert len(err.splitlines()) == 1, err
 
 
 # Each verb's INI body and the files it writes, summary.json last.
@@ -523,6 +569,18 @@ def test_cli_failed_rerun_leaves_no_earlier_summary(tmp_path, capsys):
         blocked.mkdir()
         assert main([verb, "--config", str(ini), "--out", str(out), "--seed", "7"]) == 2, verb
         _assert_unfinished(out, capsys.readouterr().err, files + ("summary.json",))
+
+
+def test_a_run_leaves_no_earlier_runs_outputs(tmp_path):
+    # Each verb run into a federated run's directory leaves only its own
+    # files: no rounds.csv or model.fwv beside a summary.json it did not write.
+    federated = _write_verb_ini(tmp_path, "federated")
+    for verb, (_, files) in OUTPUT_FILES.items():
+        ini = _write_verb_ini(tmp_path, verb)
+        out = tmp_path / f"after-{verb}"
+        assert main(["federated", "--config", str(federated), "--out", str(out)]) == 0
+        assert main([verb, "--config", str(ini), "--out", str(out)]) == 0
+        assert sorted(entry.name for entry in out.iterdir()) == sorted(files + ("summary.json",))
 
 
 def test_cli_write_failing_midway_leaves_no_partial_file(tmp_path, capsys, monkeypatch):

@@ -139,6 +139,18 @@ def test_client_update_non_finite_weights_raise_numeric_error_naming_client():
                 client_update(client, init_params(0), update_seed=1)
 
 
+def test_run_federation_names_the_round_of_a_float_fault():
+    # The README's library example with a huge learning rate, under numpy's
+    # default float settings: the round stops at the overflow and names it.
+    clients = tuple(small_client(n=40, seed=i, client_id=i, combiner_id=i // 2,
+                                 learning_rate=1e300) for i in range(4))
+    topology = FederationTopology(combiners=(0, 1), clients=clients)
+    with np.errstate(over="warn", invalid="warn", divide="warn", under="ignore"):
+        with pytest.raises(NumericError, match="^round 1: overflow"):
+            run_federation(topology, RoundConfig(rounds=2, seed=7),
+                           random_dataset(60, 30, seed=9))
+
+
 def test_client_update_rejects_wrong_weight_length():
     with pytest.raises(StructuralError):
         client_update(small_client(), np.zeros(10), update_seed=0)

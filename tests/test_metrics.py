@@ -108,6 +108,11 @@ def test_accuracy_empty_matrix_rejected():
         accuracy(ConfusionMatrix(0, 0, 0, 0))
 
 
+def test_empty_confusion_matrix_rejected_at_construction():
+    with pytest.raises(StructuralError, match="confusion matrix is empty"):
+        ConfusionMatrix(0, 0, 0, 0)
+
+
 # -------------------------------------------------------------------- kappa
 
 def test_kappa_perfect_diagonal():

@@ -177,6 +177,28 @@ def test_loss_nonnegative_after_clamp():
     assert mean_cross_entropy(probs, np.array([0, 1])) >= 0.0
 
 
+@pytest.mark.parametrize("bad", [-1, 2, 0.7, np.nan])
+def test_loss_and_gradient_reject_labels_other_than_0_or_1(bad):
+    # -1 would silently pick class 1's probability, and 0.7 cannot index.
+    labels = np.array([bad, 1])
+    X = np.random.default_rng(4).standard_normal((2, INPUT_DIM))
+    with pytest.raises(StructuralError, match="labels must be 0 or 1"):
+        mean_cross_entropy(np.array([[0.9, 0.1], [0.2, 0.8]]), labels)
+    with pytest.raises(StructuralError, match="labels must be 0 or 1"):
+        loss_and_gradient(X, labels, seeded_params(4), grad_buffer())
+
+
+def test_float_0_1_labels_give_the_int_labels_loss_and_gradient_bytes():
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((32, INPUT_DIM))
+    y = rng.integers(0, 2, 32)
+    p = seeded_params(8)
+    loss, grad = loss_and_gradient(X, y, p, grad_buffer())
+    float_loss, float_grad = loss_and_gradient(X, y.astype(float), p, grad_buffer())
+    assert float_loss == loss
+    assert float_grad.tobytes() == grad.tobytes()
+
+
 # ----------------------------------------------------------------- backward
 
 def test_backward_duplicated_sample_equals_single():
