@@ -4,8 +4,7 @@ from .config import ExperimentConfig, parse_config
 from .data import (Dataset, FEATURE_NAMES, NormalizationStats, apply_normalizer,
                    fit_normalizer, load_csv, partition_chunks, rebalance, split_train_test,
                    synth_generate)
-from .errors import (ConfigError, DataError, FedsmellError, NumericError, ParseError,
-                     SchemaError, StructuralError)
+from .errors import ConfigError, DataError, FedsmellError, NumericError
 from .federation import (ClientNode, FederationTopology, ModelUpdate, RoundConfig,
                          RoundLog, client_update, combiner_aggregate, reducer_reduce,
                          run_federation, sample_clients)

@@ -6,7 +6,7 @@ import argparse
 import sys
 
 from .config import EXPERIMENT_KINDS, parse_config
-from .errors import ConfigError, DataError, NumericError, StructuralError
+from .errors import ConfigError, DataError, NumericError
 from .experiments import run_experiment
 
 _VERBS = {kind.replace("_", "-"): kind for kind in EXPERIMENT_KINDS}
@@ -44,7 +44,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"CONFIG_ERROR: {_one_line(exc)}", file=sys.stderr)
         return 2
-    except (DataError, StructuralError) as exc:
+    except DataError as exc:
         print(f"DATA_ERROR: {_one_line(exc)}", file=sys.stderr)
         return 3
     except (NumericError, FloatingPointError) as exc:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .data import REBALANCE_MODES
-from .errors import ConfigError, StructuralError, error_context
+from .errors import ConfigError, error_context
 from .federation import RoundConfig
 from .nn import Hyperparams
 
@@ -70,11 +70,8 @@ class ExperimentConfig:
             raise ConfigError(f"rebalance must be one of {REBALANCE_MODES}")
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError("test_fraction must be in (0, 1)")
-        try:
-            self.round_config()
-            self.hyperparams()
-        except StructuralError as exc:
-            raise ConfigError(str(exc)) from exc
+        self.round_config()
+        self.hyperparams()
         if self.synth_samples < 10:
             raise ConfigError("synth samples must be >= 10")
         if not 0.0 < self.synth_positive_rate < 1.0:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, NumericError, ParseError, SchemaError, StructuralError
+from .errors import DataError, NumericError
 
 FEATURE_NAMES = (
     "TLOC", "NCLOC", "CLOC", "EXEC", "DC", "NOT", "NOTa", "NOTc",
@@ -45,7 +45,7 @@ def binary(values, what: str) -> np.ndarray:
     which would truncate 0.7 to 0 and has no int64 for NaN."""
     values = np.asarray(values)
     if not np.all((values == 0) | (values == 1)):
-        raise StructuralError(f"{what} must be 0 or 1")
+        raise DataError(f"{what} must be 0 or 1")
     return values.astype(np.int64, copy=False)
 
 
@@ -60,13 +60,13 @@ class Dataset:
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=float)
         if self.features.ndim != 2 or self.features.shape[1] != NUM_FEATURES:
-            raise StructuralError(
+            raise DataError(
                 f"features must be (n, {NUM_FEATURES}), got {self.features.shape}"
             )
         if np.shape(self.labels) != (self.features.shape[0],):
-            raise StructuralError("labels must align 1:1 with feature rows")
+            raise DataError("labels must align 1:1 with feature rows")
         if len(self.features) == 0:
-            raise StructuralError("dataset must contain at least one sample")
+            raise DataError("dataset must contain at least one sample")
         if not np.all(np.isfinite(self.features)):
             raise NumericError(f"dataset {self.name!r} contains non-finite features")
         self.labels = binary(self.labels, f"dataset {self.name!r} labels")
@@ -81,7 +81,7 @@ class Dataset:
     def subset(self, indices, name: str | None = None) -> "Dataset":
         idx = np.asarray(indices)
         if idx.size and idx.dtype.kind not in "iu":  # a mask or 1.9 would pick other rows
-            raise StructuralError("subset indices must be integers")
+            raise DataError("subset indices must be integers")
         idx = idx.astype(int, copy=False)
         return Dataset(name or self.name, self.features[idx], self.labels[idx])
 
@@ -89,7 +89,7 @@ class Dataset:
 def concat_datasets(name: str, datasets) -> Dataset:
     datasets = list(datasets)
     if not datasets:
-        raise StructuralError("cannot concatenate zero datasets")
+        raise DataError("cannot concatenate zero datasets")
     return Dataset(
         name,
         np.concatenate([d.features for d in datasets]),
@@ -115,7 +115,7 @@ def load_csv(path) -> Dataset:
     if table is not None:
         try:
             return Dataset(path.stem, table[:, :NUM_FEATURES], table[:, NUM_FEATURES])
-        except (NumericError, StructuralError):
+        except (NumericError, DataError):
             pass  # no rows or a bad cell: the cell-by-cell reader names its row
     return _load_csv_by_cell(path)
 
@@ -171,28 +171,28 @@ def _load_csv_by_cell(path: Path) -> Dataset:
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read dataset {path}: {exc}") from exc
     if not rows:
-        raise StructuralError(f"{path}: empty file")
+        raise DataError(f"{path}: empty file")
 
     _, header = rows[0]
     columns = _header_columns(header)
     for column, index in zip(_COLUMNS, columns):
         if index is None:
-            raise SchemaError(f"{path}: missing required column {column!r}")
+            raise DataError(f"{path}: missing required column {column!r}")
 
     table = []
     for line_no, row in rows[1:]:
         try:
             table.append([float(row[i]) for i in columns])
         except (ValueError, IndexError) as exc:
-            raise ParseError(f"{path}: row {line_no}: non-numeric cell ({exc})") from exc
+            raise DataError(f"{path}: row {line_no}: non-numeric cell ({exc})") from exc
     if not table:
-        raise StructuralError(f"{path}: no data rows")
+        raise DataError(f"{path}: no data rows")
     table = np.array(table)
     good_rows = _valid_rows(table)
     if not good_rows.all():
         line_no = rows[1 + int(np.argmin(good_rows))][0]
-        raise ParseError(f"{path}: row {line_no}: feature cells must be finite "
-                         "and the label 0 or 1")
+        raise DataError(f"{path}: row {line_no}: feature cells must be finite "
+                        "and the label 0 or 1")
     return Dataset(path.stem, table[:, :NUM_FEATURES], table[:, NUM_FEATURES])
 
 
@@ -234,13 +234,13 @@ def apply_normalizer(d: Dataset, stats: NormalizationStats) -> Dataset:
 def split_train_test(d: Dataset, test_fraction: float, seed: int):
     """Deterministic stratified split; returns (train, test)."""
     if not 0.0 < test_fraction < 1.0:
-        raise StructuralError("test_fraction must be in (0, 1)")
+        raise DataError("test_fraction must be in (0, 1)")
     rng = np.random.default_rng(seed)
     test_indices = []
     for cls in (0, 1):
         cls_idx = np.flatnonzero(d.labels == cls)
         if len(cls_idx) < 2:
-            raise StructuralError(
+            raise DataError(
                 f"dataset {d.name!r}: class {cls} has fewer than 2 samples, cannot stratify"
             )
         n_test = int(math.floor(test_fraction * len(cls_idx) + 0.5))
@@ -261,9 +261,9 @@ def partition_chunks(d: Dataset, k: int, seed: int) -> list[np.ndarray]:
     sorted so materialized chunks preserve source row order.
     """
     if k < 1:
-        raise StructuralError("chunk count must be >= 1")
+        raise DataError("chunk count must be >= 1")
     if k > len(d):
-        raise StructuralError(f"cannot split {len(d)} samples into {k} chunks")
+        raise DataError(f"cannot split {len(d)} samples into {k} chunks")
     perm = np.random.default_rng(seed).permutation(len(d))
     return [np.sort(perm[j::k]) for j in range(k)]
 
@@ -275,10 +275,10 @@ def extract_chunks(d: Dataset, chunks) -> list[Dataset]:
 def rebalance(d: Dataset, mode: str, seed: int) -> Dataset:
     """Equalize class counts by duplicating minority or dropping majority rows."""
     if mode not in REBALANCE_MODES:
-        raise StructuralError(f"unknown rebalance mode {mode!r}")
+        raise DataError(f"unknown rebalance mode {mode!r}")
     neg, pos = d.class_counts()
     if neg == 0 or pos == 0:
-        raise StructuralError(f"dataset {d.name!r} has a single class, cannot rebalance")
+        raise DataError(f"dataset {d.name!r} has a single class, cannot rebalance")
     if mode == NO_REBALANCE or neg == pos:
         return d
     rng = np.random.default_rng(seed)
@@ -317,9 +317,9 @@ def synth_generate(n: int, positive_rate: float, shift, seed: int,
     whole population is translated by `shift` (scalar or 16-vector).
     """
     if n < 10:
-        raise StructuralError("synthetic datasets need at least 10 samples")
+        raise DataError("synthetic datasets need at least 10 samples")
     if not 0.0 < positive_rate < 1.0:
-        raise StructuralError("positive_rate must be in (0, 1)")
+        raise DataError("positive_rate must be in (0, 1)")
     shift = np.broadcast_to(np.asarray(shift, dtype=float), (NUM_FEATURES,))
     rng = np.random.default_rng(seed)
     labels = (rng.random(n) < positive_rate).astype(np.int64)

@@ -1,4 +1,4 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy shared across the package: one class per CLI exit code."""
 
 from contextlib import contextmanager
 
@@ -9,28 +9,16 @@ class FedsmellError(Exception):
     """Base class for every error raised by this package."""
 
 
-class StructuralError(FedsmellError):
-    """A value violates a structural contract (shape, emptiness, domain)."""
-
-
-class NumericError(FedsmellError):
-    """A computation produced or received non-finite values."""
+class ConfigError(FedsmellError):
+    """An experiment configuration or setting is invalid (CLI exit code 2)."""
 
 
 class DataError(FedsmellError):
-    """A dataset could not be read or fails its invariants."""
+    """A dataset, array or checkpoint is unreadable or malformed (CLI exit code 3)."""
 
 
-class SchemaError(DataError):
-    """A CSV header is missing a required column."""
-
-
-class ParseError(DataError):
-    """A dataset cell could not be parsed."""
-
-
-class ConfigError(FedsmellError):
-    """An experiment configuration is invalid."""
+class NumericError(FedsmellError):
+    """A computation produced or received non-finite values (CLI exit code 4)."""
 
 
 @contextmanager

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import data as datamod
 from .config import CENTRALIZED, CROSS_EVAL, FEDERATED, SYNTH, ExperimentConfig
-from .errors import ConfigError, StructuralError, error_context
+from .errors import ConfigError, DataError, error_context
 from .federation import ClientNode, FederationTopology, client_update, run_federation
 from .metrics import evaluate_model
 from .nn import Hyperparams, init_params, save_weights
@@ -64,8 +64,8 @@ def _require_both_classes(test: datamod.Dataset) -> None:
     """Kappa and ROC need both classes in a scored set; check before training."""
     for cls, count in enumerate(test.class_counts()):
         if count == 0:
-            raise StructuralError(f"test set {test.name!r} has no samples of class {cls}, "
-                                  "so it cannot be scored")
+            raise DataError(f"test set {test.name!r} has no samples of class {cls}, "
+                            "so it cannot be scored")
 
 
 def prepare_source(path, cfg: ExperimentConfig, index: int) -> PreparedSource:

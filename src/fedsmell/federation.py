@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import NumericError, StructuralError, error_context
+from .errors import ConfigError, DataError, NumericError, error_context
 from .metrics import MetricReport, evaluate_model
 from .nn import (Hyperparams, PARAM_COUNT, adam_update, init_params, loss_and_gradient,
                  unflatten_params, weight_vector)
@@ -39,7 +39,7 @@ class ClientNode:
 
     def __post_init__(self):
         if self.id < 0:
-            raise StructuralError("client ids must be non-negative")
+            raise DataError("client ids must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ class ModelUpdate:
 
     def __post_init__(self):
         if self.sample_count < 1:
-            raise StructuralError("sample_count must be positive")
+            raise DataError("sample_count must be positive")
 
 
 @dataclass
@@ -66,20 +66,20 @@ class FederationTopology:
         self.combiners = tuple(self.combiners)
         self.clients = tuple(self.clients)
         if not self.combiners or not self.clients:
-            raise StructuralError("topology needs at least one combiner and one client")
+            raise DataError("topology needs at least one combiner and one client")
         self._by_id = {c.id: c for c in self.clients}
         if len(self._by_id) != len(self.clients):
-            raise StructuralError("client ids must be unique")
+            raise DataError("client ids must be unique")
         known = set(self.combiners)
         if len(known) != len(self.combiners):
-            raise StructuralError("combiner ids must be unique")
+            raise DataError("combiner ids must be unique")
         for client in self.clients:
             if client.combiner_id not in known:
-                raise StructuralError(
+                raise DataError(
                     f"client {client.id} maps to unknown combiner {client.combiner_id}"
                 )
         if {c.combiner_id for c in self.clients} != known:
-            raise StructuralError("every combiner must have at least one client")
+            raise DataError("every combiner must have at least one client")
 
     def client_by_id(self, client_id: int) -> ClientNode:
         return self._by_id[client_id]
@@ -97,13 +97,13 @@ class RoundConfig:
 
     def __post_init__(self):
         if self.rounds < 1:
-            raise StructuralError("rounds must be >= 1")
+            raise ConfigError("rounds must be >= 1")
         if not 0.0 < self.client_fraction <= 1.0:
-            raise StructuralError("client_fraction must be in (0, 1]")
+            raise ConfigError("client_fraction must be in (0, 1]")
         if self.reducer_mode not in REDUCER_MODES:
-            raise StructuralError(f"reducer_mode must be one of {REDUCER_MODES}")
+            raise ConfigError(f"reducer_mode must be one of {REDUCER_MODES}")
         if self.seed < 0:
-            raise StructuralError("seed must be >= 0")
+            raise ConfigError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -157,9 +157,9 @@ def _weighted_mean(vectors, weights) -> np.ndarray:
     rounding, and identical inputs come back bit for bit.
     """
     if not vectors:
-        raise StructuralError("cannot average zero weight vectors")
+        raise DataError("cannot average zero weight vectors")
     if any(v.shape != vectors[0].shape for v in vectors):
-        raise StructuralError("all weight vectors must share one length")
+        raise DataError("all weight vectors must share one length")
     total = sum(weights)
     acc = (weights[0] / total) * vectors[0]
     low, high = vectors[0].copy(), vectors[0].copy()
@@ -186,23 +186,23 @@ def reducer_reduce(combiner_models, prev_global, t: int, mode: str = PLAIN) -> n
     streaming average: prev + (mean - prev)/t.
     """
     if t < 1:
-        raise StructuralError("round index t must be >= 1")
+        raise DataError("round index t must be >= 1")
     if mode not in REDUCER_MODES:
-        raise StructuralError(f"unknown reducer mode {mode!r}")
+        raise DataError(f"unknown reducer mode {mode!r}")
     models = list(combiner_models)
     mean = _weighted_mean(models, [1] * len(models))
     if mode == PLAIN:
         return mean
     prev = np.asarray(prev_global, dtype=float)
     if prev.shape != mean.shape:
-        raise StructuralError("previous global weights must match model length")
+        raise DataError("previous global weights must match model length")
     return prev + (mean - prev) / t
 
 
 def sample_clients(topology: FederationTopology, fraction: float, round_seed: int) -> list[int]:
     """Pick max(1, round(fraction * N)) client ids uniformly, sorted."""
     if not 0.0 < fraction <= 1.0:
-        raise StructuralError("fraction must be in (0, 1]")
+        raise DataError("fraction must be in (0, 1]")
     ids = topology.client_ids()
     count = max(1, int(math.floor(fraction * len(ids) + 0.5)))
     rng = np.random.default_rng(round_seed)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, binary
-from .errors import NumericError, StructuralError
+from .errors import DataError, NumericError
 from .nn import forward_batch, mean_cross_entropy, unflatten_params
 
 
@@ -22,9 +22,9 @@ class ConfusionMatrix:
     def __post_init__(self):
         for name in ("tp", "tn", "fp", "fn"):
             if getattr(self, name) < 0:
-                raise StructuralError(f"confusion cell {name} must be non-negative")
+                raise DataError(f"confusion cell {name} must be non-negative")
         if self.total < 1:
-            raise StructuralError("confusion matrix is empty")
+            raise DataError("confusion matrix is empty")
 
     @property
     def total(self) -> int:
@@ -72,13 +72,13 @@ def roc_auc(scores, labels) -> float:
     scores = np.asarray(scores, dtype=float)
     labels = binary(labels, "labels")
     if scores.ndim != 1 or labels.shape != scores.shape:
-        raise StructuralError("scores and labels must be matching 1-D arrays")
+        raise DataError("scores and labels must be matching 1-D arrays")
     if not np.all(np.isfinite(scores)):
         raise NumericError("prediction scores contain non-finite values")
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
-        raise StructuralError("ROC needs at least one sample of each class")
+        raise DataError("ROC needs at least one sample of each class")
 
     # Each group of tied scores shares the 1-based midrank of its run in sorted order.
     _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
@@ -97,20 +97,22 @@ _ROC_BANDS = ("Fail (<=0.5)", "Fail", "Poor", "Fair", "Good", "Excellent")
 def interpret_kappa(k: float) -> str:
     """Agreement band for a kappa value; gap values fall to the lower band."""
     if not -1.0 <= k <= 1.0:
-        raise StructuralError(f"kappa must be in [-1, 1], got {k}")
+        raise DataError(f"kappa must be in [-1, 1], got {k}")
     return _KAPPA_BANDS[bisect.bisect_right(_KAPPA_EDGES, k)]
 
 
 def interpret_roc(a: float) -> str:
     """Quality band for a ROC-AUC value; values <= 0.5 flag an inverted model."""
     if not 0.0 <= a <= 1.0:
-        raise StructuralError(f"ROC area must be in [0, 1], got {a}")
+        raise DataError(f"ROC area must be in [0, 1], got {a}")
     return _ROC_BANDS[bisect.bisect_left(_ROC_EDGES, a)]
 
 
 def confusion_from_predictions(predicted: np.ndarray, labels: np.ndarray) -> ConfusionMatrix:
     """Count the four cells of matching 0/1 predictions and labels."""
     predicted, labels = binary(predicted, "predictions"), binary(labels, "labels")
+    if predicted.ndim != 1 or predicted.shape != labels.shape:
+        raise DataError("predictions and labels must be matching 1-D arrays")
     tn, fp, fn, tp = np.bincount(2 * labels + predicted, minlength=4).tolist()
     return ConfusionMatrix(tp=tp, tn=tn, fp=fp, fn=fn)
 

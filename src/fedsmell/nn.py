@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import binary
-from .errors import StructuralError
+from .errors import ConfigError, DataError
 
 INPUT_DIM = 16
 HIDDEN_DIM = 16
@@ -84,11 +84,11 @@ class Hyperparams:
 
     def __post_init__(self):
         if not 0 <= self.learning_rate < math.inf:
-            raise StructuralError("learning_rate must be finite and >= 0")
+            raise ConfigError("learning_rate must be finite and >= 0")
         if self.batch_size < 1:
-            raise StructuralError("batch_size must be >= 1")
+            raise ConfigError("batch_size must be >= 1")
         if self.local_epochs < 1:
-            raise StructuralError("local_epochs must be >= 1")
+            raise ConfigError("local_epochs must be >= 1")
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -162,6 +162,8 @@ def forward_batch(X: np.ndarray, p: ModelParams) -> np.ndarray:
 def mean_cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
     """Mean clamp-protected cross-entropy over (n, 2) probabilities and 0/1 labels."""
     labels = binary(labels, "labels")
+    if labels.ndim != 1 or not labels.size or probs.shape != (len(labels), NUM_CLASSES):
+        raise DataError(f"probabilities must be (n, {NUM_CLASSES}) for 1-D labels, n >= 1")
     picked = probs[np.arange(len(labels)), labels]
     picked = np.minimum(np.maximum(picked, PROB_CLAMP), 1.0 - PROB_CLAMP)
     return float((-np.log(picked)).sum() / len(labels))
@@ -217,7 +219,7 @@ def adam_update(values: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarr
     `step` is the 1-based number of this step since the moments were zero.
     """
     if not values.shape == grad.shape == m.shape == v.shape:
-        raise StructuralError("gradient/moment length does not match parameter vector")
+        raise DataError("gradient/moment length does not match parameter vector")
     m *= ADAM_BETA1
     m += (1.0 - ADAM_BETA1) * grad
     v *= ADAM_BETA2
@@ -231,8 +233,8 @@ def weight_vector(values) -> np.ndarray:
     """`values` as a float64 array, checked to be one canonical flat vector."""
     values = np.asarray(values, dtype=float)
     if values.shape != (PARAM_COUNT,):
-        raise StructuralError(f"parameter vector must have length {PARAM_COUNT}, "
-                              f"got shape {values.shape}")
+        raise DataError(f"parameter vector must have length {PARAM_COUNT}, "
+                        f"got shape {values.shape}")
     return values
 
 
@@ -284,10 +286,10 @@ def load_weights(path) -> np.ndarray:
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 4:
-        raise StructuralError("checkpoint file is truncated")
+        raise DataError("checkpoint file is truncated")
     (count,) = struct.unpack_from("<I", raw)
     if len(raw) != 4 + 8 * count:
-        raise StructuralError(
+        raise DataError(
             f"checkpoint declares {count} values but holds {(len(raw) - 4) // 8}"
         )
     return weight_vector(np.frombuffer(raw, dtype="<f8", offset=4).astype(float))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -9,12 +10,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fedsmell import config
+from fedsmell import cli, config
 from fedsmell.cli import main
 from fedsmell.config import EXPERIMENT_KINDS, ExperimentConfig, parse_config
 from fedsmell.data import REBALANCE_MODES
-from fedsmell.errors import ConfigError
-from fedsmell.federation import REDUCER_MODES
+from fedsmell.errors import ConfigError, DataError, FedsmellError, NumericError
+from fedsmell.federation import REDUCER_MODES, RoundConfig
+from fedsmell.nn import Hyperparams
 
 
 def write(path, text):
@@ -137,6 +139,21 @@ def test_direct_construction_rejects_zero_rounds():
         ExperimentConfig(kind="centralized", datasets=("alpha.csv",), rounds=0)
 
 
+@pytest.mark.parametrize("cls, name, value, message", [
+    (RoundConfig, "rounds", 0, "rounds must be >= 1"),
+    (RoundConfig, "client_fraction", 2, "client_fraction must be in (0, 1]"),
+    (RoundConfig, "reducer_mode", "odd", f"reducer_mode must be one of {REDUCER_MODES}"),
+    (RoundConfig, "seed", -1, "seed must be >= 0"),
+    (Hyperparams, "learning_rate", -1.0, "learning_rate must be finite and >= 0"),
+    (Hyperparams, "batch_size", 0, "batch_size must be >= 1"),
+    (Hyperparams, "local_epochs", 0, "local_epochs must be >= 1"),
+])
+def test_round_config_and_hyperparams_raise_config_error_for_a_bad_value(cls, name, value,
+                                                                         message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        cls(**{name: value})
+
+
 def test_replace_checks_the_new_values():
     cfg = ExperimentConfig(kind="centralized", datasets=("a.csv",))
     with pytest.raises(ConfigError, match="seed"):
@@ -232,6 +249,27 @@ def test_every_field_has_one_ini_section():
 
 
 # ----------------------------------------------------------------- CLI codes
+
+def test_each_exit_code_has_one_error_class():
+    assert set(FedsmellError.__subclasses__()) == {ConfigError, DataError, NumericError}
+    assert not any(cls.__subclasses__() for cls in (ConfigError, DataError, NumericError))
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (ConfigError, 2, "CONFIG_ERROR"),
+    (DataError, 3, "DATA_ERROR"),
+    (NumericError, 4, "NUMERIC_ERROR"),
+    (FloatingPointError, 4, "NUMERIC_ERROR"),  # raised by a caller's own raising errstate
+])
+def test_cli_maps_each_error_class_to_its_exit_code(tmp_path, monkeypatch, capsys,
+                                                    error, code, prefix):
+    def run_experiment(cfg):
+        raise error("two\n  lines")
+
+    monkeypatch.setattr(cli, "run_experiment", run_experiment)
+    assert main(["centralized", "--config", str(write(tmp_path / "c.ini", MINIMAL))]) == code
+    assert capsys.readouterr() == ("", f"{prefix}: two lines\n")
+
 
 def test_cli_config_error_exits_2(tmp_path, capsys):
     bad = write(tmp_path / "bad.ini", MINIMAL + "\n[training]\nmomentum = 1\n")

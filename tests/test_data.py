@@ -16,8 +16,7 @@ from fedsmell.data import (CLASS_AXIS, CONTEXT_AXIS, FEATURE_NAMES, LABEL_COLUMN
                            NUM_FEATURES, apply_normalizer, concat_datasets, domain_shift,
                            extract_chunks, fit_normalizer, load_csv, partition_chunks,
                            rebalance, save_csv, split_train_test, synth_generate)
-from fedsmell.errors import (DataError, FedsmellError, NumericError, ParseError,
-                             SchemaError, StructuralError)
+from fedsmell.errors import DataError, FedsmellError, NumericError
 from util import make_dataset, random_dataset, rows_multiset
 
 
@@ -49,7 +48,7 @@ def test_load_csv_missing_column_names_it(tmp_path):
     path = tmp_path / "broken.csv"
     header = [name for name in full_header() if name != "LCOM"]
     write_csv(path, header, [[1] * 15 + [0]])
-    with pytest.raises(SchemaError, match="LCOM"):
+    with pytest.raises(DataError, match="LCOM"):
         load_csv(path)
 
 
@@ -65,14 +64,14 @@ def test_load_csv_ignores_extra_columns_and_matches_case_insensitively(tmp_path)
 def test_load_csv_nonnumeric_cell_reports_row_number(tmp_path):
     path = tmp_path / "bad.csv"
     write_csv(path, full_header(), [[1] * 16 + [0], ["oops"] + [1] * 15 + [0]])
-    with pytest.raises(ParseError, match="row 3"):
+    with pytest.raises(DataError, match="row 3"):
         load_csv(path)
 
 
 def test_load_csv_empty_file_rejected(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("", encoding="utf-8")
-    with pytest.raises(StructuralError):
+    with pytest.raises(DataError):
         load_csv(path)
 
 
@@ -85,7 +84,7 @@ def test_load_csv_bad_label_rejected(tmp_path):
     path = tmp_path / "label.csv"
     for label in ("2", "0.7", "1.9", "-1", "nan"):
         write_csv(path, full_header(), [[1] * 16 + [1], [1] * 16 + [label]])
-        with pytest.raises(ParseError, match="row 3"):
+        with pytest.raises(DataError, match="row 3"):
             load_csv(path)
     write_csv(path, full_header(), [[1] * 16 + ["1.0"], [1] * 16 + ["0.0"]])
     assert list(load_csv(path).labels) == [1, 0]
@@ -96,7 +95,7 @@ def test_load_csv_nonfinite_feature_reports_row_number(tmp_path):
     for cell in ("nan", "inf", "-inf"):
         rows = [[1] * 16 + [0], [1] * 16 + [1], [1] * 15 + [cell] + [0]]
         write_csv(path, full_header(), rows)
-        with pytest.raises(ParseError, match="row 4"):
+        with pytest.raises(DataError, match="row 4"):
             load_csv(path)
 
 
@@ -339,13 +338,13 @@ def test_split_deterministic_and_partitioning():
 
 def test_split_rejects_tiny_class():
     d = make_dataset(np.zeros((3, NUM_FEATURES)), [0, 0, 1])
-    with pytest.raises(StructuralError):
+    with pytest.raises(DataError):
         split_train_test(d, 0.3, seed=0)
 
 
 def test_split_rejects_bad_fraction():
     d = random_dataset(20, 10, seed=0)
-    with pytest.raises(StructuralError):
+    with pytest.raises(DataError):
         split_train_test(d, 1.0, seed=0)
 
 
@@ -371,7 +370,7 @@ def test_partition_single_chunk_is_identity():
 
 def test_partition_rejects_too_many_chunks():
     d = random_dataset(10, 4, seed=0)
-    with pytest.raises(StructuralError):
+    with pytest.raises(DataError):
         partition_chunks(d, 11, seed=0)
 
 
@@ -421,13 +420,13 @@ def test_oversample_only_duplicates_existing_minority_rows():
 
 def test_rebalance_single_class_rejected():
     d = make_dataset(np.zeros((5, NUM_FEATURES)), [1] * 5)
-    with pytest.raises(StructuralError):
+    with pytest.raises(DataError):
         rebalance(d, "oversample", seed=0)
 
 
 def test_rebalance_unknown_mode_rejected():
     d = random_dataset(20, 10, seed=0)
-    with pytest.raises(StructuralError):
+    with pytest.raises(DataError):
         rebalance(d, "smote", seed=0)
 
 
@@ -461,9 +460,9 @@ def test_synth_axes_are_orthonormal():
 
 
 def test_synth_rejects_bad_arguments():
-    with pytest.raises(StructuralError):
+    with pytest.raises(DataError):
         synth_generate(5, 0.5, 0.0, seed=0)
-    with pytest.raises(StructuralError):
+    with pytest.raises(DataError):
         synth_generate(100, 1.0, 0.0, seed=0)
 
 
@@ -477,7 +476,7 @@ def test_dataset_rejects_nonfinite_features():
 # The forward and backward passes trust these invariants and check none of them.
 
 def test_dataset_rejects_wrong_feature_width_and_nan():
-    with pytest.raises(StructuralError):
+    with pytest.raises(DataError):
         make_dataset(np.ones((1, 5)), [0])
     features = np.ones((1, NUM_FEATURES))
     features[0, 3] = np.nan
@@ -486,14 +485,14 @@ def test_dataset_rejects_wrong_feature_width_and_nan():
 
 
 def test_dataset_rejects_one_feature_column_short():
-    with pytest.raises(StructuralError):
+    with pytest.raises(DataError):
         make_dataset(np.ones((1, NUM_FEATURES - 1)), [0])
 
 
 def test_dataset_rejects_labels_other_than_0_and_1():
     # Checked before the int64 cast, which would truncate 0.7 to 0.
     for label in (2, -1, 0.7, 1.5, -0.2):
-        with pytest.raises(StructuralError, match="labels must be 0 or 1"):
+        with pytest.raises(DataError, match="labels must be 0 or 1"):
             datamod.Dataset("x", np.zeros((2, NUM_FEATURES)), [0, label])
     for labels in ([0, 1], [False, True], [0.0, 1.0]):
         dataset = datamod.Dataset("x", np.zeros((2, NUM_FEATURES)), labels)
@@ -507,10 +506,10 @@ def test_dataset_rejects_a_nonfinite_label_before_casting_it(label):
     # FloatingPointError under np.errstate(invalid="raise").
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(StructuralError, match="labels must be 0 or 1"):
+        with pytest.raises(DataError, match="labels must be 0 or 1"):
             datamod.Dataset("x", np.zeros((2, NUM_FEATURES)), [0.0, label])
     with np.errstate(invalid="raise"):
-        with pytest.raises(StructuralError, match="labels must be 0 or 1"):
+        with pytest.raises(DataError, match="labels must be 0 or 1"):
             datamod.Dataset("x", np.zeros((2, NUM_FEATURES)), [0.0, label])
 
 
@@ -518,15 +517,15 @@ def test_subset_takes_integer_indices_only():
     d = make_dataset(np.arange(3 * NUM_FEATURES).reshape(3, NUM_FEATURES), [0, 1, 0])
     # An int cast would read the mask as rows 1, 0, 1 and 1.9 as row 1.
     for bad in ([True, False, True], np.array([True, False, True]), [1.9], np.array([1.0])):
-        with pytest.raises(StructuralError, match="subset indices must be integers"):
+        with pytest.raises(DataError, match="subset indices must be integers"):
             d.subset(bad)
     for good in ([2, 0], np.array([2, 0]), np.array([2, 0], dtype=np.uint8)):
         assert d.subset(good).labels.tolist() == [0, 0]
         assert np.array_equal(d.subset(good).features, d.features[[2, 0]])
-    with pytest.raises(StructuralError, match="at least one sample"):
+    with pytest.raises(DataError, match="at least one sample"):
         d.subset([])
 
 
 def test_dataset_rejects_empty_batch():
-    with pytest.raises(StructuralError):
+    with pytest.raises(DataError):
         make_dataset(np.zeros((0, NUM_FEATURES)), np.zeros(0, dtype=int))

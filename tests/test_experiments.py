@@ -16,7 +16,7 @@ from fedsmell.cli import main
 from fedsmell.config import ExperimentConfig, parse_config
 from fedsmell.data import (FEATURE_NAMES, LABEL_COLUMN, domain_shift, load_csv,
                            save_csv, synth_generate)
-from fedsmell.errors import NumericError, StructuralError, error_context
+from fedsmell.errors import DataError, NumericError, error_context
 from fedsmell.experiments import (prepare_source, run_centralized, run_cross_eval,
                                   run_experiment, run_federated, train_centralized)
 from fedsmell.metrics import evaluate_model
@@ -100,7 +100,6 @@ def test_centralized_zero_learning_rate_reports_frozen_model_accuracy(tmp_path):
 
 
 def test_centralized_attaches_dataset_name_to_errors(tmp_path):
-    from fedsmell.errors import DataError
     cfg = cfg_for("centralized", [str(tmp_path / "missing.csv")], tmp_path / "out")
     with pytest.raises(DataError, match="missing.csv"):
         run_centralized(cfg)
@@ -492,9 +491,9 @@ def test_error_context_restores_the_callers_float_settings():
         with error_context("stage"):
             assert np.geterr()["under"] == "raise"
         assert np.geterr() == before
-        with pytest.raises(StructuralError, match="^stage: inner$"):
+        with pytest.raises(DataError, match="^stage: inner$"):
             with error_context("stage"):
-                raise StructuralError("inner")
+                raise DataError("inner")
         assert np.geterr() == before
 
 

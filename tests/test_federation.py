@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from fedsmell import federation
 from fedsmell.data import (concat_datasets, domain_shift, extract_chunks,
                            partition_chunks, synth_generate)
-from fedsmell.errors import NumericError, StructuralError
+from fedsmell.errors import DataError, NumericError
 from fedsmell.federation import (ClientNode, FederationTopology, ModelUpdate,
                                  RoundConfig, RoundLog, client_update, combiner_aggregate,
                                  reducer_reduce, run_federation, sample_clients,
@@ -34,7 +34,7 @@ def test_weights_checksum_takes_one_canonical_vector():
     assert weights_checksum(values) == weights_checksum(values.tolist())
     # A (2, 4958) array would otherwise hash like the flat zero vector.
     for bad in (values.reshape(2, -1), values[:-1]):
-        with pytest.raises(StructuralError, match=f"must have length {PARAM_COUNT}"):
+        with pytest.raises(DataError, match=f"must have length {PARAM_COUNT}"):
             weights_checksum(bad)
 
 
@@ -152,7 +152,7 @@ def test_run_federation_names_the_round_of_a_float_fault():
 
 
 def test_client_update_rejects_wrong_weight_length():
-    with pytest.raises(StructuralError):
+    with pytest.raises(DataError):
         client_update(small_client(), np.zeros(10), update_seed=0)
 
 
@@ -230,9 +230,9 @@ def test_both_tiers_return_identical_models_bit_for_bit(k):
 
 
 def test_combiner_rejects_empty_and_mismatched():
-    with pytest.raises(StructuralError):
+    with pytest.raises(DataError):
         combiner_aggregate([])
-    with pytest.raises(StructuralError):
+    with pytest.raises(DataError):
         combiner_aggregate([ModelUpdate(0, np.zeros(4), 1), ModelUpdate(1, np.zeros(5), 1)])
 
 
@@ -276,11 +276,11 @@ def test_reducer_smoothed_contracts_toward_constant_target():
 
 
 def test_reducer_rejects_bad_inputs():
-    with pytest.raises(StructuralError):
+    with pytest.raises(DataError):
         reducer_reduce([], np.zeros(3), t=1)
-    with pytest.raises(StructuralError):
+    with pytest.raises(DataError):
         reducer_reduce([np.zeros(3)], np.zeros(3), t=0)
-    with pytest.raises(StructuralError):
+    with pytest.raises(DataError):
         reducer_reduce([np.zeros(3)], np.zeros(3), t=1, mode="magic")
 
 
@@ -312,21 +312,21 @@ def test_sample_clients_fraction_count_and_determinism():
 
 
 def test_sample_clients_rejects_bad_fraction():
-    with pytest.raises(StructuralError):
+    with pytest.raises(DataError):
         sample_clients(make_topology(4, 2), 0.0, round_seed=0)
 
 
 # --------------------------------------------------------------- topologies
 
 def test_topology_validation():
-    with pytest.raises(StructuralError):
+    with pytest.raises(DataError):
         FederationTopology((), ())
     good = small_client(client_id=0, combiner_id=0)
-    with pytest.raises(StructuralError):
+    with pytest.raises(DataError):
         FederationTopology((0,), (good, small_client(client_id=0, combiner_id=0)))
-    with pytest.raises(StructuralError):
+    with pytest.raises(DataError):
         FederationTopology((0,), (small_client(client_id=0, combiner_id=9),))
-    with pytest.raises(StructuralError):
+    with pytest.raises(DataError):
         FederationTopology((0, 1), (small_client(client_id=0, combiner_id=0),))
 
 
@@ -483,7 +483,7 @@ def test_federation_attaches_round_context_to_errors():
     topo = make_topology(n_clients=2, per_combiner=1)
     single_class = random_dataset(20, 10, seed=1, name="test")
     single_class.labels[:] = 0  # metrics become impossible in round 1
-    with pytest.raises(StructuralError, match="round 1"):
+    with pytest.raises(DataError, match="round 1"):
         run_federation(topo, RoundConfig(rounds=1, seed=0), single_class)
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fedsmell import metrics
 from fedsmell.data import NUM_FEATURES
-from fedsmell.errors import StructuralError
+from fedsmell.errors import DataError
 from fedsmell.metrics import (ConfusionMatrix, accuracy, cohen_kappa,
                               confusion_from_predictions, evaluate_model,
                               interpret_kappa, interpret_roc, roc_auc)
@@ -104,12 +104,12 @@ def test_accuracy_formula():
 
 
 def test_accuracy_empty_matrix_rejected():
-    with pytest.raises(StructuralError):
+    with pytest.raises(DataError):
         accuracy(ConfusionMatrix(0, 0, 0, 0))
 
 
 def test_empty_confusion_matrix_rejected_at_construction():
-    with pytest.raises(StructuralError, match="confusion matrix is empty"):
+    with pytest.raises(DataError, match="confusion matrix is empty"):
         ConfusionMatrix(0, 0, 0, 0)
 
 
@@ -180,19 +180,19 @@ def test_roc_all_ties_is_half():
 
 
 def test_roc_single_class_rejected():
-    with pytest.raises(StructuralError):
+    with pytest.raises(DataError):
         roc_auc([0.5, 0.6], [1, 1])
 
 
 def test_roc_rejects_mismatched_scores_and_labels():
-    with pytest.raises(StructuralError):
+    with pytest.raises(DataError):
         roc_auc([0.5, 0.6, 0.7], [0, 1])
 
 
 def test_roc_rejects_labels_other_than_0_or_1_before_any_cast():
     # An int cast before the check would give 2.0 for [0, 1, 2] and 1.0 for the others.
     for labels in ([0, 1, 2], [0, 1, 0.5], [0, 1.7, 0], [0, 1, np.nan]):
-        with pytest.raises(StructuralError, match="labels must be 0 or 1"):
+        with pytest.raises(DataError, match="labels must be 0 or 1"):
             roc_auc([0.1, 0.9, 0.5], labels)
     assert roc_auc([0.1, 0.9, 0.5], [0.0, 1.0, False]) == 1.0
 
@@ -272,9 +272,9 @@ def test_roc_bands_at_edges():
 
 
 def test_bands_reject_out_of_range():
-    with pytest.raises(StructuralError):
+    with pytest.raises(DataError):
         interpret_kappa(1.5)
-    with pytest.raises(StructuralError):
+    with pytest.raises(DataError):
         interpret_roc(-0.1)
 
 
@@ -334,7 +334,7 @@ def test_evaluate_report_json_fields():
 def test_evaluate_single_class_test_set_rejected():
     features = np.random.default_rng(0).standard_normal((6, 16))
     test = make_dataset(features, [0] * 6)
-    with pytest.raises(StructuralError):
+    with pytest.raises(DataError):
         evaluate_model(np.zeros(PARAM_COUNT), test)
 
 
@@ -379,11 +379,21 @@ def test_confusion_from_predictions_counts():
     # An entry other than 0 or 1 fits no cell.
     # Checked before any cast, which would count 0.7 as 0 and 1.9 as 1.
     for bad in (2, -1, 0.7, 1.9):
-        with pytest.raises(StructuralError):
+        with pytest.raises(DataError):
             confusion_from_predictions(np.array([1, bad]), np.array([1, 0]))
-        with pytest.raises(StructuralError):
+        with pytest.raises(DataError):
             confusion_from_predictions(np.array([1, 0]), np.array([bad, 0]))
-    with pytest.raises(StructuralError, match="predictions must be 0 or 1"):
+    with pytest.raises(DataError, match="predictions must be 0 or 1"):
         confusion_from_predictions([0.7, 1], [1, 1])
-    with pytest.raises(StructuralError, match="labels must be 0 or 1"):
+    with pytest.raises(DataError, match="labels must be 0 or 1"):
         confusion_from_predictions([1, 0], [1.9, 0])
+
+
+@pytest.mark.parametrize("predicted, labels", [
+    ([1], [0, 1, 1]),  # one prediction would broadcast over three labels
+    ([1, 0, 1], [0, 1]),
+    ([[1, 0]], [[1, 0]]),
+])
+def test_confusion_from_predictions_rejects_arrays_that_do_not_align(predicted, labels):
+    with pytest.raises(DataError, match="^predictions and labels must be matching 1-D arrays$"):
+        confusion_from_predictions(np.array(predicted), np.array(labels))

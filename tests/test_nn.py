@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedsmell.errors import StructuralError
+from fedsmell.errors import DataError
 from fedsmell.nn import (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, DENSE_UNITS, EVAL_BLOCK,
                          HIDDEN_DIM, INPUT_DIM, NUM_CLASSES, PARAM_COUNT, PROB_CLAMP, _forward,
                          _sigmoid, _softmax, adam_update, forward_batch, init_params,
@@ -182,10 +182,22 @@ def test_loss_and_gradient_reject_labels_other_than_0_or_1(bad):
     # -1 would silently pick class 1's probability, and 0.7 cannot index.
     labels = np.array([bad, 1])
     X = np.random.default_rng(4).standard_normal((2, INPUT_DIM))
-    with pytest.raises(StructuralError, match="labels must be 0 or 1"):
+    with pytest.raises(DataError, match="labels must be 0 or 1"):
         mean_cross_entropy(np.array([[0.9, 0.1], [0.2, 0.8]]), labels)
-    with pytest.raises(StructuralError, match="labels must be 0 or 1"):
+    with pytest.raises(DataError, match="labels must be 0 or 1"):
         loss_and_gradient(X, labels, seeded_params(4), grad_buffer())
+
+
+@pytest.mark.parametrize("probs, labels", [
+    ([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]], [0, 1]),  # a row with no label
+    ([[0.2, 0.5, 0.3]], [1]),  # three columns
+    ([[0.2, 0.8]], [1, 0]),  # a label with no row
+    ([[0.9, 0.1], [0.2, 0.8]], [[0], [1]]),  # 2-D labels would broadcast
+    (np.empty((0, 2)), []),  # no rows: the mean would be 0 / 0
+])
+def test_mean_cross_entropy_rejects_probabilities_that_do_not_align_with_labels(probs, labels):
+    with pytest.raises(DataError, match=r"^probabilities must be \(n, 2\) for 1-D labels"):
+        mean_cross_entropy(np.array(probs), np.array(labels))
 
 
 def test_float_0_1_labels_give_the_int_labels_loss_and_gradient_bytes():
@@ -303,12 +315,12 @@ def test_adam_quadratic_descent_is_monotone_after_step_two():
 
 
 def test_adam_length_mismatch_rejected():
-    with pytest.raises(StructuralError):
+    with pytest.raises(DataError):
         adam_update(np.zeros(4), np.zeros(3), np.zeros(4), np.zeros(4), 1, 0.001)
-    with pytest.raises(StructuralError):
+    with pytest.raises(DataError):
         adam_update(init_params(0), np.zeros(7), np.zeros(PARAM_COUNT),
                     np.zeros(PARAM_COUNT), 1, 0.001)
-    with pytest.raises(StructuralError):
+    with pytest.raises(DataError):
         adam_update(np.zeros(4), np.zeros(4), np.zeros(4), np.zeros(3), 1, 0.001)
 
 
@@ -426,7 +438,7 @@ def test_stacked_kernels_match_per_gate_references_bitwise(n, scale, seed):
 # ----------------------------------------------------------- layout / init
 
 def test_unflatten_rejects_wrong_length():
-    with pytest.raises(StructuralError):
+    with pytest.raises(DataError):
         unflatten_params(np.zeros(PARAM_COUNT - 1))
 
 
@@ -513,7 +525,7 @@ def test_checkpoint_truncated_file_rejected(tmp_path):
     path = tmp_path / "bad.fwv"
     save_weights(path, np.ones(PARAM_COUNT))
     path.write_bytes(path.read_bytes()[:-8])
-    with pytest.raises(StructuralError):
+    with pytest.raises(DataError):
         load_weights(path)
 
 
@@ -521,10 +533,10 @@ def test_checkpoint_holds_exactly_one_canonical_vector(tmp_path):
     path = tmp_path / "bad.fwv"
     # Only the canonical vector is a .fwv; nothing is written for any other.
     for bad in (np.zeros((2, PARAM_COUNT // 2)), np.zeros(5), np.zeros(PARAM_COUNT + 1)):
-        with pytest.raises(StructuralError, match=f"must have length {PARAM_COUNT}"):
+        with pytest.raises(DataError, match=f"must have length {PARAM_COUNT}"):
             save_weights(path, bad)
         assert not path.exists()
     # A well-formed file of any other count is refused on reading.
     path.write_bytes((5).to_bytes(4, "little") + np.zeros(5).tobytes())
-    with pytest.raises(StructuralError, match=f"must have length {PARAM_COUNT}"):
+    with pytest.raises(DataError, match=f"must have length {PARAM_COUNT}"):
         load_weights(path)

@@ -1,8 +1,11 @@
-"""The README's library example runs and its INI examples parse, as written."""
+"""The README's library example runs, its INI examples parse and the error
+classes it names exist, as written."""
 
+import builtins
 import re
 from pathlib import Path
 
+import fedsmell
 from fedsmell.config import parse_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -20,3 +23,9 @@ def test_readme_ini_examples_parse(tmp_path):
         path = tmp_path / f"example{i}.ini"
         path.write_text(example, encoding="utf-8")
         parse_config(path)
+
+
+def test_readme_names_only_builtin_or_exported_errors():
+    names = set(re.findall(r"`(\w*Error)`", README.read_text(encoding="utf-8")))
+    assert {"ConfigError", "DataError", "NumericError"} <= names
+    assert [n for n in names if not hasattr(builtins, n) and not hasattr(fedsmell, n)] == []
