@@ -6,7 +6,7 @@ import argparse
 import sys
 
 from .config import EXPERIMENT_KINDS, parse_config
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, FedsmellError, NumericError
 from .experiments import run_experiment
 
 _VERBS = {kind.replace("_", "-"): kind for kind in EXPERIMENT_KINDS}
@@ -31,25 +31,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _one_line(message: str) -> str:
-    return " ".join(str(message).split())
-
-
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         cfg = parse_config(args.config, kind=_VERBS[args.verb], seed=args.seed,
                            out_dir=args.out)
         result = run_experiment(cfg)
-    except ConfigError as exc:
-        print(f"CONFIG_ERROR: {_one_line(exc)}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"DATA_ERROR: {_one_line(exc)}", file=sys.stderr)
-        return 3
-    except (NumericError, FloatingPointError) as exc:
-        print(f"NUMERIC_ERROR: {_one_line(exc)}", file=sys.stderr)
-        return 4
+    except (FedsmellError, FloatingPointError) as exc:
+        error = exc if isinstance(exc, FedsmellError) else NumericError(exc)
+        print(f"{error.label}: {' '.join(str(error).split())}", file=sys.stderr)
+        return error.exit_code
 
     for row in result.rows:
         print(f"{row['train_source']} -> {row['eval_source']}: "

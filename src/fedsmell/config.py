@@ -94,6 +94,8 @@ class ExperimentConfig:
             object.__setattr__(self, "chunks", chunks)
             object.__setattr__(self, "combiner_clients", combiner_clients)
         if self.kind == SYNTH:
+            if any(Path(name).name != name for name in datasets):
+                raise ConfigError("synth dataset names must be plain file names")
             shifts = self.synth_shifts or (0.0,) * len(datasets)
             if len(shifts) != len(datasets):
                 raise ConfigError("synth shifts must list one entry per dataset")
@@ -162,27 +164,23 @@ def _read_ini(path: Path) -> dict:
         with open(path, encoding="utf-8-sig") as fh:
             parser.read_file(fh, source=str(path))
     except (OSError, ValueError) as exc:  # ValueError: bad UTF-8, or a NUL in the path
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read: {exc}") from exc
     except configparser.Error as exc:
-        raise ConfigError(f"config {path}: {exc}") from exc
+        raise ConfigError(str(exc)) from exc
 
     values: dict = {}
     for section in parser.sections():
         if section not in _SECTIONS:
-            raise ConfigError(f"config {path}: unknown section {section!r}")
+            raise ConfigError(f"unknown section {section!r}")
         fields = {name.removeprefix(f"{section}_"): name for name in _SECTIONS[section]}
         for key, raw in parser.items(section):
             if key not in fields:
-                raise ConfigError(
-                    f"config {path}: unknown key {key!r} in section {section!r}"
-                )
+                raise ConfigError(f"unknown key {key!r} in section {section!r}")
             name = fields[key]
             try:
                 values[name] = _from_ini(name, raw)
             except ValueError as exc:
-                raise ConfigError(
-                    f"config {path}: bad value for {section}.{key}: {raw!r} ({exc})"
-                ) from exc
+                raise ConfigError(f"bad value for {section}.{key}: {raw!r} ({exc})") from exc
     return values
 
 
@@ -198,17 +196,16 @@ def _unique_keys(pairs) -> dict:
 
 def _read_resolved_json(path: Path) -> dict:
     try:
-        with error_context(f"config {path}"):
-            raw = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+        raw = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path}: line {exc.lineno}: {exc.msg}") from exc
+        raise ConfigError(f"line {exc.lineno}: {exc.msg}") from exc
     except (OSError, ValueError, RecursionError) as exc:  # RecursionError: deep nesting
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ConfigError(f"config {path}: top level must be an object")
+        raise ConfigError("top level must be an object")
     for key in raw:
         if key not in _FIELDS:
-            raise ConfigError(f"config {path}: unknown key {key!r}")
+            raise ConfigError(f"unknown key {key!r}")
     return raw
 
 
@@ -221,12 +218,12 @@ def parse_config(path, kind: str | None = None, **overrides) -> ExperimentConfig
     file's value before the config is built and checked.
     """
     path = Path(path)
-    if path.suffix == ".json":
-        values = _read_resolved_json(path)
-    else:
-        values = _read_ini(path)
-    values.update((name, value) for name, value in overrides.items() if value is not None)
     with error_context(f"config {path}"):
+        if path.suffix == ".json":
+            values = _read_resolved_json(path)
+        else:
+            values = _read_ini(path)
+        values.update((name, value) for name, value in overrides.items() if value is not None)
         file_kind = values.pop("kind", None)
         if file_kind is None and kind is None:
             raise ConfigError("missing mandatory key 'kind'")

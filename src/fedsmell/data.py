@@ -169,30 +169,29 @@ def _load_csv_by_cell(path: Path) -> Dataset:
             rows = [(line_no, row) for line_no, row in enumerate(csv.reader(fh), start=1)
                     if any(cell.strip() for cell in row)]
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise DataError(f"cannot read dataset {path}: {exc}") from exc
+        raise DataError(f"cannot read: {exc}") from exc
     if not rows:
-        raise DataError(f"{path}: empty file")
+        raise DataError("empty file")
 
     _, header = rows[0]
     columns = _header_columns(header)
     for column, index in zip(_COLUMNS, columns):
         if index is None:
-            raise DataError(f"{path}: missing required column {column!r}")
+            raise DataError(f"missing required column {column!r}")
 
     table = []
     for line_no, row in rows[1:]:
         try:
             table.append([float(row[i]) for i in columns])
         except (ValueError, IndexError) as exc:
-            raise DataError(f"{path}: row {line_no}: non-numeric cell ({exc})") from exc
+            raise DataError(f"row {line_no}: non-numeric cell ({exc})") from exc
     if not table:
-        raise DataError(f"{path}: no data rows")
+        raise DataError("no data rows")
     table = np.array(table)
     good_rows = _valid_rows(table)
     if not good_rows.all():
         line_no = rows[1 + int(np.argmin(good_rows))][0]
-        raise DataError(f"{path}: row {line_no}: feature cells must be finite "
-                        "and the label 0 or 1")
+        raise DataError(f"row {line_no}: feature cells must be finite and the label 0 or 1")
     return Dataset(path.stem, table[:, :NUM_FEATURES], table[:, NUM_FEATURES])
 
 
@@ -246,10 +245,13 @@ def split_train_test(d: Dataset, test_fraction: float, seed: int):
         n_test = int(math.floor(test_fraction * len(cls_idx) + 0.5))
         perm = rng.permutation(len(cls_idx))
         test_indices.extend(cls_idx[perm[:n_test]])
-    test_mask = np.zeros(len(d), dtype=bool)
-    test_mask[np.asarray(test_indices, dtype=int)] = True
-    train = d.subset(np.flatnonzero(~test_mask), f"{d.name}-train")
-    test = d.subset(np.flatnonzero(test_mask), f"{d.name}-test")
+    if not 0 < len(test_indices) < len(d):
+        side = "training" if test_indices else "test"
+        raise DataError(f"dataset {d.name!r}: test_fraction {test_fraction} leaves "
+                        f"the {side} split empty")
+    test_indices = np.sort(test_indices)
+    train = d.subset(np.setdiff1d(np.arange(len(d)), test_indices), f"{d.name}-train")
+    test = d.subset(test_indices, f"{d.name}-test")
     return train, test
 
 

@@ -1,4 +1,4 @@
-"""Exception taxonomy shared across the package: one class per CLI exit code."""
+"""Exception taxonomy: one class per CLI exit code, carrying that code and its label."""
 
 from contextlib import contextmanager
 
@@ -10,15 +10,18 @@ class FedsmellError(Exception):
 
 
 class ConfigError(FedsmellError):
-    """An experiment configuration or setting is invalid (CLI exit code 2)."""
+    """An experiment configuration or setting is invalid."""
+    exit_code, label = 2, "CONFIG_ERROR"
 
 
 class DataError(FedsmellError):
-    """A dataset, array or checkpoint is unreadable or malformed (CLI exit code 3)."""
+    """A dataset, array or checkpoint is unreadable or malformed."""
+    exit_code, label = 3, "DATA_ERROR"
 
 
 class NumericError(FedsmellError):
-    """A computation produced or received non-finite values (CLI exit code 4)."""
+    """A computation produced or received non-finite values."""
+    exit_code, label = 4, "NUMERIC_ERROR"
 
 
 @contextmanager

@@ -412,7 +412,7 @@ def test_cli_deeply_nested_resolved_json_exits_2(tmp_path, capsys):
     path = tmp_path / "config.resolved.json"
     path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
     assert main(["centralized", "--config", str(path)]) == 2
-    assert_one_error_line(capsys, f"CONFIG_ERROR: cannot read config {path}: ")
+    assert_one_error_line(capsys, f"CONFIG_ERROR: config {path}: cannot read: ")
 
 
 def test_cli_bad_dataset_bytes_and_cells_exit_3(tmp_path, capsys):
@@ -463,6 +463,18 @@ def test_cli_non_finite_synth_shifts_exit_2(tmp_path, capsys):
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert_one_error_line(capsys, "CONFIG_ERROR:")
     assert not (tmp_path / "out" / "x.csv").exists()
+
+
+def test_cli_synth_name_that_is_not_a_plain_file_name_exits_2_and_writes_nothing(tmp_path,
+                                                                                capsys):
+    names = ("../escaped", "sub/x", str(tmp_path / "abs"), ".")
+    for index, name in enumerate(names):
+        cfg = write(tmp_path / f"s{index}.ini",
+                    f"[experiment]\nkind = synth\ndatasets = {name}\n[synth]\nsamples = 20\n")
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2, name
+        assert capsys.readouterr().err == (
+            f"CONFIG_ERROR: config {cfg}: synth dataset names must be plain file names\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"s{i}.ini" for i in range(len(names))]
 
 
 def test_cli_synth_samples_numpy_cannot_allocate_exit_2(tmp_path, capsys):

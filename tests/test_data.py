@@ -348,6 +348,14 @@ def test_split_rejects_bad_fraction():
         split_train_test(d, 1.0, seed=0)
 
 
+@pytest.mark.parametrize("fraction, side", [(0.01, "test"), (0.99, "training")])
+def test_split_names_the_side_a_fraction_leaves_empty(fraction, side):
+    d = random_dataset(40, 20, seed=0, name="alpha")
+    message = f"^dataset 'alpha': test_fraction {fraction} leaves the {side} split empty$"
+    with pytest.raises(DataError, match=message):
+        split_train_test(d, fraction, seed=0)
+
+
 # ---------------------------------------------------------------- chunking
 
 def test_partition_sizes_near_equal():

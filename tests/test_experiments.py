@@ -645,4 +645,38 @@ def test_cli_header_only_csv_is_one_data_error_line(tmp_path, capsys):
         warnings.simplefilter("always")
         assert run_cli_centralized(tmp_path, "header", path) == 3
     assert caught == []
-    assert capsys.readouterr().err == f"DATA_ERROR: dataset {path}: {path}: no data rows\n"
+    assert capsys.readouterr().err == f"DATA_ERROR: dataset {path}: no data rows\n"
+
+
+_HEADER = ",".join(FEATURE_NAMES + (LABEL_COLUMN,)) + "\r\n"
+
+
+@pytest.mark.parametrize("content", [
+    _HEADER + ",".join(["1.0"] * 15 + ["x", "0"]) + "\r\n",  # a bad cell
+    "",  # an empty file
+    "TLOC,is_god_class\r\n1,0\r\n",  # missing columns
+    _HEADER,  # no data rows
+    None,  # no file
+], ids=["bad-cell", "empty", "missing-column", "header-only", "missing-file"])
+def test_cli_dataset_error_names_its_csv_once(tmp_path, capsys, content):
+    path = tmp_path / "input.csv"
+    if content is not None:
+        path.write_text(content, encoding="utf-8")
+    assert run_cli_centralized(tmp_path, "once", path) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"DATA_ERROR: dataset {path}: ") and len(err.splitlines()) == 1, err
+    # The OS's own message for a missing file quotes the path; no stage repeats it.
+    assert err.count(f"{path}:") == 1, err
+
+
+@pytest.mark.parametrize("verb, count", [("centralized", 1), ("cross-eval", 3),
+                                         ("federated", 1)])
+@pytest.mark.parametrize("fraction, side", [(0.01, "test"), (0.99, "training")])
+def test_cli_empty_split_names_its_side(tmp_path, capsys, verb, count, fraction, side):
+    paths = [synth_csv(tmp_path, f"d{i}", n=40, seed=i) for i in range(count)]
+    ini = tmp_path / "c.ini"
+    ini.write_text(f"[experiment]\ndatasets = {', '.join(paths)}\n"
+                   f"[data]\ntest_fraction = {fraction}\n", encoding="utf-8")
+    assert main([verb, "--config", str(ini), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == (f"DATA_ERROR: dataset {paths[0]}: dataset 'd0': "
+                                       f"test_fraction {fraction} leaves the {side} split empty\n")

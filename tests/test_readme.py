@@ -1,5 +1,5 @@
-"""The README's library example runs, its INI examples parse and the error
-classes it names exist, as written."""
+"""The README's library example runs, its INI examples parse, and the error
+classes it names exist with the exit codes and labels it gives them."""
 
 import builtins
 import re
@@ -7,6 +7,7 @@ from pathlib import Path
 
 import fedsmell
 from fedsmell.config import parse_config
+from fedsmell.errors import ConfigError, DataError, NumericError
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -29,3 +30,10 @@ def test_readme_names_only_builtin_or_exported_errors():
     names = set(re.findall(r"`(\w*Error)`", README.read_text(encoding="utf-8")))
     assert {"ConfigError", "DataError", "NumericError"} <= names
     assert [n for n in names if not hasattr(builtins, n) and not hasattr(fedsmell, n)] == []
+
+
+def test_readme_states_each_error_class_exit_code_and_label():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    for cls in (ConfigError, DataError, NumericError):
+        assert f"`{cls.__name__}` is {cls.exit_code}" in text
+        assert f"`{cls.label}:`" in text
