@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
+import threading
 
 from .config import EXPERIMENT_KINDS, parse_config
 from .errors import ConfigError, FedsmellError, NumericError
@@ -32,6 +34,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # For the length of the call SIGTERM stops a run as SIGINT does (main thread only).
+    previous = (signal.signal(signal.SIGTERM, signal.default_int_handler)
+                if threading.current_thread() is threading.main_thread() else None)
     try:
         args = _build_parser().parse_args(argv)
         cfg = parse_config(args.config, kind=_VERBS[args.verb], seed=args.seed,
@@ -41,6 +46,12 @@ def main(argv=None) -> int:
         error = exc if isinstance(exc, FedsmellError) else NumericError(exc)
         print(f"{error.label}: {' '.join(str(error).split())}", file=sys.stderr)
         return error.exit_code
+    except KeyboardInterrupt:
+        print("INTERRUPTED: stopped by a signal before the run finished", file=sys.stderr)
+        return 130
+    finally:
+        if previous is not None:  # None: the handler was not set from Python
+            signal.signal(signal.SIGTERM, previous)
 
     for row in result.rows:
         print(f"{row['train_source']} -> {row['eval_source']}: "

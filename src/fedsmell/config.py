@@ -13,12 +13,11 @@ from __future__ import annotations
 import configparser
 import json
 import math
-import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 from .data import REBALANCE_MODES
-from .errors import ConfigError, error_context
+from .errors import ConfigError, check_field_types, error_context, field_types
 from .federation import RoundConfig
 from .nn import Hyperparams
 
@@ -53,12 +52,7 @@ class ExperimentConfig:
         """Check every field's type, then every rule, and fill the structural
         defaults. The class stays frozen, so stored values go in through
         object.__setattr__."""
-        for name, (element, is_list) in _FIELDS.items():
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, _typed(element, is_list, value))
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError(f"bad value for {name}: {value!r} ({exc})") from exc
+        check_field_types(self)
         datasets = self.datasets
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError(f"kind must be one of {EXPERIMENT_KINDS}")
@@ -112,38 +106,12 @@ class ExperimentConfig:
                            seed=self.seed, reducer_mode=self.reducer_mode)
 
 
-# config field -> (element type, is a list), read off the annotations
-_FIELDS = {name: (typing.get_args(hint)[0], True) if typing.get_origin(hint) is tuple
-           else (hint, False)
-           for name, hint in typing.get_type_hints(ExperimentConfig).items()}
-
-
 def _from_ini(name: str, raw: str):
     """Convert an INI string: lists are comma-separated, blanks dropped."""
-    element, is_list = _FIELDS[name]
+    element, is_list = field_types(ExperimentConfig)[name]
     if is_list:
         return tuple(element(part.strip()) for part in raw.split(",") if part.strip())
     return element(raw)
-
-
-def _scalar(element: type, value):
-    """A field value of its own type: a bool is not an int, a float field
-    takes any number and stores a float, and a string holds no NUL."""
-    accepted = (int, float) if element is float else element
-    if isinstance(value, bool) or not isinstance(value, accepted):
-        raise TypeError(f"expected {element.__name__}")
-    if element is str and "\0" in value:
-        raise ValueError("contains a NUL character")
-    return element(value)
-
-
-def _typed(element: type, is_list: bool, value):
-    """Check a value against its field; a list field is stored as a tuple."""
-    if not is_list:
-        return _scalar(element, value)
-    if not isinstance(value, (list, tuple)):
-        raise TypeError(f"expected a list of {element.__name__}")
-    return tuple(_scalar(element, item) for item in value)
 
 
 # INI section -> the config fields it holds. A key is its field name
@@ -204,7 +172,7 @@ def _read_resolved_json(path: Path) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("top level must be an object")
     for key in raw:
-        if key not in _FIELDS:
+        if key not in field_types(ExperimentConfig):
             raise ConfigError(f"unknown key {key!r}")
     return raw
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigError, DataError, NumericError, error_context
+from .errors import ConfigError, DataError, NumericError, check_field_types, error_context
 from .metrics import MetricReport, evaluate_model
 from .nn import (Hyperparams, PARAM_COUNT, adam_update, init_params, loss_and_gradient,
                  unflatten_params, weight_vector)
@@ -38,8 +38,8 @@ class ClientNode:
     combiner_id: int
 
     def __post_init__(self):
-        if self.id < 0:
-            raise DataError("client ids must be non-negative")
+        if isinstance(self.id, bool) or not isinstance(self.id, int) or self.id < 0:
+            raise DataError(f"client ids must be non-negative ints, not {self.id!r}")
 
 
 @dataclass(frozen=True)
@@ -96,6 +96,7 @@ class RoundConfig:
     reducer_mode: str = PLAIN
 
     def __post_init__(self):
+        check_field_types(self)
         if self.rounds < 1:
             raise ConfigError("rounds must be >= 1")
         if not 0.0 < self.client_fraction <= 1.0:

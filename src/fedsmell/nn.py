@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import binary
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_field_types
 
 INPUT_DIM = 16
 HIDDEN_DIM = 16
@@ -83,6 +83,7 @@ class Hyperparams:
     local_epochs: int = 1
 
     def __post_init__(self):
+        check_field_types(self)
         if not 0 <= self.learning_rate < math.inf:
             raise ConfigError("learning_rate must be finite and >= 0")
         if self.batch_size < 1:

@@ -6,6 +6,7 @@ import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -14,7 +15,8 @@ from fedsmell import cli, config
 from fedsmell.cli import main
 from fedsmell.config import EXPERIMENT_KINDS, ExperimentConfig, parse_config
 from fedsmell.data import REBALANCE_MODES
-from fedsmell.errors import ConfigError, DataError, FedsmellError, NumericError
+from fedsmell.errors import (ConfigError, DataError, FedsmellError, NumericError,
+                             field_types)
 from fedsmell.federation import REDUCER_MODES, RoundConfig
 from fedsmell.nn import Hyperparams
 
@@ -168,16 +170,25 @@ def test_direct_construction_stores_lists_as_tuples():
 
 BAD_VALUES = [("datasets", "abc"), ("rounds", "3"), ("seed", True), ("batch_size", 32.0),
               ("chunks", ["a"]), ("out_dir", 5), ("test_fraction", None),
-              ("datasets", ("a\0.csv",)), ("out_dir", "o\0ut")]
+              ("datasets", ("a\0.csv",)), ("out_dir", "o\0ut"),
+              ("batch_size", 2.5), ("rounds", 2.5), ("seed", 1.5), ("batch_size", True),
+              ("client_fraction", True), ("local_epochs", np.int64(1))]
+# Each config class with the arguments it needs to build.
+CONFIG_CLASSES = ((ExperimentConfig, {"kind": "federated", "datasets": ("a.csv",)}),
+                  (RoundConfig, {}), (Hyperparams, {}))
 
 
 @pytest.mark.parametrize("name, value", BAD_VALUES)
 def test_direct_construction_and_replace_reject_wrong_types_and_nul(name, value):
-    base = {"kind": "federated", "datasets": ("a.csv",)}
-    with pytest.raises(ConfigError, match=f"bad value for {name}: "):
-        ExperimentConfig(**{**base, name: value})
-    with pytest.raises(ConfigError, match=f"bad value for {name}: "):
-        dataclasses.replace(ExperimentConfig(**base), **{name: value})
+    # Every config class with the field refuses the value, however it is
+    # built, with the same message.
+    message = f"^bad value for {name}: {re.escape(repr(value))} \\("
+    for cls, base in CONFIG_CLASSES:
+        if name in field_types(cls):
+            with pytest.raises(ConfigError, match=message):
+                cls(**{**base, name: value})
+            with pytest.raises(ConfigError, match=message):
+                dataclasses.replace(cls(**base), **{name: value})
 
 
 def test_float_field_stores_an_int_as_float():
@@ -233,7 +244,7 @@ def test_built_config_is_rejected_or_reads_back_identical(kwargs):
         cfg = ExperimentConfig(**kwargs)
     except ConfigError:
         return
-    for name, (element, is_list) in config._FIELDS.items():
+    for name, (element, is_list) in field_types(ExperimentConfig).items():
         value = getattr(cfg, name)
         items = value if is_list else (value,)
         assert (type(value) is tuple) == is_list and all(type(v) is element for v in items)
@@ -241,6 +252,29 @@ def test_built_config_is_rejected_or_reads_back_identical(kwargs):
         path = Path(tmp) / "config.resolved.json"
         path.write_text(json.dumps(dataclasses.asdict(cfg)), encoding="utf-8")
         assert parse_config(path) == cfg
+
+
+_SHARED_FIELDS = sorted(set(field_types(ExperimentConfig))
+                        & {*field_types(RoundConfig), *field_types(Hyperparams)})
+
+
+def _built_or_refused(build, name):
+    """The stored field as (type, value), or the message that refused it."""
+    try:
+        value = getattr(build(), name)
+    except ConfigError as exc:
+        return str(exc)
+    return type(value), value
+
+
+@settings(derandomize=True)
+@given(st.sampled_from(_SHARED_FIELDS),
+       st.one_of(_MIXED, st.integers(-2, 40).map(np.int64), st.sampled_from(REDUCER_MODES)))
+def test_a_shared_field_is_refused_alike_by_each_class_that_holds_it(name, value):
+    own = RoundConfig if name in field_types(RoundConfig) else Hyperparams
+    experiment = _built_or_refused(
+        lambda: ExperimentConfig(kind="centralized", datasets=("a.csv",), **{name: value}), name)
+    assert experiment == _built_or_refused(lambda: own(**{name: value}), name)
 
 
 def test_every_field_has_one_ini_section():
@@ -535,7 +569,8 @@ _JSON_VALUES = st.recursive(
     max_leaves=5)
 _JSON_OBJECTS = st.fixed_dictionaries(
     {"datasets": st.just(["missing.csv"]) | _JSON_VALUES},
-    optional={name: _JSON_VALUES for name in config._FIELDS if name != "datasets"}
+    optional={name: _JSON_VALUES for name in field_types(ExperimentConfig)
+              if name != "datasets"}
 ).map(lambda obj: json.dumps(obj).encode("utf-8"))
 
 

@@ -2,6 +2,11 @@
 
 import hashlib
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 import warnings
 import weakref
 from pathlib import Path
@@ -11,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fedsmell import experiments
+from fedsmell import cli, experiments
 from fedsmell.cli import main
 from fedsmell.config import ExperimentConfig, parse_config
 from fedsmell.data import (FEATURE_NAMES, LABEL_COLUMN, domain_shift, load_csv,
@@ -680,3 +685,69 @@ def test_cli_empty_split_names_its_side(tmp_path, capsys, verb, count, fraction,
     assert main([verb, "--config", str(ini), "--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err == (f"DATA_ERROR: dataset {paths[0]}: dataset 'd0': "
                                        f"test_fraction {fraction} leaves the {side} split empty\n")
+
+
+# A federated run that marks its first client update with a file named
+# `training`, so a signal can be sent while it trains.
+_MARKED_RUN = """
+import sys
+from pathlib import Path
+from fedsmell import cli, federation
+update = federation.client_update
+def marked(*args):
+    Path("training").touch()
+    return update(*args)
+federation.client_update = marked
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM])
+def test_cli_signal_while_training_ends_with_one_interrupted_line(tmp_path, signum):
+    path = synth_csv(tmp_path, "d", n=120, seed=1)
+    (tmp_path / "c.ini").write_text(f"[experiment]\ndatasets = {path}\n"
+                                    "[federation]\nrounds = 100000\n", encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(experiments.__file__).parent.parent)}
+    proc = subprocess.Popen([sys.executable, "-c", _MARKED_RUN, "federated", "--config", "c.ini",
+                             "--out", "out"], cwd=tmp_path, env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        deadline = time.monotonic() + 60
+        while not (tmp_path / "training").exists() and proc.poll() is None:
+            assert time.monotonic() < deadline, "the run never started training"
+            time.sleep(0.02)
+        proc.send_signal(signum)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 130, err
+    assert err.startswith("INTERRUPTED: ") and len(err.splitlines()) == 1, err
+    # The stop leaves no summary.json and no temp file.
+    assert {entry.name for entry in (tmp_path / "out").iterdir()} <= {"config.resolved.json",
+                                                                     "rounds.csv", "model.fwv"}
+
+
+def test_cli_main_leaves_the_sigterm_handler_as_it_found_it(tmp_path, capsys, monkeypatch):
+    def own_handler(signum, frame):
+        pass
+
+    def interrupted(cfg):
+        assert signal.getsignal(signal.SIGTERM) is signal.default_int_handler
+        raise KeyboardInterrupt
+
+    ini = _write_verb_ini(tmp_path, "centralized")
+    previous = signal.signal(signal.SIGTERM, own_handler)
+    try:
+        assert main(["centralized", "--config", str(ini), "--out", str(tmp_path / "a")]) == 0
+        assert signal.getsignal(signal.SIGTERM) is own_handler
+        assert main(["centralized", "--config", str(tmp_path / "none.ini")]) == 2
+        assert signal.getsignal(signal.SIGTERM) is own_handler
+        monkeypatch.setattr(cli, "run_experiment", interrupted)
+        assert main(["centralized", "--config", str(ini), "--out", str(tmp_path / "b")]) == 130
+        assert signal.getsignal(signal.SIGTERM) is own_handler
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0].startswith("CONFIG_ERROR: ") and err[1].startswith(
+        "INTERRUPTED: "), err

@@ -330,6 +330,14 @@ def test_topology_validation():
         FederationTopology((0, 1), (small_client(client_id=0, combiner_id=0),))
 
 
+@pytest.mark.parametrize("client_id", [1.5, True, "1", np.int64(1), -1])
+def test_client_id_must_be_a_non_negative_int(client_id):
+    # A float id would replay the shuffle stream of the int it rounds to,
+    # since derive_seed calls int() on each part.
+    with pytest.raises(DataError, match="client ids must be non-negative ints"):
+        small_client(client_id=client_id)
+
+
 # ------------------------------------------------------------ run_federation
 
 def test_single_client_federation_matches_repeated_local_training():

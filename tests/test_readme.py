@@ -1,11 +1,13 @@
 """The README's library example runs, its INI examples parse, and the error
-classes it names exist with the exit codes and labels it gives them."""
+classes it names exist with the exit codes and labels it gives them, as does
+the interrupted run's line."""
 
 import builtins
 import re
 from pathlib import Path
 
 import fedsmell
+from fedsmell import cli
 from fedsmell.config import parse_config
 from fedsmell.errors import ConfigError, DataError, NumericError
 
@@ -37,3 +39,15 @@ def test_readme_states_each_error_class_exit_code_and_label():
     for cls in (ConfigError, DataError, NumericError):
         assert f"`{cls.__name__}` is {cls.exit_code}" in text
         assert f"`{cls.label}:`" in text
+
+
+def test_readme_states_the_interrupted_exit_code_and_label(monkeypatch, capsys):
+    def interrupted(cfg):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "parse_config", lambda *args, **kwargs: None)
+    monkeypatch.setattr(cli, "run_experiment", interrupted)
+    code = cli.main(["centralized", "--config", "any.ini"])
+    label = capsys.readouterr().err.split(" ")[0]
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    assert f"`{code}` interrupted (`{label}`)" in text
