@@ -58,6 +58,8 @@ class ExperimentConfig:
             raise ConfigError(f"kind must be one of {EXPERIMENT_KINDS}")
         if not 1 <= len(datasets) <= 3:
             raise ConfigError("datasets must list between 1 and 3 entries")
+        if "" in (self.out_dir, *datasets):  # "" names the current directory
+            raise ConfigError("out_dir and dataset entries must not be empty")
         if self.kind == CROSS_EVAL and len(datasets) != 3:
             raise ConfigError("cross_eval requires exactly 3 datasets")
         if self.rebalance not in REBALANCE_MODES:

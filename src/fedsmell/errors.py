@@ -1,4 +1,4 @@
-"""One error class per CLI exit code, and the field-type rule of every config class."""
+"""One error class per CLI exit code, and the field-type rule of every checked dataclass."""
 
 import functools
 import typing
@@ -47,26 +47,27 @@ def field_types(cls) -> dict:
             for name, hint in typing.get_type_hints(cls).items()}
 
 
-def check_field_types(instance) -> None:
+def check_field_types(instance, error: type[FedsmellError] = ConfigError) -> None:
     """Store each field of a (maybe frozen) dataclass instance as its own type,
-    or raise a ConfigError naming the field."""
+    or raise `error` naming the field."""
     for name, (element, is_list) in field_types(type(instance)).items():
         value = getattr(instance, name)
         try:
             object.__setattr__(instance, name, _typed(element, is_list, value))
         except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"bad value for {name}: {value!r} ({exc})") from exc
+            raise error(f"bad value for {name}: {value!r} ({exc})") from exc
 
 
 def _scalar(element: type, value):
     """A field value of its own type: a bool is not an int, a float field
-    takes any number and stores a float, and a string holds no NUL."""
+    takes any number and stores a float, a string holds no NUL, and a field
+    of any other class holds an instance of it, stored as is."""
     accepted = (int, float) if element is float else element
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise TypeError(f"expected {element.__name__}")
     if element is str and "\0" in value:
         raise ValueError("contains a NUL character")
-    return element(value)
+    return element(value) if element in (int, float, str) else value
 
 
 def _typed(element: type, is_list: bool, value):

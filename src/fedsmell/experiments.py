@@ -242,12 +242,9 @@ def _write_json(obj, path) -> None:
 
 
 def emit_outputs(out_dir, result: RunResult) -> None:
-    """Write config.resolved.json, the federated rounds.csv and model.fwv,
-    then summary.json, each file whole or not at all: a summary.json marks
-    a finished run."""
+    """Write the federated rounds.csv and model.fwv, then summary.json, each
+    file whole or not at all: a summary.json marks a finished run."""
     out_dir = Path(out_dir)
-    _write_whole(out_dir / "config.resolved.json",
-                lambda temp: _write_json(asdict(result.config), temp))
     if result.round_logs:
         _write_whole(out_dir / "rounds.csv", lambda temp: write_rounds_csv(result.round_logs, temp))
     if result.final_weights is not None:
@@ -266,8 +263,9 @@ _RUNNERS = {CENTRALIZED: run_centralized, CROSS_EVAL: run_cross_eval,
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
-    """Create the output directory, run the experiment, and write all outputs;
-    a directory that cannot be made or written to is a ConfigError."""
+    """Create the output directory, write config.resolved.json first, so out_dir
+    describes the last run attempted, then run and write the other outputs; a
+    directory that cannot be made or written to is a ConfigError."""
     try:
         Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -277,6 +275,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         # A summary.json marks a finished run, so no earlier run's output may survive into this one.
         for name in ("summary.json", "rounds.csv", "model.fwv"):
             (Path(cfg.out_dir) / name).unlink(missing_ok=True)
+        _write_whole(Path(cfg.out_dir) / "config.resolved.json",
+                     lambda temp: _write_json(asdict(cfg), temp))
         result = _RUNNERS[cfg.kind](cfg)
         result.wall_clock_seconds = time.perf_counter() - started
         emit_outputs(cfg.out_dir, result)

@@ -38,7 +38,8 @@ class ClientNode:
     combiner_id: int
 
     def __post_init__(self):
-        if isinstance(self.id, bool) or not isinstance(self.id, int) or self.id < 0:
+        check_field_types(self, DataError)
+        if self.id < 0:
             raise DataError(f"client ids must be non-negative ints, not {self.id!r}")
 
 
@@ -51,6 +52,7 @@ class ModelUpdate:
     sample_count: int
 
     def __post_init__(self):
+        check_field_types(self, DataError)
         if self.sample_count < 1:
             raise DataError("sample_count must be positive")
 
@@ -63,8 +65,7 @@ class FederationTopology:
     clients: tuple[ClientNode, ...]
 
     def __post_init__(self):
-        self.combiners = tuple(self.combiners)
-        self.clients = tuple(self.clients)
+        check_field_types(self, DataError)
         if not self.combiners or not self.clients:
             raise DataError("topology needs at least one combiner and one client")
         self._by_id = {c.id: c for c in self.clients}
@@ -83,9 +84,6 @@ class FederationTopology:
 
     def client_by_id(self, client_id: int) -> ClientNode:
         return self._by_id[client_id]
-
-    def client_ids(self) -> list[int]:
-        return sorted(self._by_id)
 
 
 @dataclass(frozen=True)
@@ -204,7 +202,7 @@ def sample_clients(topology: FederationTopology, fraction: float, round_seed: in
     """Pick max(1, round(fraction * N)) client ids uniformly, sorted."""
     if not 0.0 < fraction <= 1.0:
         raise DataError("fraction must be in (0, 1]")
-    ids = topology.client_ids()
+    ids = sorted(c.id for c in topology.clients)
     count = max(1, int(math.floor(fraction * len(ids) + 0.5)))
     rng = np.random.default_rng(round_seed)
     chosen = rng.choice(len(ids), size=count, replace=False)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, binary
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, check_field_types
 from .nn import forward_batch, mean_cross_entropy, unflatten_params
 
 
@@ -20,6 +20,7 @@ class ConfusionMatrix:
     fn: int
 
     def __post_init__(self):
+        check_field_types(self, DataError)
         for name in ("tp", "tn", "fp", "fn"):
             if getattr(self, name) < 0:
                 raise DataError(f"confusion cell {name} must be non-negative")

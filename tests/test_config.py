@@ -18,7 +18,8 @@ from fedsmell.data import REBALANCE_MODES
 from fedsmell.errors import (ConfigError, DataError, FedsmellError, NumericError,
                              field_types)
 from fedsmell.federation import REDUCER_MODES, RoundConfig
-from fedsmell.nn import Hyperparams
+from fedsmell.nn import PARAM_COUNT, Hyperparams
+from util import CHECKED_CLASSES
 
 
 def write(path, text):
@@ -172,22 +173,23 @@ BAD_VALUES = [("datasets", "abc"), ("rounds", "3"), ("seed", True), ("batch_size
               ("chunks", ["a"]), ("out_dir", 5), ("test_fraction", None),
               ("datasets", ("a\0.csv",)), ("out_dir", "o\0ut"),
               ("batch_size", 2.5), ("rounds", 2.5), ("seed", 1.5), ("batch_size", True),
-              ("client_fraction", True), ("local_epochs", np.int64(1))]
-# Each config class with the arguments it needs to build.
-CONFIG_CLASSES = ((ExperimentConfig, {"kind": "federated", "datasets": ("a.csv",)}),
-                  (RoundConfig, {}), (Hyperparams, {}))
+              ("client_fraction", True), ("local_epochs", np.int64(1)),
+              # The records a library caller builds for a federation and its scores.
+              ("combiner_id", True), ("combiner_id", 0.0), ("sample_count", True),
+              ("sample_count", 2.5), ("weights", [0.0] * PARAM_COUNT), ("local_data", "x"),
+              ("hyper", None), ("clients", ("x",)), ("combiners", range(1)), ("tp", 1.5)]
 
 
 @pytest.mark.parametrize("name, value", BAD_VALUES)
 def test_direct_construction_and_replace_reject_wrong_types_and_nul(name, value):
-    # Every config class with the field refuses the value, however it is
-    # built, with the same message.
+    # Every checked class with the field refuses the value, however it is
+    # built, with the same message and its own error class.
     message = f"^bad value for {name}: {re.escape(repr(value))} \\("
-    for cls, base in CONFIG_CLASSES:
+    for cls, error, base in CHECKED_CLASSES:
         if name in field_types(cls):
-            with pytest.raises(ConfigError, match=message):
+            with pytest.raises(error, match=message):
                 cls(**{**base, name: value})
-            with pytest.raises(ConfigError, match=message):
+            with pytest.raises(error, match=message):
                 dataclasses.replace(cls(**base), **{name: value})
 
 
@@ -440,6 +442,28 @@ def test_cli_nul_in_a_path_exits_2_before_any_directory_is_made(tmp_path, capsys
         assert err.startswith("CONFIG_ERROR:") and f"bad value for {field}: " in err, err
         assert len(err.splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_empty_out_dir_or_dataset_entry_exits_2_and_writes_nothing(tmp_path, capsys,
+                                                                       monkeypatch):
+    # An empty path names the current directory: a run there would delete
+    # its summary.json, and a synth run would write a hidden ".csv".
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path / "summary.json", "{}\n")
+    cases = [
+        ("centralized", write(tmp_path / "c.ini", MINIMAL), ["--out", ""]),
+        ("centralized", write(tmp_path / "o.ini", MINIMAL + "out_dir =\n"), []),
+        ("synth", write(tmp_path / "s.json", json.dumps({"datasets": [""], "out_dir": "o"})), []),
+        ("centralized", write(tmp_path / "d.json", json.dumps({"datasets": [""]})), []),
+    ]
+    before = sorted(entry.name for entry in tmp_path.iterdir())
+    for verb, cfg, extra in cases:
+        assert main([verb, "--config", str(cfg), *extra]) == 2, cfg
+        err = capsys.readouterr().err
+        assert err == (f"CONFIG_ERROR: config {cfg}: "
+                       "out_dir and dataset entries must not be empty\n"), err
+    assert sorted(entry.name for entry in tmp_path.iterdir()) == before
+    assert (tmp_path / "summary.json").read_text(encoding="utf-8") == "{}\n"
 
 
 def test_cli_deeply_nested_resolved_json_exits_2(tmp_path, capsys):

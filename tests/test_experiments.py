@@ -490,6 +490,24 @@ def test_library_run_raises_the_cli_numeric_error(tmp_path, capsys):
         assert capsys.readouterr().err == f"NUMERIC_ERROR: {raised.value}\n"
 
 
+def test_a_failed_rerun_leaves_its_own_resolved_config(tmp_path, capsys):
+    # config.resolved.json is written before training, so a rerun that fails
+    # in training leaves out_dir describing that rerun, not the earlier run.
+    path = synth_csv(tmp_path, "d", n=120, seed=1)
+    ini = tmp_path / "fed.ini"
+    ini.write_text(f"[experiment]\nkind = federated\ndatasets = {path}\n"
+                   "[federation]\nrounds = 1\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["federated", "--config", str(ini), "--out", str(out), "--seed", "1"]) == 0
+    with open(ini, "a", encoding="utf-8") as fh:
+        fh.write("[training]\nlearning_rate = 1e300\n")
+    assert main(["federated", "--config", str(ini), "--out", str(out), "--seed", "2"]) == 4
+    assert capsys.readouterr().err.startswith("NUMERIC_ERROR: round 1: overflow")
+    resolved = json.loads((out / "config.resolved.json").read_text(encoding="utf-8"))
+    assert (resolved["seed"], resolved["learning_rate"]) == (2, 1e300)
+    assert not (out / "summary.json").exists()
+
+
 def test_error_context_restores_the_callers_float_settings():
     with np.errstate(over="ignore", under="raise"):
         before = np.geterr()

@@ -333,8 +333,10 @@ def test_topology_validation():
 @pytest.mark.parametrize("client_id", [1.5, True, "1", np.int64(1), -1])
 def test_client_id_must_be_a_non_negative_int(client_id):
     # A float id would replay the shuffle stream of the int it rounds to,
-    # since derive_seed calls int() on each part.
-    with pytest.raises(DataError, match="client ids must be non-negative ints"):
+    # since derive_seed calls int() on each part. The type falls to the
+    # field rule, the sign to ClientNode's own check.
+    message = "client ids must be non-negative ints" if client_id == -1 else "^bad value for id: "
+    with pytest.raises(DataError, match=message):
         small_client(client_id=client_id)
 
 

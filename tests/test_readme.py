@@ -1,15 +1,19 @@
-"""The README's library example runs, its INI examples parse, and the error
+"""The README's library example runs, its INI examples parse, the error
 classes it names exist with the exit codes and labels it gives them, as does
-the interrupted run's line."""
+the interrupted run's line, and each class it says checks its field types
+raises the error class it gives that class."""
 
 import builtins
 import re
 from pathlib import Path
 
+import pytest
+
 import fedsmell
 from fedsmell import cli
 from fedsmell.config import parse_config
-from fedsmell.errors import ConfigError, DataError, NumericError
+from fedsmell.errors import ConfigError, DataError, NumericError, field_types
+from util import CHECKED_CLASSES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -51,3 +55,17 @@ def test_readme_states_the_interrupted_exit_code_and_label(monkeypatch, capsys):
     label = capsys.readouterr().err.split(" ")[0]
     text = " ".join(README.read_text(encoding="utf-8").split())
     assert f"`{code}` interrupted (`{label}`)" in text
+
+
+def test_readme_names_each_checked_class_and_the_error_it_raises():
+    [paragraph] = [p for p in README.read_text(encoding="utf-8").split("\n\n")
+                   if p.startswith("Library callers get the same checks.")]
+    sentences = [set(re.findall(r"`(\w+)`", s)) for s in " ".join(paragraph.split()).split(". ")]
+    for cls, error, base in CHECKED_CLASSES:
+        # A sentence names the class and, of the error classes, only its own.
+        assert any(cls.__name__ in names and {n for n in names if n.endswith("Error")}
+                   == {error.__name__} for names in sentences), cls.__name__
+        name, (_, is_list) = next((name, types) for name, types in field_types(cls).items()
+                                  if types[0] is int)
+        with pytest.raises(error, match=f"^bad value for {name}: "):
+            cls(**{**base, name: (True,) if is_list else True})

@@ -4,8 +4,12 @@ import math
 
 import numpy as np
 
+from fedsmell.config import ExperimentConfig
 from fedsmell.data import NUM_FEATURES, Dataset
-from fedsmell.nn import HIDDEN_DIM, LAYOUT, PARAM_COUNT, unflatten_params
+from fedsmell.errors import ConfigError, DataError
+from fedsmell.federation import ClientNode, FederationTopology, ModelUpdate, RoundConfig
+from fedsmell.metrics import ConfusionMatrix
+from fedsmell.nn import HIDDEN_DIM, LAYOUT, PARAM_COUNT, Hyperparams, unflatten_params
 
 
 def make_dataset(features, labels, name="fixture") -> Dataset:
@@ -19,6 +23,20 @@ def random_dataset(n, n_positive, seed, name="fixture") -> Dataset:
     labels[:n_positive] = 1
     rng.shuffle(labels)
     return Dataset(name, rng.standard_normal((n, NUM_FEATURES)), labels)
+
+
+_CLIENT = {"id": 0, "local_data": random_dataset(4, 2, seed=0), "hyper": Hyperparams(),
+           "combiner_id": 0}
+# Each dataclass that checks its fields through errors.check_field_types, the
+# error class it raises, and the arguments it needs to build.
+CHECKED_CLASSES = (
+    (ExperimentConfig, ConfigError, {"kind": "federated", "datasets": ("a.csv",)}),
+    (RoundConfig, ConfigError, {}), (Hyperparams, ConfigError, {}),
+    (ClientNode, DataError, _CLIENT),
+    (ModelUpdate, DataError, {"client_id": 0, "weights": np.zeros(3), "sample_count": 1}),
+    (FederationTopology, DataError, {"combiners": (0,), "clients": (ClientNode(**_CLIENT),)}),
+    (ConfusionMatrix, DataError, {"tp": 1, "tn": 1, "fp": 0, "fn": 0}),
+)
 
 
 def rows_multiset(d: Dataset):
