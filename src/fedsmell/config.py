@@ -28,22 +28,19 @@ SYNTH = "synth"
 EXPERIMENT_KINDS = (CENTRALIZED, CROSS_EVAL, FEDERATED, SYNTH)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+@dataclass(frozen=True, kw_only=True)
+class ExperimentConfig(RoundConfig, Hyperparams):
+    """A whole run's settings. The round schedule and the local training are
+    the fields and rules of RoundConfig and Hyperparams, inherited, so a
+    config is passed as is wherever either is taken."""
+
     kind: str
     datasets: tuple[str, ...]
-    seed: int = 0
     out_dir: str = "out"
     rebalance: str = "oversample"
     test_fraction: float = 0.3
     chunks: tuple[int, ...] = ()
     combiner_clients: tuple[int, ...] = ()
-    rounds: int = RoundConfig.rounds
-    client_fraction: float = RoundConfig.client_fraction
-    reducer_mode: str = RoundConfig.reducer_mode
-    learning_rate: float = Hyperparams.learning_rate
-    batch_size: int = Hyperparams.batch_size
-    local_epochs: int = Hyperparams.local_epochs
     synth_samples: int = 2000
     synth_positive_rate: float = 0.5
     synth_shifts: tuple[float, ...] = ()
@@ -66,8 +63,8 @@ class ExperimentConfig:
             raise ConfigError(f"rebalance must be one of {REBALANCE_MODES}")
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError("test_fraction must be in (0, 1)")
-        self.round_config()
-        self.hyperparams()
+        RoundConfig.__post_init__(self)
+        Hyperparams.__post_init__(self)
         if self.synth_samples < 10:
             raise ConfigError("synth samples must be >= 10")
         if not 0.0 < self.synth_positive_rate < 1.0:
@@ -98,14 +95,6 @@ class ExperimentConfig:
             object.__setattr__(self, "synth_shifts", shifts)
         if not all(math.isfinite(s) for s in self.synth_shifts):
             raise ConfigError("synth shifts must be finite")
-
-    def hyperparams(self) -> Hyperparams:
-        return Hyperparams(learning_rate=self.learning_rate, batch_size=self.batch_size,
-                           local_epochs=self.local_epochs)
-
-    def round_config(self) -> RoundConfig:
-        return RoundConfig(rounds=self.rounds, client_fraction=self.client_fraction,
-                           seed=self.seed, reducer_mode=self.reducer_mode)
 
 
 def _from_ini(name: str, raw: str):

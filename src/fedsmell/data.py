@@ -82,6 +82,8 @@ class Dataset:
         idx = np.asarray(indices)
         if idx.size and idx.dtype.kind not in "iu":  # a mask or 1.9 would pick other rows
             raise DataError("subset indices must be integers")
+        if idx.size and (idx.min() < 0 or idx.max() >= len(self)):  # -1 would pick the last row
+            raise DataError(f"subset indices must be in [0, {len(self)})")
         idx = idx.astype(int, copy=False)
         return Dataset(name or self.name, self.features[idx], self.labels[idx])
 

@@ -49,13 +49,15 @@ def field_types(cls) -> dict:
 
 def check_field_types(instance, error: type[FedsmellError] = ConfigError) -> None:
     """Store each field of a (maybe frozen) dataclass instance as its own type,
-    or raise `error` naming the field."""
+    or raise `error` naming the field and the value, cut to 200 characters."""
     for name, (element, is_list) in field_types(type(instance)).items():
         value = getattr(instance, name)
         try:
             object.__setattr__(instance, name, _typed(element, is_list, value))
         except (TypeError, ValueError, OverflowError) as exc:
-            raise error(f"bad value for {name}: {value!r} ({exc})") from exc
+            shown = repr(value)
+            shown = shown if len(shown) <= 200 else f"{shown[:200]}..."
+            raise error(f"bad value for {name}: {shown} ({exc})") from exc
 
 
 def _scalar(element: type, value):

@@ -114,11 +114,10 @@ def train_centralized(train: datamod.Dataset, hyper: Hyperparams, passes: int,
 
 
 def _train_each(cfg: ExperimentConfig, sources) -> list[np.ndarray]:
-    hyper = cfg.hyperparams()
     models = []
     for path, source in zip(cfg.datasets, sources):
         with error_context(f"dataset {path}"):
-            models.append(train_centralized(source.train, hyper, cfg.rounds, cfg.seed))
+            models.append(train_centralized(source.train, cfg, cfg.rounds, cfg.seed))
     return models
 
 
@@ -155,7 +154,6 @@ def run_cross_eval(cfg: ExperimentConfig) -> RunResult:
 
 def build_federated_clients(sources, cfg: ExperimentConfig):
     """Partition each source's train split into chunks and assign combiners."""
-    hyper = cfg.hyperparams()
     chunk_sets = []
     for index, (path, source) in enumerate(zip(cfg.datasets, sources)):
         with error_context(f"dataset {path}"):
@@ -167,7 +165,7 @@ def build_federated_clients(sources, cfg: ExperimentConfig):
     for combiner_id, count in enumerate(cfg.combiner_clients):
         assignment.extend([combiner_id] * count)
     clients = tuple(
-        ClientNode(id=i, local_data=chunk, hyper=hyper, combiner_id=assignment[i])
+        ClientNode(id=i, local_data=chunk, hyper=cfg, combiner_id=assignment[i])
         for i, chunk in enumerate(chunk_sets)
     )
     return FederationTopology(combiners=tuple(range(len(cfg.combiner_clients))), clients=clients)
@@ -185,7 +183,7 @@ def run_federated(cfg: ExperimentConfig) -> RunResult:
     pooled_test = datamod.concat_datasets("pooled-test", [s.test for s in sources])
     del sources  # the clients and the pooled test own copies of what training needs
     _require_both_classes(pooled_test)
-    logs, final_weights = run_federation(topology, cfg.round_config(), pooled_test)
+    logs, final_weights = run_federation(topology, cfg, pooled_test)
     return RunResult(cfg, [_cell("federated", pooled_test.name, logs[-1].report.accuracy_pct)],
                      round_logs=logs, final_weights=final_weights)
 

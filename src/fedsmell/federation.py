@@ -28,7 +28,7 @@ SMOOTHED = "smoothed"
 REDUCER_MODES = (PLAIN, SMOOTHED)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClientNode:
     """One simulated company: private data plus training knobs."""
 
@@ -57,7 +57,7 @@ class ModelUpdate:
             raise DataError("sample_count must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FederationTopology:
     """Reducer (implicit singleton), combiner ids, and client assignments."""
 
@@ -68,7 +68,7 @@ class FederationTopology:
         check_field_types(self, DataError)
         if not self.combiners or not self.clients:
             raise DataError("topology needs at least one combiner and one client")
-        self._by_id = {c.id: c for c in self.clients}
+        object.__setattr__(self, "_by_id", {c.id: c for c in self.clients})
         if len(self._by_id) != len(self.clients):
             raise DataError("client ids must be unique")
         known = set(self.combiners)
@@ -86,7 +86,7 @@ class FederationTopology:
         return self._by_id[client_id]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RoundConfig:
     rounds: int = 100
     client_fraction: float = 1.0

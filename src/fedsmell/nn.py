@@ -74,7 +74,7 @@ class ModelParams:
     layers: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Hyperparams:
     """Local-training knobs shared by centralized and federated runs."""
 

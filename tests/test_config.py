@@ -180,17 +180,24 @@ BAD_VALUES = [("datasets", "abc"), ("rounds", "3"), ("seed", True), ("batch_size
               ("hyper", None), ("clients", ("x",)), ("combiners", range(1)), ("tp", 1.5)]
 
 
+def shown(value) -> str:
+    """A refused value as its error message shows it: the repr, cut after 200 characters."""
+    text = repr(value)
+    return text if len(text) <= 200 else text[:200] + "..."
+
+
 @pytest.mark.parametrize("name, value", BAD_VALUES)
 def test_direct_construction_and_replace_reject_wrong_types_and_nul(name, value):
     # Every checked class with the field refuses the value, however it is
-    # built, with the same message and its own error class.
-    message = f"^bad value for {name}: {re.escape(repr(value))} \\("
+    # built, with the same message and its own error class, on one short line.
+    message = f"^bad value for {name}: {re.escape(shown(value))} \\("
     for cls, error, base in CHECKED_CLASSES:
         if name in field_types(cls):
-            with pytest.raises(error, match=message):
+            with pytest.raises(error, match=message) as built:
                 cls(**{**base, name: value})
-            with pytest.raises(error, match=message):
+            with pytest.raises(error, match=message) as replaced:
                 dataclasses.replace(cls(**base), **{name: value})
+            assert len(str(built.value)) < 300 and len(str(replaced.value)) < 300
 
 
 def test_float_field_stores_an_int_as_float():
@@ -277,6 +284,21 @@ def test_a_shared_field_is_refused_alike_by_each_class_that_holds_it(name, value
     experiment = _built_or_refused(
         lambda: ExperimentConfig(kind="centralized", datasets=("a.csv",), **{name: value}), name)
     assert experiment == _built_or_refused(lambda: own(**{name: value}), name)
+
+
+def test_experiment_config_inherits_the_round_and_training_fields():
+    assert issubclass(ExperimentConfig, RoundConfig) and issubclass(ExperimentConfig, Hyperparams)
+    # Declared once: the subclass's own annotations name no parent field.
+    inherited = {*field_types(RoundConfig), *field_types(Hyperparams)}
+    assert len(inherited) == 7 and not inherited & set(ExperimentConfig.__annotations__)
+    assert inherited < set(field_types(ExperimentConfig))
+
+
+@pytest.mark.parametrize("build", [lambda: RoundConfig(3), lambda: Hyperparams(0.5),
+                                   lambda: ExperimentConfig("centralized", ("a.csv",))])
+def test_config_classes_take_keyword_arguments_only(build):
+    with pytest.raises(TypeError):
+        build()
 
 
 def test_every_field_has_one_ini_section():
@@ -390,7 +412,7 @@ def test_cli_resolved_json_wrong_types_exit_2(tmp_path, capsys):
         path.write_text(json.dumps({**base, key: value}), encoding="utf-8")
         assert main(["centralized", "--config", str(path)]) == 2, key
         assert capsys.readouterr().err == (
-            f"CONFIG_ERROR: config {path}: bad value for {key}: {value!r} ({reason})\n")
+            f"CONFIG_ERROR: config {path}: bad value for {key}: {shown(value)} ({reason})\n")
 
 
 def test_cli_resolved_json_duplicate_key_exits_2(tmp_path, capsys):

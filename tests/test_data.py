@@ -534,6 +534,14 @@ def test_subset_takes_integer_indices_only():
         d.subset([])
 
 
+def test_subset_refuses_an_index_outside_the_rows():
+    d = make_dataset(np.arange(3 * NUM_FEATURES).reshape(3, NUM_FEATURES), [0, 1, 0])
+    # -1 would pick the last row, and 3 would raise a bare IndexError.
+    for bad in ([-1], [0, 3], np.array([2, 3], dtype=np.uint8)):
+        with pytest.raises(DataError, match=r"^subset indices must be in \[0, 3\)$"):
+            d.subset(bad)
+
+
 def test_dataset_rejects_empty_batch():
     with pytest.raises(DataError):
         make_dataset(np.zeros((0, NUM_FEATURES)), np.zeros(0, dtype=int))

@@ -1,5 +1,6 @@
 """Client updates, weighted aggregation, reducer modes, and the round loop."""
 
+import dataclasses
 import math
 import weakref
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsmell import federation
+from fedsmell.config import ExperimentConfig
 from fedsmell.data import (concat_datasets, domain_shift, extract_chunks,
                            partition_chunks, synth_generate)
 from fedsmell.errors import DataError, NumericError
@@ -330,6 +332,16 @@ def test_topology_validation():
         FederationTopology((0, 1), (small_client(client_id=0, combiner_id=0),))
 
 
+def test_client_and_topology_refuse_assignment_after_construction():
+    topology = make_topology(n_clients=2, per_combiner=1)
+    client = topology.clients[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        topology.clients = (small_client(client_id=5),)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        client.combiner_id = 1.5
+    assert topology.client_by_id(0) is client and client.combiner_id == 0
+
+
 @pytest.mark.parametrize("client_id", [1.5, True, "1", np.int64(1), -1])
 def test_client_id_must_be_a_non_negative_int(client_id):
     # A float id would replay the shuffle stream of the int it rounds to,
@@ -366,6 +378,24 @@ def test_zero_learning_rate_freezes_round_metrics():
         assert log.report == first.report
         assert log.weights_checksum == first.weights_checksum
     assert np.array_equal(final, init_params(3))
+
+
+def test_an_experiment_config_drives_the_rounds_and_clients_like_its_parts():
+    # The config itself serves as each client's Hyperparams and as the RoundConfig.
+    test_set = random_dataset(36, 14, seed=9, name="test")
+    cfg = ExperimentConfig(kind="federated", datasets=("a.csv",), rounds=3, client_fraction=0.5,
+                           seed=12, reducer_mode="smoothed", learning_rate=0.01, batch_size=8,
+                           local_epochs=2)
+    parts = make_topology(n_clients=4, per_combiner=2, learning_rate=0.01, batch_size=8,
+                          local_epochs=2)
+    whole = FederationTopology(parts.combiners,
+                               tuple(dataclasses.replace(c, hyper=cfg) for c in parts.clients))
+    logs_a, final_a = run_federation(whole, cfg, test_set)
+    logs_b, final_b = run_federation(
+        parts, RoundConfig(rounds=3, client_fraction=0.5, seed=12, reducer_mode="smoothed"),
+        test_set)
+    assert logs_a == logs_b
+    assert final_a.tobytes() == final_b.tobytes()
 
 
 def test_federation_reproducible_logs():
