@@ -57,6 +57,10 @@ class ExperimentConfig(RoundConfig, Hyperparams):
             raise ConfigError("datasets must list between 1 and 3 entries")
         if "" in (self.out_dir, *datasets):  # "" names the current directory
             raise ConfigError("out_dir and dataset entries must not be empty")
+        stems = [Path(entry).stem for entry in datasets]  # the name each cell and error uses
+        repeated = [stem for i, stem in enumerate(stems) if stem in stems[:i]]
+        if repeated:
+            raise ConfigError(f"dataset name {repeated[0]!r} is repeated; names must be distinct")
         if self.kind == CROSS_EVAL and len(datasets) != 3:
             raise ConfigError("cross_eval requires exactly 3 datasets")
         if self.rebalance not in REBALANCE_MODES:

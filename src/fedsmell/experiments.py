@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -45,14 +44,12 @@ class PreparedSource:
 
 @dataclass
 class RunResult:
-    """A runner's outputs: accuracy cells, one per (train_source,
+    """What a run determined: accuracy cells, one per (train_source,
     eval_source) pair, plus the federated run's rounds and final model."""
 
-    config: ExperimentConfig
     rows: list[dict]
     round_logs: list = field(default_factory=list)
     final_weights: np.ndarray | None = None
-    wall_clock_seconds: float = 0.0
 
 
 def _cell(train_source: str, eval_source: str, accuracy_pct: float) -> dict:
@@ -129,7 +126,7 @@ def run_centralized(cfg: ExperimentConfig) -> RunResult:
         with error_context(f"dataset {path}"):
             report = evaluate_model(weights, source.test)
         rows.append(_cell(source.raw.name, source.raw.name, report.accuracy_pct))
-    return RunResult(cfg, rows)
+    return RunResult(rows)
 
 
 def run_cross_eval(cfg: ExperimentConfig) -> RunResult:
@@ -149,7 +146,7 @@ def run_cross_eval(cfg: ExperimentConfig) -> RunResult:
                 foreign = datamod.apply_normalizer(other.raw, trainer.stats)
                 report = evaluate_model(weights, foreign)
             rows.append(_cell(trainer.raw.name, other.raw.name, report.accuracy_pct))
-    return RunResult(cfg, rows)
+    return RunResult(rows)
 
 
 def build_federated_clients(sources, cfg: ExperimentConfig):
@@ -184,7 +181,7 @@ def run_federated(cfg: ExperimentConfig) -> RunResult:
     del sources  # the clients and the pooled test own copies of what training needs
     _require_both_classes(pooled_test)
     logs, final_weights = run_federation(topology, cfg, pooled_test)
-    return RunResult(cfg, [_cell("federated", pooled_test.name, logs[-1].report.accuracy_pct)],
+    return RunResult([_cell("federated", pooled_test.name, logs[-1].report.accuracy_pct)],
                      round_logs=logs, final_weights=final_weights)
 
 
@@ -206,7 +203,7 @@ def run_synth(cfg: ExperimentConfig) -> RunResult:
         _write_whole(out_dir / f"{name}.csv", lambda temp: datamod.save_csv(dataset, temp))
         _, positives = dataset.class_counts()
         rows.append(_cell(name, str(out_dir / f"{name}.csv"), 100.0 * positives / len(dataset)))
-    return RunResult(cfg, rows)
+    return RunResult(rows)
 
 
 def write_rounds_csv(logs, path) -> None:
@@ -239,19 +236,18 @@ def _write_json(obj, path) -> None:
         fh.write("\n")
 
 
-def emit_outputs(out_dir, result: RunResult) -> None:
-    """Write the federated rounds.csv and model.fwv, then summary.json, each
-    file whole or not at all: a summary.json marks a finished run."""
-    out_dir = Path(out_dir)
+def emit_outputs(cfg: ExperimentConfig, result: RunResult) -> None:
+    """Write the federated rounds.csv and model.fwv, then summary.json, into
+    cfg.out_dir, each whole or not at all: a summary.json marks a finished run."""
+    out_dir = Path(cfg.out_dir)
     if result.round_logs:
         _write_whole(out_dir / "rounds.csv", lambda temp: write_rounds_csv(result.round_logs, temp))
     if result.final_weights is not None:
         _write_whole(out_dir / "model.fwv", lambda temp: save_weights(temp, result.final_weights))
     summary = {
-        "experiment": result.config.kind,
+        "experiment": cfg.kind,
         "cells": result.rows,
         "final": asdict(result.round_logs[-1].report) if result.round_logs else None,
-        "wall_clock_seconds": result.wall_clock_seconds,
     }
     _write_whole(out_dir / "summary.json", lambda temp: _write_json(summary, temp))
 
@@ -268,7 +264,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {cfg.out_dir}: {exc}") from exc
-    started = time.perf_counter()
     try:
         # A summary.json marks a finished run, so no earlier run's output may survive into this one.
         for name in ("summary.json", "rounds.csv", "model.fwv"):
@@ -276,8 +271,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         _write_whole(Path(cfg.out_dir) / "config.resolved.json",
                      lambda temp: _write_json(asdict(cfg), temp))
         result = _RUNNERS[cfg.kind](cfg)
-        result.wall_clock_seconds = time.perf_counter() - started
-        emit_outputs(cfg.out_dir, result)
+        emit_outputs(cfg, result)
     except OSError as exc:  # datasets are read through load_csv, which raises DataError
         raise ConfigError(f"cannot write outputs to {cfg.out_dir}: {exc}") from exc
     return result

@@ -17,8 +17,7 @@ import pytest
 
 from fedsmell.cli import main
 from fedsmell.config import ExperimentConfig
-from fedsmell.data import (concat_datasets, domain_shift, load_csv, save_csv,
-                           synth_generate)
+from fedsmell.data import concat_datasets, load_csv
 from fedsmell.experiments import (prepare_source, run_centralized, run_cross_eval,
                                   run_experiment, run_federated, train_centralized)
 from fedsmell.federation import (ClientNode, FederationTopology, ModelUpdate,
@@ -31,7 +30,7 @@ from fedsmell.nn import (Hyperparams, PARAM_COUNT, init_params, loss_and_gradien
 from fedsmell.seeds import derive_seed
 from test_gradients import assert_gradients_match, fd_gradient
 from test_metrics import auc_pair_oracle, kappa_oracle
-from util import grad_buffer, random_dataset
+from util import grad_buffer, random_dataset, synth_csv
 
 
 def report(criterion: str, body):
@@ -47,13 +46,6 @@ def cfg_for(kind, datasets, out_dir, **overrides):
     base = dict(kind=kind, datasets=tuple(datasets), out_dir=str(out_dir))
     base.update(overrides)
     return ExperimentConfig(**base)
-
-
-def write_synth_csv(tmp_path, name, shift_magnitude, n, seed):
-    dataset = synth_generate(n, 0.5, domain_shift(shift_magnitude), seed=seed, name=name)
-    path = tmp_path / f"{name}.csv"
-    save_csv(dataset, path)
-    return str(path)
 
 
 # --------------------------------------------------------------- criterion 1
@@ -199,9 +191,9 @@ def test_criterion_4_metric_oracles_and_bands():
 def test_criterion_5_synthetic_cross_evaluation_drop(tmp_path):
     def body():
         for seed in (0, 1, 2):
-            home = write_synth_csv(tmp_path, f"home{seed}", 0.0, n=800, seed=100 + seed)
-            moved = write_synth_csv(tmp_path, f"moved{seed}", 3.0, n=800, seed=200 + seed)
-            peer = write_synth_csv(tmp_path, f"peer{seed}", 0.0, n=800, seed=300 + seed)
+            home = synth_csv(tmp_path, f"home{seed}", 0.0, n=800, seed=100 + seed)
+            moved = synth_csv(tmp_path, f"moved{seed}", 3.0, n=800, seed=200 + seed)
+            peer = synth_csv(tmp_path, f"peer{seed}", 0.0, n=800, seed=300 + seed)
 
             central = run_centralized(
                 cfg_for("centralized", [home], tmp_path / f"c{seed}", rounds=20, seed=seed)
@@ -229,9 +221,9 @@ def test_criterion_6_federation_beats_single_source_baselines(tmp_path):
     def body():
         for seed in (0, 1, 2):
             paths = [
-                write_synth_csv(tmp_path, f"s{seed}a", 0.0, n=1200, seed=400 + seed),
-                write_synth_csv(tmp_path, f"s{seed}b", 3.0, n=1200, seed=500 + seed),
-                write_synth_csv(tmp_path, f"s{seed}c", 0.0, n=1200, seed=600 + seed),
+                synth_csv(tmp_path, f"s{seed}a", 0.0, n=1200, seed=400 + seed),
+                synth_csv(tmp_path, f"s{seed}b", 3.0, n=1200, seed=500 + seed),
+                synth_csv(tmp_path, f"s{seed}c", 0.0, n=1200, seed=600 + seed),
             ]
             cfg = cfg_for("federated", paths, tmp_path / f"f{seed}", rounds=30, seed=seed)
             logs = run_federated(cfg).round_logs
@@ -259,7 +251,7 @@ def test_criterion_6_federation_beats_single_source_baselines(tmp_path):
 
 def test_criterion_7_byte_identical_round_logs(tmp_path):
     def body():
-        data_path = write_synth_csv(tmp_path, "det", 0.0, n=400, seed=77)
+        data_path = synth_csv(tmp_path, "det", 0.0, n=400, seed=77)
         ini = tmp_path / "fed.ini"
         ini.write_text(
             f"[experiment]\nkind = federated\ndatasets = {data_path}\nseed = 13\n"
@@ -270,12 +262,11 @@ def test_criterion_7_byte_identical_round_logs(tmp_path):
         out_a, out_b = tmp_path / "runA", tmp_path / "runB"
         assert main(["federated", "--config", str(ini), "--out", str(out_a)]) == 0
         assert main(["federated", "--config", str(ini), "--out", str(out_b)]) == 0
-        bytes_a = (out_a / "rounds.csv").read_bytes()
-        bytes_b = (out_b / "rounds.csv").read_bytes()
-        assert bytes_a == bytes_b
+        for name in ("rounds.csv", "summary.json"):
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
     report("criterion 7: identical config and seed produce byte-identical "
-           "rounds.csv across two sequential runs", body)
+           "rounds.csv and summary.json across two sequential runs", body)
 
 
 # -------------------------------------------------- data-conditional 8 - 10

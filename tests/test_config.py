@@ -19,7 +19,7 @@ from fedsmell.errors import (ConfigError, DataError, FedsmellError, NumericError
                              field_types)
 from fedsmell.federation import REDUCER_MODES, RoundConfig
 from fedsmell.nn import PARAM_COUNT, Hyperparams
-from util import CHECKED_CLASSES
+from util import CHECKED_CLASSES, synth_csv
 
 
 def write(path, text):
@@ -555,6 +555,26 @@ def test_cli_synth_name_that_is_not_a_plain_file_name_exits_2_and_writes_nothing
         assert capsys.readouterr().err == (
             f"CONFIG_ERROR: config {cfg}: synth dataset names must be plain file names\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == [f"s{i}.ini" for i in range(len(names))]
+
+
+def test_cli_repeated_dataset_name_exits_2_and_writes_nothing(tmp_path, capsys):
+    # Cells and errors name a dataset by its file stem, so two entries with
+    # one stem could not be told apart; each case would have exited 0.
+    for folder in ("o2", "o3"):
+        (tmp_path / folder).mkdir()
+        synth_csv(tmp_path / folder, "p", n=40, seed=1)
+    synth_csv(tmp_path / "o2", "q", n=40, seed=2)
+    p, other_p, q = (str(tmp_path / name) for name in ("o2/p.csv", "o3/p.csv", "o2/q.csv"))
+    cases = [("synth", "x, x", "x"), ("synth", "x, x.csv", "x"),
+             ("cross-eval", f"{p}, {p}, {q}", "p"), ("cross-eval", f"{p}, {other_p}, {q}", "p")]
+    for index, (verb, datasets, stem) in enumerate(cases):
+        cfg = write(tmp_path / f"c{index}.ini", f"[experiment]\ndatasets = {datasets}\n"
+                    "[federation]\nrounds = 1\n[synth]\nsamples = 20\n")
+        assert main([verb, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2, datasets
+        assert capsys.readouterr().err == (
+            f"CONFIG_ERROR: config {cfg}: dataset name {stem!r} is repeated; "
+            "names must be distinct\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_synth_samples_numpy_cannot_allocate_exit_2(tmp_path, capsys):

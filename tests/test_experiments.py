@@ -19,22 +19,14 @@ from hypothesis import strategies as st
 from fedsmell import cli, experiments
 from fedsmell.cli import main
 from fedsmell.config import ExperimentConfig, parse_config
-from fedsmell.data import (FEATURE_NAMES, LABEL_COLUMN, domain_shift, load_csv,
-                           save_csv, synth_generate)
+from fedsmell.data import FEATURE_NAMES, LABEL_COLUMN, load_csv, save_csv
 from fedsmell.errors import DataError, NumericError, error_context
 from fedsmell.experiments import (prepare_source, run_centralized, run_cross_eval,
                                   run_experiment, run_federated, train_centralized)
 from fedsmell.metrics import evaluate_model
 from fedsmell.nn import Hyperparams, init_params
 from fedsmell.seeds import derive_seed
-from util import random_dataset
-
-
-def synth_csv(tmp_path, name, shift_magnitude=0.0, n=700, seed=0):
-    dataset = synth_generate(n, 0.5, domain_shift(shift_magnitude), seed=seed, name=name)
-    path = tmp_path / f"{name}.csv"
-    save_csv(dataset, path)
-    return str(path)
+from util import random_dataset, synth_csv
 
 
 def cfg_for(kind, datasets, out_dir, **overrides):
@@ -214,7 +206,6 @@ def test_federated_run_emits_outputs_and_improves(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["experiment"] == "federated"
     assert summary["final"]["accuracy_pct"] == result.round_logs[-1].report.accuracy_pct
-    assert summary["wall_clock_seconds"] > 0
     # The final report is the last round's: same loss, accuracy, kappa, AUC.
     final = summary["final"]
     loss, accuracy, kappa, _, auc = (float(v) for v in lines[-1].split(",")[1:6])
@@ -268,7 +259,8 @@ def test_rounds_csv_is_byte_identical_across_runs(tmp_path):
                            combiner_clients=(2,)))
     run_experiment(cfg_for("federated", paths, out_b, rounds=3, chunks=(2,),
                            combiner_clients=(2,)))
-    assert (out_a / "rounds.csv").read_bytes() == (out_b / "rounds.csv").read_bytes()
+    for name in ("rounds.csv", "summary.json"):
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
 
 def test_rerun_from_resolved_config_reproduces_run(tmp_path):
@@ -281,8 +273,8 @@ def test_rerun_from_resolved_config_reproduces_run(tmp_path):
     from dataclasses import replace
     out_b = tmp_path / "replay"
     run_experiment(replace(replay_cfg, out_dir=str(out_b)))
-    assert (out_a / "rounds.csv").read_bytes() == (out_b / "rounds.csv").read_bytes()
-    assert (out_a / "model.fwv").read_bytes() == (out_b / "model.fwv").read_bytes()
+    for name in ("rounds.csv", "model.fwv", "summary.json"):
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
 
 def test_last_round_checksum_is_the_checkpoint_hash(tmp_path):
@@ -311,7 +303,7 @@ def test_directly_built_federated_config_runs_like_its_ini(tmp_path):
     ini.write_text(f"[experiment]\ndatasets = {', '.join(paths)}\n"
                    "[federation]\nrounds = 1\n", encoding="utf-8")
     assert main(["federated", "--config", str(ini), "--out", str(tmp_path / "cli")]) == 0
-    for name in ("rounds.csv", "model.fwv"):
+    for name in ("rounds.csv", "model.fwv", "summary.json"):
         assert (tmp_path / "lib" / name).read_bytes() == (tmp_path / "cli" / name).read_bytes()
 
 
@@ -605,6 +597,24 @@ def test_a_run_leaves_no_earlier_runs_outputs(tmp_path):
         assert sorted(entry.name for entry in out.iterdir()) == sorted(files + ("summary.json",))
 
 
+@pytest.mark.parametrize("verb", OUTPUT_FILES)
+def test_rerun_elsewhere_writes_the_same_bytes(tmp_path, monkeypatch, verb):
+    # Every output is a function of the config and seed alone. Both runs use
+    # the relative --out "out", from two working directories, since synth
+    # cells name the CSV they wrote and config.resolved.json names out_dir.
+    ini = _write_verb_ini(tmp_path, verb)
+    for side in ("a", "b"):
+        (tmp_path / side).mkdir()
+        monkeypatch.chdir(tmp_path / side)
+        assert main([verb, "--config", str(ini), "--out", "out"]) == 0
+    written = sorted(entry.name for entry in (tmp_path / "a" / "out").iterdir())
+    assert written == sorted(OUTPUT_FILES[verb][1] + ("summary.json",))
+    assert written == sorted(entry.name for entry in (tmp_path / "b" / "out").iterdir())
+    for name in written:
+        assert ((tmp_path / "a" / "out" / name).read_bytes()
+                == (tmp_path / "b" / "out" / name).read_bytes()), name
+
+
 def test_cli_write_failing_midway_leaves_no_partial_file(tmp_path, capsys, monkeypatch):
     def failing_save(path, values):
         Path(path).write_bytes(b"\x00" * 100)
@@ -625,11 +635,9 @@ def test_cli_bom_prefixed_csv_runs_like_its_plain_copy(tmp_path, capsys):
         assert run_cli_centralized(tmp_path, f"out-{name}", tmp_path / name / "s.csv") == 0
     captured = capsys.readouterr()
     assert captured.err == ""
-    summaries = [json.loads((tmp_path / f"out-{name}" / "summary.json").read_text())
-                 for name in ("plain", "bom")]
-    for summary in summaries:
-        summary.pop("wall_clock_seconds")
-    assert summaries[0] == summaries[1]
+    plain, bom = ((tmp_path / f"out-{name}" / "summary.json").read_bytes()
+                  for name in ("plain", "bom"))
+    assert plain == bom
 
 
 # A span of a valid dataset CSV (start, length) replaced by a few bytes,

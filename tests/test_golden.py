@@ -91,7 +91,6 @@ def _digests(work: Path) -> dict:
     digests = {}
     for run in ("fed", "central"):
         summary = json.loads((work / run / "summary.json").read_text(encoding="utf-8"))
-        del summary["wall_clock_seconds"]
         digests[f"{run}/summary cells"] = sha(json.dumps(summary, sort_keys=True).encode())
     for name in ("rounds.csv", "model.fwv"):
         digests[f"fed/{name}"] = sha((work / "fed" / name).read_bytes())

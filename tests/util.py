@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from fedsmell.config import ExperimentConfig
-from fedsmell.data import NUM_FEATURES, Dataset
+from fedsmell.data import NUM_FEATURES, Dataset, domain_shift, save_csv, synth_generate
 from fedsmell.errors import ConfigError, DataError
 from fedsmell.federation import ClientNode, FederationTopology, ModelUpdate, RoundConfig
 from fedsmell.metrics import ConfusionMatrix
@@ -37,6 +37,14 @@ CHECKED_CLASSES = (
     (FederationTopology, DataError, {"combiners": (0,), "clients": (ClientNode(**_CLIENT),)}),
     (ConfusionMatrix, DataError, {"tp": 1, "tn": 1, "fp": 0, "fn": 0}),
 )
+
+
+def synth_csv(tmp_path, name, shift_magnitude=0.0, n=700, seed=0) -> str:
+    """Write a synth dataset of n rows to tmp_path/<name>.csv; return its path."""
+    dataset = synth_generate(n, 0.5, domain_shift(shift_magnitude), seed=seed, name=name)
+    path = tmp_path / f"{name}.csv"
+    save_csv(dataset, path)
+    return str(path)
 
 
 def rows_multiset(d: Dataset):
