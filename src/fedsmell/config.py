@@ -131,6 +131,8 @@ def _read_ini(path: Path) -> dict:
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from exc
 
+    if parser.defaults():  # configparser would copy its keys into every section
+        raise ConfigError(f"unknown section {parser.default_section!r}")
     values: dict = {}
     for section in parser.sections():
         if section not in _SECTIONS:

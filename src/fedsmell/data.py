@@ -49,27 +49,29 @@ def binary(values, what: str) -> np.ndarray:
     return values.astype(np.int64, copy=False)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
-    """Named collection of samples backed by dense arrays."""
+    """Named collection of samples backed by dense arrays, checked once when
+    built and kept as read-only views, so the kernels that read it check nothing."""
 
     name: str
-    features: np.ndarray  # (n, NUM_FEATURES) float64
-    labels: np.ndarray  # (n,) int64 with values in {0, 1}
+    features: np.ndarray  # (n, NUM_FEATURES) float64, read-only
+    labels: np.ndarray  # (n,) int64 with values in {0, 1}, read-only
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=float)
-        if self.features.ndim != 2 or self.features.shape[1] != NUM_FEATURES:
-            raise DataError(
-                f"features must be (n, {NUM_FEATURES}), got {self.features.shape}"
-            )
-        if np.shape(self.labels) != (self.features.shape[0],):
+        features = np.asarray(self.features, dtype=float)
+        if features.ndim != 2 or features.shape[1] != NUM_FEATURES:
+            raise DataError(f"features must be (n, {NUM_FEATURES}), got {features.shape}")
+        if np.shape(self.labels) != (features.shape[0],):
             raise DataError("labels must align 1:1 with feature rows")
-        if len(self.features) == 0:
+        if len(features) == 0:
             raise DataError("dataset must contain at least one sample")
-        if not np.all(np.isfinite(self.features)):
+        if not np.all(np.isfinite(features)):
             raise NumericError(f"dataset {self.name!r} contains non-finite features")
-        self.labels = binary(self.labels, f"dataset {self.name!r} labels")
+        labels = binary(self.labels, f"dataset {self.name!r} labels")
+        for name, array in (("features", features.view()), ("labels", labels.view())):
+            array.flags.writeable = False  # on a view: the caller's array is not copied
+            object.__setattr__(self, name, array)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -143,13 +145,18 @@ def _read_table(path: Path) -> np.ndarray | None:
             warnings.simplefilter("error")
             return np.loadtxt(stream, delimiter=",", quotechar='"', comments=None,
                               usecols=columns, ndmin=2)
-    except (OSError, ValueError, Warning, csv.Error):
+    except (OSError, ValueError, Warning, csv.Error, DataError):
         return None
 
 
 def _header_columns(header) -> list[int | None]:
-    """Header index of each feature column then the label, None if missing."""
-    lower = {cell.strip().lower(): idx for idx, cell in enumerate(header)}
+    """Header index of each feature column then the label, None if missing;
+    a required column named twice, in any case, is refused."""
+    cells = [cell.strip().lower() for cell in header]
+    for column in _COLUMNS:
+        if cells.count(column.lower()) > 1:
+            raise DataError(f"required column {column!r} is repeated")
+    lower = {cell: idx for idx, cell in enumerate(cells)}
     return [lower.get(column.lower()) for column in _COLUMNS]
 
 

@@ -110,10 +110,7 @@ def interpret_roc(a: float) -> str:
 
 
 def confusion_from_predictions(predicted: np.ndarray, labels: np.ndarray) -> ConfusionMatrix:
-    """Count the four cells of matching 0/1 predictions and labels."""
-    predicted, labels = binary(predicted, "predictions"), binary(labels, "labels")
-    if predicted.ndim != 1 or predicted.shape != labels.shape:
-        raise DataError("predictions and labels must be matching 1-D arrays")
+    """Count the four cells of matching int 0/1 predictions and labels, unchecked."""
     tn, fp, fn, tp = np.bincount(2 * labels + predicted, minlength=4).tolist()
     return ConfusionMatrix(tp=tp, tn=tn, fp=fp, fn=fn)
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import binary
 from .errors import ConfigError, DataError, check_field_types
 
 INPUT_DIM = 16
@@ -161,10 +160,8 @@ def forward_batch(X: np.ndarray, p: ModelParams) -> np.ndarray:
 
 
 def mean_cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
-    """Mean clamp-protected cross-entropy over (n, 2) probabilities and 0/1 labels."""
-    labels = binary(labels, "labels")
-    if labels.ndim != 1 or not labels.size or probs.shape != (len(labels), NUM_CLASSES):
-        raise DataError(f"probabilities must be (n, {NUM_CLASSES}) for 1-D labels, n >= 1")
+    """Mean clamp-protected cross-entropy of (n, 2) probabilities and n labels,
+    unchecked: the labels are a Dataset's, or rows of them."""
     picked = probs[np.arange(len(labels)), labels]
     picked = np.minimum(np.maximum(picked, PROB_CLAMP), 1.0 - PROB_CLAMP)
     return float((-np.log(picked)).sum() / len(labels))
@@ -187,7 +184,7 @@ def loss_and_gradient(X: np.ndarray, y: np.ndarray, p: ModelParams, gp: ModelPar
 
     # Head first, then each relu layer: dpre is the gradient of layer k's
     # pre-activation. For the head's logits it is (probs - onehot(y)) / n,
-    # built in place, as probs is not needed again; the loss checked y.
+    # built in place, as probs is not needed again; the Dataset checked y.
     dpre = probs
     dpre[:, 0] -= 1 - y
     dpre[:, 1] -= y
@@ -218,9 +215,8 @@ def adam_update(values: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarr
     """One bias-corrected Adam step, in place on `values` and the moments `m`, `v`.
 
     `step` is the 1-based number of this step since the moments were zero.
+    The four arrays share one shape, unchecked: client_update allocates them.
     """
-    if not values.shape == grad.shape == m.shape == v.shape:
-        raise DataError("gradient/moment length does not match parameter vector")
     m *= ADAM_BETA1
     m += (1.0 - ADAM_BETA1) * grad
     v *= ADAM_BETA2

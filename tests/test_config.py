@@ -61,6 +61,17 @@ def test_unknown_section_is_named(tmp_path):
         parse_config(write(tmp_path / "c.ini", text))
 
 
+@pytest.mark.parametrize("key", ["seed = 9", "rounds = 3"])
+def test_cli_defaults_section_exits_2_and_writes_nothing(tmp_path, capsys, key):
+    # configparser copies the keys of its default section into every section:
+    # seed 9 would run unasked, and rounds would be an unknown key of [experiment].
+    path = write(tmp_path / "c.ini", f"[__defaults__]\n{key}\n\n" + MINIMAL)
+    assert main(["centralized", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"CONFIG_ERROR: config {path}: unknown section '__defaults__'\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_bad_value_reports_key(tmp_path):
     text = MINIMAL + "\n[training]\nbatch_size = many\n"
     with pytest.raises(ConfigError, match="batch_size"):

@@ -2,6 +2,7 @@
 
 import builtins
 import csv
+import dataclasses
 import io
 import warnings
 from pathlib import Path
@@ -59,6 +60,20 @@ def test_load_csv_ignores_extra_columns_and_matches_case_insensitively(tmp_path)
     d = load_csv(path)
     assert len(d) == 1
     assert d.labels[0] == 1
+
+
+def test_load_csv_refuses_a_required_column_named_twice(tmp_path):
+    # Read from the last copy, this file's labels would come out flipped.
+    path = tmp_path / "twice.csv"
+    write_csv(path, full_header(["IS_GOD_CLASS"]), [[1] * 16 + [1, 0], [2] * 16 + [0, 1]])
+    with pytest.raises(DataError, match="^required column 'is_god_class' is repeated$"):
+        load_csv(path)
+    write_csv(path, [" noc "] + full_header(), [[5] + [1] * 16 + [1]])
+    with pytest.raises(DataError, match="^required column 'NOC' is repeated$"):
+        load_csv(path)
+    # A repeated extra column is ignored, as any extra column is.
+    write_csv(path, full_header(["project", "Project"]), [[1] * 16 + [1, "ant", "bee"]])
+    assert load_csv(path).labels.tolist() == [1]
 
 
 def test_load_csv_nonnumeric_cell_reports_row_number(tmp_path):
@@ -164,6 +179,10 @@ EDGE_CASES = {
     "reordered_extra_columns": csv_text(
         [["project"] + COLUMNS[::-1]] + [["ant"] + row[::-1] for row in GOOD_ROWS]),
     "duplicate_column": csv_text([COLUMNS + ["tloc"]] + [row + ["9"] for row in GOOD_ROWS]),
+    "duplicate_label_column": csv_text([[LABEL_COLUMN.upper()] + COLUMNS]
+                                       + [["1"] + row for row in GOOD_ROWS]),
+    "duplicate_extra_column": csv_text([COLUMNS + ["project", "PROJECT"]]
+                                       + [row + ["ant", "bee"] for row in GOOD_ROWS]),
     "missing_column": csv_text([COLUMNS[1:]] + [row[1:] for row in GOOD_ROWS]),
     "short_row": csv_text([COLUMNS, GOOD_ROWS[0], GOOD_ROWS[1][:10]]),
     "long_row": csv_text([COLUMNS] + [row + ["1", "2"] for row in GOOD_ROWS]),
@@ -492,6 +511,16 @@ def test_dataset_rejects_wrong_feature_width_and_nan():
         make_dataset(features, [0])
 
 
+@pytest.mark.parametrize("n_rows, labels", [
+    (3, [0, 1]),  # a row with no label
+    (1, [1, 0]),  # a label with no row
+    (2, [[0], [1]]),  # 2-D labels
+])
+def test_dataset_rejects_labels_that_do_not_align_with_the_rows(n_rows, labels):
+    with pytest.raises(DataError, match="^labels must align 1:1 with feature rows$"):
+        datamod.Dataset("x", np.zeros((n_rows, NUM_FEATURES)), labels)
+
+
 def test_dataset_rejects_one_feature_column_short():
     with pytest.raises(DataError):
         make_dataset(np.ones((1, NUM_FEATURES - 1)), [0])
@@ -519,6 +548,27 @@ def test_dataset_rejects_a_nonfinite_label_before_casting_it(label):
     with np.errstate(invalid="raise"):
         with pytest.raises(DataError, match="labels must be 0 or 1"):
             datamod.Dataset("x", np.zeros((2, NUM_FEATURES)), [0.0, label])
+
+
+def test_dataset_is_read_only_and_shares_its_callers_arrays():
+    features, labels = np.ones((3, NUM_FEATURES)), np.array([0, 1, 0])
+    d = datamod.Dataset("x", features, labels)
+    for name, value in (("labels", np.array([0, 0, 0])), ("features", features), ("name", "y")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(d, name, value)
+    with pytest.raises(ValueError, match="read-only"):
+        d.features[0, 0] = np.nan
+    with pytest.raises(ValueError, match="read-only"):
+        d.labels[:] = 0
+    # Views, not copies: the checks read the caller's arrays, which stay writable.
+    assert np.shares_memory(d.features, features) and np.shares_memory(d.labels, labels)
+    assert features.flags.writeable and labels.flags.writeable
+    # A Dataset built from another's read-only arrays works like any other.
+    again = datamod.Dataset("again", d.features, d.labels)
+    assert np.shares_memory(again.features, features)
+    assert again.subset([2, 1]).labels.tolist() == [0, 1]
+    assert np.array_equal(concat_datasets("both", [d, again]).features, np.ones((6, NUM_FEATURES)))
+    assert apply_normalizer(again, fit_normalizer(again)).features.flags.writeable is False
 
 
 def test_subset_takes_integer_indices_only():

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from fedsmell import cli, experiments
 from fedsmell.cli import main
 from fedsmell.config import ExperimentConfig, parse_config
-from fedsmell.data import FEATURE_NAMES, LABEL_COLUMN, load_csv, save_csv
+from fedsmell.data import FEATURE_NAMES, LABEL_COLUMN, Dataset, load_csv, save_csv
 from fedsmell.errors import DataError, NumericError, error_context
 from fedsmell.experiments import (prepare_source, run_centralized, run_cross_eval,
                                   run_experiment, run_federated, train_centralized)
@@ -446,9 +446,10 @@ def float_fault_cases(tmp_path):
     error names the dataset, or the round of a federated run.
     """
     plain = synth_csv(tmp_path, "plain", n=120, seed=4)
-    huge = load_csv(plain)
-    huge.features[:, 3] *= 1e200
-    save_csv(huge, tmp_path / "huge.csv")
+    loaded = load_csv(plain)
+    features = loaded.features.copy()
+    features[:, 3] *= 1e200
+    save_csv(Dataset("huge", features, loaded.labels), tmp_path / "huge.csv")
     lr = "[training]\nlearning_rate = 1e300\n"
     fed_ini = tmp_path / "fed.ini"
     fed_ini.write_text(f"[experiment]\nkind = federated\ndatasets = {plain}\n"
@@ -680,6 +681,15 @@ def test_cli_header_only_csv_is_one_data_error_line(tmp_path, capsys):
 
 
 _HEADER = ",".join(FEATURE_NAMES + (LABEL_COLUMN,)) + "\r\n"
+
+
+def test_cli_required_column_named_twice_is_one_data_error_line(tmp_path, capsys):
+    path = tmp_path / "twice.csv"
+    path.write_text(_HEADER.replace("\r\n", ",IS_GOD_CLASS\r\n")
+                    + ",".join(["1.0"] * 16 + ["1", "0"]) + "\r\n", encoding="utf-8")
+    assert run_cli_centralized(tmp_path, "twice", path) == 3
+    assert capsys.readouterr().err == (f"DATA_ERROR: dataset {path}: "
+                                       "required column 'is_god_class' is repeated\n")
 
 
 @pytest.mark.parametrize("content", [

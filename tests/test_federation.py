@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from fedsmell import federation
 from fedsmell.config import ExperimentConfig
-from fedsmell.data import (concat_datasets, domain_shift, extract_chunks,
+from fedsmell.data import (Dataset, concat_datasets, domain_shift, extract_chunks,
                            partition_chunks, synth_generate)
 from fedsmell.errors import DataError, NumericError
 from fedsmell.federation import (ClientNode, FederationTopology, ModelUpdate,
@@ -130,15 +130,15 @@ def test_client_update_leaves_broadcast_weights_and_dead_slots_untouched():
 
 
 def test_client_update_non_finite_weights_raise_numeric_error_naming_client():
-    # With float errors ignored, an overflow or a nan written into the data
-    # after Dataset checked it leaves non-finite weights behind.
-    huge_step = small_client(n=40, client_id=7, learning_rate=1e300)
-    nan_data = small_client(n=40, client_id=8)
-    nan_data.local_data.features[3, 5] = np.nan
+    # With float errors ignored, an overflow leaves non-finite weights behind:
+    # a huge step, or broadcast weights near the float limit. A nan cannot
+    # reach the data, which Dataset checks when built and keeps read-only.
+    cases = ((small_client(n=40, client_id=7, learning_rate=1e300), init_params(0)),
+             (small_client(n=40, client_id=8), np.full(PARAM_COUNT, 1e300)))
     with np.errstate(all="ignore"):
-        for client in (huge_step, nan_data):
+        for client, weights in cases:
             with pytest.raises(NumericError, match=f"^client {client.id}: "):
-                client_update(client, init_params(0), update_seed=1)
+                client_update(client, weights, update_seed=1)
 
 
 def test_run_federation_names_the_round_of_a_float_fault():
@@ -521,8 +521,8 @@ def test_federation_matches_the_reference_round_loop(federation_case):
 
 def test_federation_attaches_round_context_to_errors():
     topo = make_topology(n_clients=2, per_combiner=1)
-    single_class = random_dataset(20, 10, seed=1, name="test")
-    single_class.labels[:] = 0  # metrics become impossible in round 1
+    mixed = random_dataset(20, 10, seed=1)
+    single_class = Dataset("test", mixed.features, np.zeros(20, dtype=int))  # unscorable
     with pytest.raises(DataError, match="round 1"):
         run_federation(topo, RoundConfig(rounds=1, seed=0), single_class)
 
