@@ -174,13 +174,14 @@ def _read_resolved_json(path: Path) -> dict:
     return raw
 
 
-def parse_config(path, kind: str | None = None, **overrides) -> ExperimentConfig:
+def parse_config(path, kind: str | None = None, *, seed: int | None = None,
+                 out_dir: str | None = None) -> ExperimentConfig:
     """Parse an INI config (or an emitted config.resolved.json) and resolve it.
 
     `kind` is the experiment requested on the command line; a `kind` key
-    inside the file is optional but must agree when present. Each override
-    that is not None (the command line's seed and out_dir) replaces the
-    file's value before the config is built and checked.
+    inside the file is optional but must agree when present. `seed` and
+    `out_dir`, the command line's overrides, replace the file's values
+    when not None, before the config is built and checked.
     """
     path = Path(path)
     with error_context(f"config {path}"):
@@ -188,6 +189,7 @@ def parse_config(path, kind: str | None = None, **overrides) -> ExperimentConfig
             values = _read_resolved_json(path)
         else:
             values = _read_ini(path)
+        overrides = {"seed": seed, "out_dir": out_dir}
         values.update((name, value) for name, value in overrides.items() if value is not None)
         file_kind = values.pop("kind", None)
         if file_kind is None and kind is None:

@@ -73,6 +73,9 @@ class Dataset:
             array.flags.writeable = False  # on a view: the caller's array is not copied
             object.__setattr__(self, name, array)
 
+    def __reduce__(self):  # a pickled or copied Dataset is rebuilt through its checks
+        return Dataset, (self.name, self.features, self.labels)
+
     def __len__(self) -> int:
         return len(self.labels)
 
@@ -290,7 +293,7 @@ def rebalance(d: Dataset, mode: str, seed: int) -> Dataset:
     neg, pos = d.class_counts()
     if neg == 0 or pos == 0:
         raise DataError(f"dataset {d.name!r} has a single class, cannot rebalance")
-    if mode == NO_REBALANCE or neg == pos:
+    if mode == NO_REBALANCE:
         return d
     rng = np.random.default_rng(seed)
     minority = 1 if pos < neg else 0

@@ -9,7 +9,6 @@ whole run replays bit-for-bit.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ from .data import Dataset
 from .errors import ConfigError, DataError, NumericError, check_field_types, error_context
 from .metrics import MetricReport, evaluate_model
 from .nn import (Hyperparams, PARAM_COUNT, adam_update, init_params, loss_and_gradient,
-                 unflatten_params, weight_vector)
+                 unflatten_params, weights_checksum)
 from .seeds import SAMPLING_SLOT, derive_seed
 
 PLAIN = "plain"
@@ -113,10 +112,6 @@ class RoundLog:
     weights_checksum: str
     report: MetricReport
     participants: tuple[int, ...]
-
-
-def weights_checksum(values: np.ndarray) -> str:
-    return hashlib.sha256(weight_vector(values).astype("<f8", copy=False).tobytes()).hexdigest()
 
 
 def client_update(client: ClientNode, weights, update_seed: int) -> ModelUpdate:

@@ -12,6 +12,7 @@ live LSTM gates as one stacked view that each pass runs as one matmul.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import struct
@@ -108,29 +109,22 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return logits
 
 
-@dataclass
-class ForwardCache:
-    """Intermediates of a batched forward pass, consumed by the backward pass."""
-
-    io: np.ndarray  # input and output gates, (2, n, HIDDEN_DIM)
-    g: np.ndarray
-    tanh_c: np.ndarray
-    dense_inputs: list  # input activation of each dense layer, head included
-
-
 # Rows per scoring block; one 5k-row pass ran about 2x slower (its (n, 72)
 # intermediates likely leave the cache). Fixed, so reruns score bit for bit.
 EVAL_BLOCK = 512
 
 
 def _forward(X: np.ndarray, p: ModelParams):
-    """Forward pass over a (n, 16) batch; returns (probs, cache).
+    """Forward pass over a (n, 16) batch; returns (probs, io, g, tanh_c, dense_inputs).
 
     Each row is treated as a single-timestep sequence with zero initial
     hidden and cell state, so only the input, output and candidate gates
     act, each on x alone, and the cell state is input * candidate.
-    probs has shape (n, 2) and sums to 1 per row. Nothing is checked here:
-    `Dataset` owns the batch's shape, finiteness and labels.
+    probs (n, 2) sums to 1 per row; the backward pass reads the rest: io
+    the input and output gates (2, n, HIDDEN_DIM), g the candidate gate,
+    tanh_c the cell state's tanh, dense_inputs each dense layer's input, the
+    head's too. Nothing is checked: `Dataset` owns the batch's shape,
+    finiteness and labels.
     """
     weights, bias = p.gates
     pre = X @ weights.transpose(0, 2, 1)  # (3, n, HIDDEN_DIM): input, output, candidate
@@ -150,7 +144,7 @@ def _forward(X: np.ndarray, p: ModelParams):
     weights, bias = p.layers[-1]
     logits = a @ weights.T
     logits += bias
-    return _softmax(logits), ForwardCache(io=io, g=g, tanh_c=tanh_c, dense_inputs=dense_inputs)
+    return _softmax(logits), io, g, tanh_c, dense_inputs
 
 
 def forward_batch(X: np.ndarray, p: ModelParams) -> np.ndarray:
@@ -178,7 +172,7 @@ def loss_and_gradient(X: np.ndarray, y: np.ndarray, p: ModelParams, gp: ModelPar
     The gradient is written through `gp` and `gp.values` is returned. Only
     the live slots are written, so a reused buffer keeps its dead slots at 0.
     """
-    probs, cache = _forward(X, p)
+    probs, (i, o), g, tanh_c, dense_inputs = _forward(X, p)
     n = len(y)
     loss = mean_cross_entropy(probs, y)
 
@@ -191,15 +185,14 @@ def loss_and_gradient(X: np.ndarray, y: np.ndarray, p: ModelParams, gp: ModelPar
     dpre /= n
     for k in reversed(range(len(p.layers))):
         g_weights, g_bias = gp.layers[k]
-        np.matmul(dpre.T, cache.dense_inputs[k], out=g_weights)
+        np.matmul(dpre.T, dense_inputs[k], out=g_weights)
         dpre.sum(axis=0, out=g_bias)
         da = dpre @ p.layers[k][0]
         if k:
             # Layer k's input is relu(pre) of layer k - 1, positive where pre is.
-            dpre = da * (cache.dense_inputs[k] > 0)
+            dpre = da * (dense_inputs[k] > 0)
 
     # da is the LSTM output's gradient; the gate pre-activation gradients stack like p.gates.
-    (i, o), g, tanh_c = cache.io, cache.g, cache.tanh_c
     dc = da * o * (1.0 - tanh_c ** 2)
     dpre = np.empty((3, n, HIDDEN_DIM))
     np.multiply(dc * g * i, 1.0 - i, out=dpre[0])
@@ -276,6 +269,11 @@ def save_weights(path, values) -> None:
     raw = struct.pack("<I", PARAM_COUNT) + weight_vector(values).astype("<f8").tobytes()
     with open(path, "wb") as fh:
         fh.write(raw)
+
+
+def weights_checksum(values) -> str:
+    """SHA-256 hex digest of the bytes save_weights writes after the count."""
+    return hashlib.sha256(weight_vector(values).astype("<f8", copy=False).tobytes()).hexdigest()
 
 
 def load_weights(path) -> np.ndarray:

@@ -85,6 +85,16 @@ def test_missing_mandatory_keys(tmp_path):
         parse_config(write(tmp_path / "b.ini", "[experiment]\nkind = centralized\n"))
 
 
+def test_parse_config_overrides_only_seed_and_out_dir(tmp_path):
+    path = write(tmp_path / "c.ini", MINIMAL + "seed = 3\nout_dir = from_file\n")
+    cfg, plain = parse_config(path, seed=8, out_dir="from_cli"), parse_config(path)
+    assert (cfg.seed, cfg.out_dir, plain.seed, plain.out_dir) == (8, "from_cli", 3, "from_file")
+    assert parse_config(path, seed=None, out_dir=None) == plain
+    for name in ("seeds", "rounds"):  # a misspelt override, and a field with no override
+        with pytest.raises(TypeError, match=f"parse_config.* keyword argument '{name}'"):
+            parse_config(path, **{name: 3})
+
+
 def test_kind_verb_reconciliation(tmp_path):
     path = write(tmp_path / "c.ini", "[experiment]\ndatasets = x.csv\n")
     cfg = parse_config(path, kind="centralized")
@@ -106,6 +116,13 @@ def test_federated_chunk_and_combiner_validation(tmp_path):
             "[data]\nchunks = 2, 2\n[topology]\ncombiner_clients = 3, 2\n")
     with pytest.raises(ConfigError, match="combiner_clients"):
         parse_config(write(tmp_path / "c.ini", text))
+    head = "[experiment]\nkind = federated\ndatasets = a.csv, b.csv\n[data]\n"
+    for tail, message in (("chunks = 2\n", "chunks must list one entry per dataset"),
+                          ("chunks = 0, 2\n", "every chunk count must be >= 1"),
+                          ("chunks = 2, 2\n[topology]\ncombiner_clients = 4, 0\n",
+                           "every combiner must be assigned at least one client")):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(write(tmp_path / "c.ini", head + tail))
 
 
 def test_cross_eval_requires_three_datasets(tmp_path):
@@ -121,6 +138,16 @@ def test_out_of_range_values_rejected(tmp_path):
     text = MINIMAL + "\n[federation]\nclient_fraction = 0\n"
     with pytest.raises(ConfigError, match="client_fraction"):
         parse_config(write(tmp_path / "c2.ini", text))
+    for text, message in (
+            (MINIMAL.replace("a.csv", "a.csv, b.csv, c.csv, d.csv"),
+             "datasets must list between 1 and 3 entries"),
+            (MINIMAL + "\n[data]\nrebalance = smote\n", "rebalance must be one of"),
+            (MINIMAL + "\n[synth]\nsamples = 9\n", "synth samples must be >= 10"),
+            (MINIMAL + "\n[synth]\npositive_rate = 1\n", "synth positive_rate must be in"),
+            ("[experiment]\nkind = synth\ndatasets = a, b\n[synth]\nshifts = 1.0\n",
+             "synth shifts must list one entry per dataset")):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(write(tmp_path / "c3.ini", text))
 
 
 def test_resolved_json_roundtrip(tmp_path):
@@ -137,6 +164,9 @@ def test_resolved_json_unknown_key_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(ConfigError, match="nonsense"):
+        parse_config(path)
+    path.write_text(json.dumps([payload]), encoding="utf-8")
+    with pytest.raises(ConfigError, match="top level must be an object"):
         parse_config(path)
 
 

@@ -1,9 +1,11 @@
 """Dataset ingestion, normalization, splitting, chunking, rebalancing, synthesis."""
 
 import builtins
+import copy
 import csv
 import dataclasses
 import io
+import pickle
 import warnings
 from pathlib import Path
 
@@ -399,6 +401,8 @@ def test_partition_rejects_too_many_chunks():
     d = random_dataset(10, 4, seed=0)
     with pytest.raises(DataError):
         partition_chunks(d, 11, seed=0)
+    with pytest.raises(DataError, match="chunk count must be >= 1"):
+        partition_chunks(d, 0, seed=0)
 
 
 @given(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=12),
@@ -429,9 +433,12 @@ def test_undersample_equalizes_classes():
 
 
 def test_rebalance_balanced_input_is_fixed_point():
+    # Balanced input takes the general path: no row is drawn or dropped, and the order holds.
     d = random_dataset(40, 20, seed=8)
     for mode in ("oversample", "undersample", "none"):
-        assert rows_multiset(rebalance(d, mode, seed=3)) == rows_multiset(d)
+        balanced = rebalance(d, mode, seed=3)
+        assert np.array_equal(balanced.features, d.features), mode
+        assert np.array_equal(balanced.labels, d.labels), mode
 
 
 def test_oversample_only_duplicates_existing_minority_rows():
@@ -571,6 +578,19 @@ def test_dataset_is_read_only_and_shares_its_callers_arrays():
     assert apply_normalizer(again, fit_normalizer(again)).features.flags.writeable is False
 
 
+@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy,
+                                       lambda d: pickle.loads(pickle.dumps(d))])
+def test_a_copied_dataset_is_rebuilt_through_its_checks(duplicate):
+    d = make_dataset(np.ones((3, NUM_FEATURES)), [0, 1, 0])
+    c = duplicate(d)
+    assert c.name == d.name and np.array_equal(c.features, d.features)
+    assert c.labels.tolist() == [0, 1, 0]
+    with pytest.raises(ValueError, match="read-only"):
+        c.features[0, 0] = np.nan
+    with pytest.raises(ValueError, match="read-only"):
+        c.labels[0] = 7
+
+
 def test_subset_takes_integer_indices_only():
     d = make_dataset(np.arange(3 * NUM_FEATURES).reshape(3, NUM_FEATURES), [0, 1, 0])
     # An int cast would read the mask as rows 1, 0, 1 and 1.9 as row 1.
@@ -595,3 +615,5 @@ def test_subset_refuses_an_index_outside_the_rows():
 def test_dataset_rejects_empty_batch():
     with pytest.raises(DataError):
         make_dataset(np.zeros((0, NUM_FEATURES)), np.zeros(0, dtype=int))
+    with pytest.raises(DataError, match="cannot concatenate zero datasets"):
+        concat_datasets("none", [])

@@ -236,6 +236,8 @@ def test_combiner_rejects_empty_and_mismatched():
         combiner_aggregate([])
     with pytest.raises(DataError):
         combiner_aggregate([ModelUpdate(0, np.zeros(4), 1), ModelUpdate(1, np.zeros(5), 1)])
+    with pytest.raises(DataError, match="sample_count must be positive"):
+        combiner_aggregate([ModelUpdate(0, np.zeros(4), 0)])
 
 
 # ------------------------------------------------------------ reducer_reduce
@@ -284,6 +286,8 @@ def test_reducer_rejects_bad_inputs():
         reducer_reduce([np.zeros(3)], np.zeros(3), t=0)
     with pytest.raises(DataError):
         reducer_reduce([np.zeros(3)], np.zeros(3), t=1, mode="magic")
+    with pytest.raises(DataError, match="previous global weights must match model length"):
+        reducer_reduce([np.zeros(3)], np.zeros(4), t=2, mode="smoothed")
 
 
 # ------------------------------------------------------------ sample_clients
@@ -330,6 +334,8 @@ def test_topology_validation():
         FederationTopology((0,), (small_client(client_id=0, combiner_id=9),))
     with pytest.raises(DataError):
         FederationTopology((0, 1), (small_client(client_id=0, combiner_id=0),))
+    with pytest.raises(DataError, match="combiner ids must be unique"):
+        FederationTopology((0, 0), (good,))
 
 
 def test_client_and_topology_refuse_assignment_after_construction():

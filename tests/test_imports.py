@@ -1,4 +1,5 @@
-"""The package needs nothing at run time beyond the standard library and numpy."""
+"""The package needs nothing at run time beyond the standard library and numpy,
+and raises nothing but its own three error classes."""
 
 import ast
 import sys
@@ -7,9 +8,14 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fedsmell"
 
 
+def nodes(path):
+    """Every node of a source file's syntax tree."""
+    return ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+
+
 def absolute_imports(path):
     """The module named by each absolute import in a source file."""
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+    for node in nodes(path):
         if isinstance(node, ast.Import):
             yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -23,3 +29,17 @@ def test_every_absolute_import_is_stdlib_or_numpy():
     assert ("nn.py", "numpy") in imports  # the scan reads the package's sources
     assert [(name, module) for name, module in imports
             if module.partition(".")[0] not in allowed] == []
+
+
+def test_every_raise_reraises_or_raises_a_package_error():
+    # Any other exception would reach the CLI as a traceback and exit 1, not
+    # as one error line and exit 2, 3 or 4. errors.py holds the classes and
+    # the field rule, whose TypeError and ValueError check_field_types converts.
+    allowed = {"ConfigError", "DataError", "NumericError"}
+    raises = [(path.name, node) for path in sorted(PACKAGE.glob("*.py"))
+              if path.name != "errors.py" for node in nodes(path) if isinstance(node, ast.Raise)]
+    assert len(raises) > 50  # the scan reads the package's sources
+    assert [f"{name}:{node.lineno}: {ast.unparse(node)}" for name, node in raises
+            if node.exc is not None and not (isinstance(node.exc, ast.Call)
+                                             and isinstance(node.exc.func, ast.Name)
+                                             and node.exc.func.id in allowed)] == []

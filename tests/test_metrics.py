@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fedsmell import metrics
 from fedsmell.data import NUM_FEATURES
-from fedsmell.errors import DataError
+from fedsmell.errors import DataError, NumericError
 from fedsmell.metrics import (ConfusionMatrix, accuracy, cohen_kappa,
                               confusion_from_predictions, evaluate_model,
                               interpret_kappa, interpret_roc, roc_auc)
@@ -111,6 +111,8 @@ def test_accuracy_empty_matrix_rejected():
 def test_empty_confusion_matrix_rejected_at_construction():
     with pytest.raises(DataError, match="confusion matrix is empty"):
         ConfusionMatrix(0, 0, 0, 0)
+    with pytest.raises(DataError, match="confusion cell fp must be non-negative"):
+        ConfusionMatrix(tp=2, tn=1, fp=-1, fn=0)
 
 
 # -------------------------------------------------------------------- kappa
@@ -187,6 +189,9 @@ def test_roc_single_class_rejected():
 def test_roc_rejects_mismatched_scores_and_labels():
     with pytest.raises(DataError):
         roc_auc([0.5, 0.6, 0.7], [0, 1])
+    for score in (np.nan, np.inf):
+        with pytest.raises(NumericError, match="prediction scores contain non-finite values"):
+            roc_auc([0.5, score], [0, 1])
 
 
 def test_roc_rejects_labels_other_than_0_or_1_before_any_cast():
@@ -345,7 +350,7 @@ def test_blocked_forward_matches_single_pass():
     p = unflatten_params(init_params(3))
     for n in BLOCK_EDGE_SIZES:
         X = np.random.default_rng(n).standard_normal((n, NUM_FEATURES))
-        single, _ = _forward(X, p)
+        single = _forward(X, p)[0]
         blocked = forward_batch(X, p)
         assert blocked.shape == (n, 2)
         assert np.max(np.abs(blocked - single)) <= 1e-15
@@ -366,7 +371,7 @@ def test_evaluate_model_scores_with_one_blocked_forward_call(monkeypatch):
         first = evaluate_model(weights, test)
         assert len(scored) == 1
         X, probs = scored.pop()
-        single, _ = _forward(X, unflatten_params(weights))
+        single = _forward(X, unflatten_params(weights))[0]
         assert np.max(np.abs(probs - single)) <= 1e-15
         assert evaluate_model(weights, test) == first
         assert len(scored) == 1

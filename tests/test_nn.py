@@ -28,9 +28,10 @@ def seeded_params(seed):
 
 
 def forward_one(x, p):
-    """Probabilities and cache of a single feature vector, via the batched pass."""
-    probs, cache = _forward(np.asarray(x, dtype=float)[None, :], p)
-    return probs[0], cache
+    """Probabilities of a single feature vector and the batched pass's other
+    outputs (io, g, tanh_c, dense_inputs)."""
+    probs, *rest = _forward(np.asarray(x, dtype=float)[None, :], p)
+    return probs[0], rest
 
 
 def test_param_count_recomputed_from_layer_shapes():
@@ -49,11 +50,11 @@ def test_param_count_recomputed_from_layer_shapes():
 
 def test_lstm_forward_zero_params_gives_half_gates_and_zero_state():
     x = np.linspace(-1, 1, INPUT_DIM)
-    _, cache = forward_one(x, zero_params())
-    assert np.array_equal(cache.io[:, 0], np.full((2, HIDDEN_DIM), 0.5))
-    assert np.array_equal(cache.g[0], np.zeros(HIDDEN_DIM))
-    assert np.array_equal(cache.tanh_c[0], np.zeros(HIDDEN_DIM))
-    assert np.array_equal(cache.dense_inputs[0][0], np.zeros(HIDDEN_DIM))
+    _, (io, g, tanh_c, dense_inputs) = forward_one(x, zero_params())
+    assert np.array_equal(io[:, 0], np.full((2, HIDDEN_DIM), 0.5))
+    assert np.array_equal(g[0], np.zeros(HIDDEN_DIM))
+    assert np.array_equal(tanh_c[0], np.zeros(HIDDEN_DIM))
+    assert np.array_equal(dense_inputs[0][0], np.zeros(HIDDEN_DIM))
 
 
 def _sign_split_sigmoid(x):
@@ -105,10 +106,10 @@ def test_lstm_forward_matches_scalar_loop_oracle():
     rng = np.random.default_rng(7)
     values = rng.standard_normal(PARAM_COUNT) * 0.5
     x = rng.standard_normal(INPUT_DIM)
-    _, cache = forward_one(x, unflatten_params(values))
+    _, (_, _, tanh_c, dense_inputs) = forward_one(x, unflatten_params(values))
     h_ref, c_ref = _lstm_scalar_oracle(x, np.zeros(HIDDEN_DIM), np.zeros(HIDDEN_DIM), values)
-    assert np.max(np.abs(cache.dense_inputs[0][0] - h_ref)) <= 1e-12
-    assert np.max(np.abs(cache.tanh_c[0] - np.tanh(c_ref))) <= 1e-12
+    assert np.max(np.abs(dense_inputs[0][0] - h_ref)) <= 1e-12
+    assert np.max(np.abs(tanh_c[0] - np.tanh(c_ref))) <= 1e-12
 
 
 # --------------------------------------------------------------- full model
@@ -496,6 +497,9 @@ def test_checkpoint_truncated_file_rejected(tmp_path):
     save_weights(path, np.ones(PARAM_COUNT))
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(DataError):
+        load_weights(path)
+    path.write_bytes(b"\x02\x00\x00")  # shorter than the count
+    with pytest.raises(DataError, match="checkpoint file is truncated"):
         load_weights(path)
 
 
