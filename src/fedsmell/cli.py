@@ -15,7 +15,7 @@ _VERBS = {kind.replace("_", "-"): kind for kind in EXPERIMENT_KINDS}
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # a usage error is a config error; subparsers inherit this
+    def error(self, message):  # a usage error is a config error
         raise ConfigError(f"{self.prog}: {message}")
 
 
@@ -24,12 +24,10 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="fedsmell",
         description="Federated god-class code-smell detection experiments",
     )
-    sub = parser.add_subparsers(dest="verb", required=True)
-    for verb in _VERBS:
-        verb_parser = sub.add_parser(verb, help=f"run the {verb} experiment")
-        verb_parser.add_argument("--config", required=True, help="experiment config file")
-        verb_parser.add_argument("--seed", type=int, default=None, help="override master seed")
-        verb_parser.add_argument("--out", default=None, help="override output directory")
+    parser.add_argument("verb", choices=_VERBS, help="the experiment to run")
+    parser.add_argument("--config", required=True, help="experiment config file")
+    parser.add_argument("--seed", type=int, default=None, help="override master seed")
+    parser.add_argument("--out", default=None, help="override output directory")
     return parser
 
 

@@ -163,12 +163,6 @@ def _header_columns(header) -> list[int | None]:
     return [lower.get(column.lower()) for column in _COLUMNS]
 
 
-def _valid_rows(table: np.ndarray) -> np.ndarray:
-    """Per row: every feature finite and the label 0 or 1."""
-    features, labels = table[:, :NUM_FEATURES], table[:, NUM_FEATURES]
-    return np.isfinite(features).all(axis=1) & ((labels == 0.0) | (labels == 1.0))
-
-
 def _load_csv_by_cell(path: Path) -> Dataset:
     """load_csv through csv.reader and float(), one cell at a time.
 
@@ -194,16 +188,15 @@ def _load_csv_by_cell(path: Path) -> Dataset:
     table = []
     for line_no, row in rows[1:]:
         try:
-            table.append([float(row[i]) for i in columns])
+            values = [float(row[i]) for i in columns]
         except (ValueError, IndexError) as exc:
             raise DataError(f"row {line_no}: non-numeric cell ({exc})") from exc
+        if not all(map(math.isfinite, values)) or values[-1] not in (0.0, 1.0):
+            raise DataError(f"row {line_no}: feature cells must be finite and the label 0 or 1")
+        table.append(values)
     if not table:
         raise DataError("no data rows")
     table = np.array(table)
-    good_rows = _valid_rows(table)
-    if not good_rows.all():
-        line_no = rows[1 + int(np.argmin(good_rows))][0]
-        raise DataError(f"row {line_no}: feature cells must be finite and the label 0 or 1")
     return Dataset(path.stem, table[:, :NUM_FEATURES], table[:, NUM_FEATURES])
 
 

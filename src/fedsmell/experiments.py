@@ -240,9 +240,8 @@ def emit_outputs(cfg: ExperimentConfig, result: RunResult) -> None:
     """Write the federated rounds.csv and model.fwv, then summary.json, into
     cfg.out_dir, each whole or not at all: a summary.json marks a finished run."""
     out_dir = Path(cfg.out_dir)
-    if result.round_logs:
+    if result.round_logs:  # a federated run, which also set final_weights
         _write_whole(out_dir / "rounds.csv", lambda temp: write_rounds_csv(result.round_logs, temp))
-    if result.final_weights is not None:
         _write_whole(out_dir / "model.fwv", lambda temp: save_weights(temp, result.final_weights))
     summary = {
         "experiment": cfg.kind,
@@ -254,22 +253,30 @@ def emit_outputs(cfg: ExperimentConfig, result: RunResult) -> None:
 
 _RUNNERS = {CENTRALIZED: run_centralized, CROSS_EVAL: run_cross_eval,
             FEDERATED: run_federated, SYNTH: run_synth}
+# What a run replaces in out_dir, summary first: a summary.json marks a
+# finished run, so no earlier run's output may survive into this one.
+_OUTPUTS = ("summary.json", "config.resolved.json", "rounds.csv", "model.fwv")
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
-    """Create the output directory, write config.resolved.json first, so out_dir
+    """Refuse a dataset among the outputs, create the output directory, clear
+    the earlier outputs and write config.resolved.json first, so out_dir
     describes the last run attempted, then run and write the other outputs; a
     directory that cannot be made or written to is a ConfigError."""
+    out_dir = Path(cfg.out_dir)
+    if cfg.kind != SYNTH:  # synth datasets are names, not inputs
+        outputs = {os.path.realpath(out_dir / name) for name in _OUTPUTS}
+        for path in cfg.datasets:
+            if os.path.realpath(path) in outputs:
+                raise ConfigError(f"dataset {path} is an output that this run replaces")
     try:
-        Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+        out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {cfg.out_dir}: {exc}") from exc
     try:
-        # A summary.json marks a finished run, so no earlier run's output may survive into this one.
-        for name in ("summary.json", "rounds.csv", "model.fwv"):
-            (Path(cfg.out_dir) / name).unlink(missing_ok=True)
-        _write_whole(Path(cfg.out_dir) / "config.resolved.json",
-                     lambda temp: _write_json(asdict(cfg), temp))
+        for name in _OUTPUTS:
+            (out_dir / name).unlink(missing_ok=True)
+        _write_whole(out_dir / "config.resolved.json", lambda temp: _write_json(asdict(cfg), temp))
         result = _RUNNERS[cfg.kind](cfg)
         emit_outputs(cfg, result)
     except OSError as exc:  # datasets are read through load_csv, which raises DataError

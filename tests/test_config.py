@@ -386,11 +386,21 @@ def test_cli_usage_error_exits_2_with_one_config_error_line(capsys):
         assert len(lines) == 1 and lines[0].startswith("CONFIG_ERROR: "), (argv, lines)
 
 
+def test_cli_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["federated", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: fedsmell ")
+
+
 def test_cli_missing_dataset_exits_3(tmp_path, capsys):
     cfg = write(tmp_path / "c.ini", MINIMAL)
-    code = main(["centralized", "--config", str(cfg), "--out", str(tmp_path / "out")])
-    assert code == 3
-    assert capsys.readouterr().err.startswith("DATA_ERROR:")
+    out = str(tmp_path / "out")
+    # Options may come before or after the verb.
+    for argv in (["centralized", "--config", str(cfg), "--out", out],
+                 ["--config", str(cfg), "--out", out, "centralized"]):
+        assert main(argv) == 3, argv
+        assert capsys.readouterr().err.startswith("DATA_ERROR:"), argv
 
 
 def test_cli_missing_config_file_exits_2(tmp_path, capsys):

@@ -114,6 +114,11 @@ def test_load_csv_nonfinite_feature_reports_row_number(tmp_path):
         write_csv(path, full_header(), rows)
         with pytest.raises(DataError, match="row 4"):
             load_csv(path)
+    # Of several bad rows the first is named: here a nan before a non-numeric cell.
+    rows = [[1] * 16 + [0], [1] * 15 + ["nan"] + [1], [1] * 16 + [1], [1] * 15 + ["x"] + [0]]
+    write_csv(path, full_header(), rows)
+    with pytest.raises(DataError, match="^row 3: feature cells must be finite"):
+        load_csv(path)
 
 
 def test_save_load_roundtrip(tmp_path):

@@ -598,6 +598,25 @@ def test_a_run_leaves_no_earlier_runs_outputs(tmp_path):
         assert sorted(entry.name for entry in out.iterdir()) == sorted(files + ("summary.json",))
 
 
+def test_cli_dataset_among_its_outputs_exits_2_and_leaves_them(tmp_path, capsys, monkeypatch):
+    # A run clears its outputs before it reads a dataset, so reading one of
+    # them, by any spelling of its path, would delete the input first.
+    monkeypatch.chdir(tmp_path)
+    Path("s.ini").write_text("[experiment]\ndatasets = rounds\n[synth]\nsamples = 200\n",
+                             encoding="utf-8")
+    assert main(["synth", "--config", "s.ini", "--out", "out"]) == 0
+    Path("link").symlink_to("out")
+    before = {entry.name: entry.read_bytes() for entry in Path("out").iterdir()}
+    capsys.readouterr()
+    for dataset, out in (("out/rounds.csv", "out"), ("link/rounds.csv", "out"),
+                         ("out/rounds.csv", "link")):
+        Path("c.ini").write_text(f"[experiment]\ndatasets = {dataset}\n", encoding="utf-8")
+        assert main(["centralized", "--config", "c.ini", "--out", out]) == 2, (dataset, out)
+        assert capsys.readouterr().err == (
+            f"CONFIG_ERROR: dataset {dataset} is an output that this run replaces\n")
+        assert {entry.name: entry.read_bytes() for entry in Path("out").iterdir()} == before
+
+
 @pytest.mark.parametrize("verb", OUTPUT_FILES)
 def test_rerun_elsewhere_writes_the_same_bytes(tmp_path, monkeypatch, verb):
     # Every output is a function of the config and seed alone. Both runs use
