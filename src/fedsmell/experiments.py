@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import suppress
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -19,7 +20,7 @@ import numpy as np
 from . import data as datamod
 from .config import CENTRALIZED, CROSS_EVAL, FEDERATED, SYNTH, ExperimentConfig
 from .errors import ConfigError, DataError, error_context
-from .federation import ClientNode, FederationTopology, client_update, run_federation
+from .federation import ClientNode, FederationTopology, client_update, iter_rounds
 from .metrics import evaluate_model
 from .nn import Hyperparams, init_params, save_weights
 from .seeds import derive_seed
@@ -83,16 +84,12 @@ def prepare_source(path, cfg: ExperimentConfig, index: int) -> PreparedSource:
     )
 
 
-def _prepare_all(cfg: ExperimentConfig, score_tests: bool) -> list[PreparedSource]:
-    """Prepare every source before any training; with `score_tests`, also
-    require each test split to hold both classes."""
+def _prepare_all(cfg: ExperimentConfig) -> list[PreparedSource]:
+    """Prepare every source before any training."""
     sources = []
     for index, path in enumerate(cfg.datasets):
         with error_context(f"dataset {path}"):
-            source = prepare_source(path, cfg, index)
-            if score_tests:
-                _require_both_classes(source.test)
-        sources.append(source)
+            sources.append(prepare_source(path, cfg, index))
     return sources
 
 
@@ -120,7 +117,10 @@ def _train_each(cfg: ExperimentConfig, sources) -> list[np.ndarray]:
 
 def run_centralized(cfg: ExperimentConfig) -> RunResult:
     """Train one model per dataset and score it on that dataset's test split."""
-    sources = _prepare_all(cfg, score_tests=True)
+    sources = _prepare_all(cfg)
+    for path, source in zip(cfg.datasets, sources):
+        with error_context(f"dataset {path}"):
+            _require_both_classes(source.test)
     rows = []
     for path, source, weights in zip(cfg.datasets, sources, _train_each(cfg, sources)):
         with error_context(f"dataset {path}"):
@@ -135,7 +135,7 @@ def run_cross_eval(cfg: ExperimentConfig) -> RunResult:
     Foreign datasets are normalized with the *trainer's* statistics; their
     own statistics are never consulted.
     """
-    sources = _prepare_all(cfg, score_tests=False)
+    sources = _prepare_all(cfg)
     models = _train_each(cfg, sources)
     rows = []
     for trainer, weights in zip(sources, models):
@@ -175,12 +175,14 @@ def run_federated(cfg: ExperimentConfig) -> RunResult:
     global model is scored every round on the pooled union of the
     per-dataset test splits, so the last round's report is the final one.
     """
-    sources = _prepare_all(cfg, score_tests=False)
+    sources = _prepare_all(cfg)
     topology = build_federated_clients(sources, cfg)
     pooled_test = datamod.concat_datasets("pooled-test", [s.test for s in sources])
     del sources  # the clients and the pooled test own copies of what training needs
     _require_both_classes(pooled_test)
-    logs, final_weights = run_federation(topology, cfg, pooled_test)
+    logs, final_weights = [], None
+    for log, final_weights in iter_rounds(topology, cfg, pooled_test):
+        logs.append(log)
     return RunResult([_cell("federated", pooled_test.name, logs[-1].report.accuracy_pct)],
                      round_logs=logs, final_weights=final_weights)
 
@@ -274,8 +276,14 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {cfg.out_dir}: {exc}") from exc
     try:
-        for name in _OUTPUTS:
-            (out_dir / name).unlink(missing_ok=True)
+        try:
+            for name in _OUTPUTS:
+                (out_dir / name).unlink(missing_ok=True)
+        except BaseException:  # stopped or failed part way: try each once more
+            for name in _OUTPUTS:
+                with suppress(OSError):
+                    (out_dir / name).unlink(missing_ok=True)
+            raise
         _write_whole(out_dir / "config.resolved.json", lambda temp: _write_json(asdict(cfg), temp))
         result = _RUNNERS[cfg.kind](cfg)
         emit_outputs(cfg, result)

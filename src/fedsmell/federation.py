@@ -204,17 +204,17 @@ def sample_clients(topology: FederationTopology, fraction: float, round_seed: in
     return sorted(ids[i] for i in chosen)
 
 
-def run_federation(topology: FederationTopology, config: RoundConfig, test_set: Dataset):
-    """Drive the round loop; returns (round logs, final global weights).
+def iter_rounds(topology: FederationTopology, config: RoundConfig, test_set: Dataset):
+    """Drive the round loop, yielding (round log, global weights) after each round.
 
     Per round: sample clients; each combiner in ascending id trains its
     sampled clients on the broadcast weights and averages them before the
     next one starts; then reduce, and score the new global model on the
     held-out test set. Combiners with no sampled client skip the round.
-    Any error aborts the run with the round attached.
+    Any error aborts the run with the round attached. Each round yields after
+    its stage, so the stage's float settings never reach the caller's code.
     """
     values = init_params(config.seed)
-    logs: list[RoundLog] = []
     for t in range(1, config.rounds + 1):
         with error_context(f"round {t}"):
             selected = sample_clients(
@@ -227,6 +227,5 @@ def run_federation(topology: FederationTopology, config: RoundConfig, test_set: 
                 for _, group in itertools.groupby(clients, key=lambda c: c.combiner_id)]
             values = reducer_reduce(combiner_models, values, t, config.reducer_mode)
             report = evaluate_model(values, test_set)
-        logs.append(RoundLog(round=t, weights_checksum=weights_checksum(values),
-                             report=report, participants=tuple(selected)))
-    return logs, values
+        yield RoundLog(round=t, weights_checksum=weights_checksum(values),
+                       report=report, participants=tuple(selected)), values

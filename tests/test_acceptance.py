@@ -22,7 +22,7 @@ from fedsmell.experiments import (prepare_source, run_centralized, run_cross_eva
                                   run_experiment, run_federated, train_centralized)
 from fedsmell.federation import (ClientNode, FederationTopology, ModelUpdate,
                                  RoundConfig, client_update, combiner_aggregate,
-                                 reducer_reduce, run_federation)
+                                 reducer_reduce)
 from fedsmell.metrics import (ConfusionMatrix, cohen_kappa, evaluate_model,
                               interpret_kappa, interpret_roc, roc_auc)
 from fedsmell.nn import (Hyperparams, PARAM_COUNT, init_params, loss_and_gradient,
@@ -30,7 +30,7 @@ from fedsmell.nn import (Hyperparams, PARAM_COUNT, init_params, loss_and_gradien
 from fedsmell.seeds import derive_seed
 from test_gradients import assert_gradients_match, fd_gradient
 from test_metrics import auc_pair_oracle, kappa_oracle
-from util import grad_buffer, random_dataset, synth_csv
+from util import grad_buffer, random_dataset, run_rounds, synth_csv
 
 
 def report(criterion: str, body):
@@ -132,7 +132,7 @@ def test_criterion_3_single_client_equivalence():
         test_set = random_dataset(40, 16, seed=4, name="test")
         config = RoundConfig(rounds=10, client_fraction=1.0, seed=11, reducer_mode="plain")
 
-        _, federated = run_federation(topology, config, test_set)
+        _, federated = run_rounds(topology, config, test_set)
 
         weights = init_params(config.seed)
         for t in range(1, config.rounds + 1):

@@ -125,7 +125,7 @@ def test_federated_hooks(work, monkeypatch):
     rounds, steps = expected_steps(work, monkeypatch)
     # One blocked forward call per scoring, one traced step per batch.
     assert names.count("nn.forward_eval") == names.count("metrics.evaluate_model") == rounds
-    assert names.count("federation.checksum") == rounds  # hooked where run_federation looks it up
+    assert names.count("federation.checksum") == rounds  # hooked where iter_rounds looks it up
     assert metrics["nn.steps"][0] == steps
     assert metrics["federation.clients_per_round"][0] == 3
     assert metrics["nn.grad_zero_share"][0] >= 1296 / 9916

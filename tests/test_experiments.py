@@ -234,19 +234,19 @@ def test_federated_run_keeps_no_prepared_source_while_training(tmp_path, monkeyp
     # Once the clients and the pooled test exist, the raw tables, splits and
     # stats of every source are garbage before the first round starts.
     prepared, checked = [], []
-    real_prepare, real_federation = experiments.prepare_source, experiments.run_federation
+    real_prepare, real_rounds = experiments.prepare_source, experiments.iter_rounds
 
     def tracked_prepare(*args):
         source = real_prepare(*args)
         prepared.append(weakref.ref(source))
         return source
 
-    def checked_federation(*args):
+    def checked_rounds(*args):
         checked.append(sum(ref() is not None for ref in prepared))
-        return real_federation(*args)
+        yield from real_rounds(*args)
 
     monkeypatch.setattr(experiments, "prepare_source", tracked_prepare)
-    monkeypatch.setattr(experiments, "run_federation", checked_federation)
+    monkeypatch.setattr(experiments, "iter_rounds", checked_rounds)
     paths = [synth_csv(tmp_path, f"gone{i}", n=300, seed=90 + i) for i in range(2)]
     run_federated(cfg_for("federated", paths, tmp_path / "out", rounds=1))
     assert checked == [0]
@@ -781,6 +781,29 @@ def test_cli_signal_while_training_ends_with_one_interrupted_line(tmp_path, sign
     # The stop leaves no summary.json and no temp file.
     assert {entry.name for entry in (tmp_path / "out").iterdir()} <= {"config.resolved.json",
                                                                      "rounds.csv", "model.fwv"}
+
+
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM])
+def test_cli_signal_while_clearing_leaves_none_of_the_earlier_outputs(tmp_path, capsys,
+                                                                      monkeypatch, signum):
+    # A rerun stopped right after it removes the earlier summary.json must
+    # not leave that run's other files behind.
+    ini = _write_verb_ini(tmp_path, "federated")
+    out = tmp_path / "out"
+    assert main(["federated", "--config", str(ini), "--out", str(out), "--seed", "1"]) == 0
+    real_unlink = Path.unlink
+
+    def stopping_unlink(path, missing_ok=False):
+        real_unlink(path, missing_ok=missing_ok)
+        if path.name == "summary.json":
+            monkeypatch.setattr(Path, "unlink", real_unlink)
+            signal.raise_signal(signum)
+
+    monkeypatch.setattr(Path, "unlink", stopping_unlink)
+    assert main(["federated", "--config", str(ini), "--out", str(out), "--seed", "2"]) == 130
+    err = capsys.readouterr().err
+    assert err.startswith("INTERRUPTED: ") and len(err.splitlines()) == 1, err
+    assert list(out.iterdir()) == []
 
 
 def test_cli_main_leaves_the_sigterm_handler_as_it_found_it(tmp_path, capsys, monkeypatch):

@@ -16,14 +16,14 @@ from fedsmell.data import (Dataset, concat_datasets, domain_shift, extract_chunk
 from fedsmell.errors import DataError, NumericError
 from fedsmell.federation import (ClientNode, FederationTopology, ModelUpdate,
                                  RoundConfig, RoundLog, client_update, combiner_aggregate,
-                                 reducer_reduce, run_federation, sample_clients,
+                                 iter_rounds, reducer_reduce, sample_clients,
                                  weights_checksum)
 from fedsmell.experiments import write_rounds_csv
 from fedsmell.metrics import evaluate_model
 from fedsmell.nn import (Hyperparams, PARAM_COUNT, adam_update, init_params,
                          loss_and_gradient, unflatten_params)
 from fedsmell.seeds import SAMPLING_SLOT, derive_seed
-from util import dead_slot_mask, grad_buffer, random_dataset
+from util import dead_slot_mask, grad_buffer, random_dataset, run_rounds
 
 
 def small_client(n=20, n_pos=8, seed=0, client_id=0, combiner_id=0, **hyper):
@@ -149,8 +149,9 @@ def test_run_federation_names_the_round_of_a_float_fault():
     topology = FederationTopology(combiners=(0, 1), clients=clients)
     with np.errstate(over="warn", invalid="warn", divide="warn", under="ignore"):
         with pytest.raises(NumericError, match="^round 1: overflow"):
-            run_federation(topology, RoundConfig(rounds=2, seed=7),
-                           random_dataset(60, 30, seed=9))
+            for _ in iter_rounds(topology, RoundConfig(rounds=2, seed=7),
+                                 random_dataset(60, 30, seed=9)):
+                pass
 
 
 def test_client_update_rejects_wrong_weight_length():
@@ -358,14 +359,14 @@ def test_client_id_must_be_a_non_negative_int(client_id):
         small_client(client_id=client_id)
 
 
-# ------------------------------------------------------------ run_federation
+# --------------------------------------------------------------- iter_rounds
 
 def test_single_client_federation_matches_repeated_local_training():
     client = small_client(n=48, n_pos=20, seed=6)
     topo = FederationTopology((0,), (client,))
     test_set = random_dataset(30, 12, seed=7, name="test")
     config = RoundConfig(rounds=3, client_fraction=1.0, seed=21, reducer_mode="plain")
-    logs, final = run_federation(topo, config, test_set)
+    logs, final = run_rounds(topo, config, test_set)
 
     weights = init_params(config.seed)
     for t in range(1, config.rounds + 1):
@@ -378,7 +379,7 @@ def test_single_client_federation_matches_repeated_local_training():
 def test_zero_learning_rate_freezes_round_metrics():
     topo = make_topology(n_clients=4, per_combiner=2, learning_rate=0.0)
     test_set = random_dataset(40, 16, seed=8, name="test")
-    logs, final = run_federation(topo, RoundConfig(rounds=4, seed=3), test_set)
+    logs, final = run_rounds(topo, RoundConfig(rounds=4, seed=3), test_set)
     first = logs[0]
     for log in logs[1:]:
         assert log.report == first.report
@@ -396,8 +397,8 @@ def test_an_experiment_config_drives_the_rounds_and_clients_like_its_parts():
                           local_epochs=2)
     whole = FederationTopology(parts.combiners,
                                tuple(dataclasses.replace(c, hyper=cfg) for c in parts.clients))
-    logs_a, final_a = run_federation(whole, cfg, test_set)
-    logs_b, final_b = run_federation(
+    logs_a, final_a = run_rounds(whole, cfg, test_set)
+    logs_b, final_b = run_rounds(
         parts, RoundConfig(rounds=3, client_fraction=0.5, seed=12, reducer_mode="smoothed"),
         test_set)
     assert logs_a == logs_b
@@ -409,8 +410,8 @@ def test_federation_reproducible_logs():
     topo_b = make_topology(n_clients=4, per_combiner=2)
     test_set = random_dataset(36, 14, seed=9, name="test")
     config = RoundConfig(rounds=3, seed=12)
-    logs_a, final_a = run_federation(topo_a, config, test_set)
-    logs_b, final_b = run_federation(topo_b, config, test_set)
+    logs_a, final_a = run_rounds(topo_a, config, test_set)
+    logs_b, final_b = run_rounds(topo_b, config, test_set)
     assert [l.weights_checksum for l in logs_a] == [l.weights_checksum for l in logs_b]
     assert [l.report for l in logs_a] == [l.report for l in logs_b]
     assert np.array_equal(final_a, final_b)
@@ -419,8 +420,7 @@ def test_federation_reproducible_logs():
 def test_partial_participation_skips_empty_combiners():
     topo = make_topology(n_clients=6, per_combiner=3)
     test_set = random_dataset(40, 15, seed=1, name="test")
-    logs, _ = run_federation(topo, RoundConfig(rounds=6, client_fraction=0.34, seed=4),
-                             test_set)
+    logs, _ = run_rounds(topo, RoundConfig(rounds=6, client_fraction=0.34, seed=4), test_set)
     assert all(len(log.participants) == 2 for log in logs)
     # The sampled subset varies by round, including rounds where one
     # combiner receives no clients and sits the round out.
@@ -436,7 +436,7 @@ def test_federation_keeps_dead_slots_at_init_for_any_combiner_count(combiners, m
     topo = make_topology(n_clients=2 * combiners, per_combiner=2)
     test_set = random_dataset(30, 12, seed=3, name="test")
     config = RoundConfig(rounds=5, seed=8, reducer_mode=mode)
-    _, final = run_federation(topo, config, test_set)
+    _, final = run_rounds(topo, config, test_set)
     dead = dead_slot_mask()
     assert final[dead].tobytes() == init_params(config.seed)[dead].tobytes()
 
@@ -462,13 +462,13 @@ def test_round_holds_one_combiners_updates_and_none_while_scoring(monkeypatch):
     monkeypatch.setattr(federation, "evaluate_model", checked_evaluate)
     topo = make_topology(n_clients=5, per_combiner=3)
     test_set = random_dataset(30, 12, seed=4, name="test")
-    logs, _ = run_federation(topo, RoundConfig(rounds=2, seed=6), test_set)
+    logs, _ = run_rounds(topo, RoundConfig(rounds=2, seed=6), test_set)
     assert len(logs) == 2 and len(peaks) == 10
     assert max(peaks) == 3
 
 
 def reference_federation(topology, config, test_set):
-    """run_federation's oracle, in the round loop's old shape: train every
+    """iter_rounds' oracle, in the round loop's old shape: train every
     sampled client, bucket the updates by combiner, fold the buckets in
     sorted combiner order, reduce, score and checksum."""
     values = init_params(config.seed)
@@ -519,7 +519,7 @@ def federations(draw):
 def test_federation_matches_the_reference_round_loop(federation_case):
     topology, config = federation_case
     test_set = random_dataset(40, 16, seed=99, name="test")
-    logs, final = run_federation(topology, config, test_set)
+    logs, final = run_rounds(topology, config, test_set)
     expected_logs, expected = reference_federation(topology, config, test_set)
     assert final.tobytes() == expected.tobytes()
     assert logs == expected_logs
@@ -530,7 +530,32 @@ def test_federation_attaches_round_context_to_errors():
     mixed = random_dataset(20, 10, seed=1)
     single_class = Dataset("test", mixed.features, np.zeros(20, dtype=int))  # unscorable
     with pytest.raises(DataError, match="round 1"):
-        run_federation(topo, RoundConfig(rounds=1, seed=0), single_class)
+        run_rounds(topo, RoundConfig(rounds=1, seed=0), single_class)
+
+
+@pytest.mark.parametrize("stop", [1, 2, 3])
+def test_a_caller_that_stops_after_round_k_holds_the_full_runs_first_k_rounds(stop):
+    topo = make_topology(n_clients=4, per_combiner=2)
+    test_set = random_dataset(30, 12, seed=5, name="test")
+    config = RoundConfig(rounds=4, client_fraction=0.5, seed=10, reducer_mode="smoothed")
+    full = [(log, weights.tobytes()) for log, weights in iter_rounds(topo, config, test_set)]
+    taken = []
+    for log, weights in iter_rounds(topo, config, test_set):
+        taken.append((log, weights.tobytes()))
+        if log.round == stop:
+            break
+    assert taken == full[:stop]
+
+
+def test_the_caller_keeps_its_own_float_settings_between_rounds():
+    # Each round's stage raises on float faults; the caller's loop body runs
+    # outside it, under the settings the caller chose.
+    topo = make_topology(n_clients=2, per_combiner=1)
+    test_set = random_dataset(30, 12, seed=2, name="test")
+    with np.errstate(all="ignore"):
+        own = np.geterr()
+        seen = [np.geterr() for _ in iter_rounds(topo, RoundConfig(rounds=3, seed=1), test_set)]
+    assert seen == [own] * 3
 
 
 def test_federation_outperforms_best_single_client():
@@ -551,7 +576,7 @@ def test_federation_outperforms_best_single_client():
         for i, m in enumerate((0.0, 3.0, 0.0))
     ])
 
-    logs, _ = run_federation(topo, RoundConfig(rounds=30, seed=5), test_set)
+    logs, _ = run_rounds(topo, RoundConfig(rounds=30, seed=5), test_set)
     federated_best = max(log.report.accuracy_pct for log in logs)
 
     best_single = 0.0
@@ -566,7 +591,7 @@ def test_federation_outperforms_best_single_client():
 def test_write_round_csv_layout(tmp_path):
     topo = make_topology(n_clients=2, per_combiner=1)
     test_set = random_dataset(30, 12, seed=2, name="test")
-    logs, _ = run_federation(topo, RoundConfig(rounds=2, seed=1), test_set)
+    logs, _ = run_rounds(topo, RoundConfig(rounds=2, seed=1), test_set)
     path = tmp_path / "rounds.csv"
     write_rounds_csv(logs, path)
     lines = path.read_text().strip().splitlines()

@@ -45,6 +45,19 @@ def test_every_raise_reraises_or_raises_a_package_error():
                                              and node.exc.func.id in allowed)] == []
 
 
+def test_no_yield_inside_a_stage():
+    # A generator that yields inside `with error_context(...)` hands the
+    # stage's raising float settings to its caller's code until it resumes.
+    stages = [(path.name, node) for path in sorted(PACKAGE.glob("*.py")) for node in nodes(path)
+              if isinstance(node, ast.With) and any(
+                  isinstance(item.context_expr, ast.Call)
+                  and isinstance(item.context_expr.func, ast.Name)
+                  and item.context_expr.func.id == "error_context" for item in node.items)]
+    assert len(stages) > 5  # the scan reads the package's sources
+    assert [f"{name}:{inner.lineno}" for name, stage in stages for inner in ast.walk(stage)
+            if isinstance(inner, (ast.Yield, ast.YieldFrom))] == []
+
+
 def definitions(path):
     """Each top-level function and class of a source file, and each method
     that is not a dunder."""

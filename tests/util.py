@@ -7,7 +7,8 @@ import numpy as np
 from fedsmell.config import ExperimentConfig
 from fedsmell.data import NUM_FEATURES, Dataset, domain_shift, save_csv, synth_generate
 from fedsmell.errors import ConfigError, DataError
-from fedsmell.federation import ClientNode, FederationTopology, ModelUpdate, RoundConfig
+from fedsmell.federation import (ClientNode, FederationTopology, ModelUpdate, RoundConfig,
+                                 iter_rounds)
 from fedsmell.metrics import ConfusionMatrix
 from fedsmell.nn import HIDDEN_DIM, LAYOUT, PARAM_COUNT, Hyperparams, unflatten_params
 
@@ -37,6 +38,14 @@ CHECKED_CLASSES = (
     (FederationTopology, DataError, {"combiners": (0,), "clients": (ClientNode(**_CLIENT),)}),
     (ConfusionMatrix, DataError, {"tp": 1, "tn": 1, "fp": 0, "fn": 0}),
 )
+
+
+def run_rounds(topology, config, test_set):
+    """Walk iter_rounds to its end: (round logs, final global weights)."""
+    logs, final = [], None
+    for log, final in iter_rounds(topology, config, test_set):
+        logs.append(log)
+    return logs, final
 
 
 def synth_csv(tmp_path, name, shift_magnitude=0.0, n=700, seed=0) -> str:
