@@ -225,6 +225,8 @@ class NormalizationStats:
 def fit_normalizer(train: Dataset) -> NormalizationStats:
     mean = train.features.mean(axis=0)
     std = train.features.std(axis=0)
+    if not np.all(np.isfinite(std)):  # an overflow while float errors are ignored
+        raise NumericError(f"dataset {train.name!r}: feature standard deviation overflows")
     std = np.where(std > 0, std, 1.0)
     return NormalizationStats(mean=mean, std=std)
 

@@ -67,30 +67,28 @@ def _require_both_classes(test: datamod.Dataset) -> None:
 
 
 def prepare_source(path, cfg: ExperimentConfig, index: int) -> PreparedSource:
-    """Load, split, rebalance the train side, and z-score with train stats."""
-    raw = datamod.load_csv(path)
-    train, test = datamod.split_train_test(
-        raw, cfg.test_fraction, derive_seed(cfg.seed, 0, _SPLIT_OFFSET + index)
-    )
-    train = datamod.rebalance(
-        train, cfg.rebalance, derive_seed(cfg.seed, 0, _REBALANCE_OFFSET + index)
-    )
-    stats = datamod.fit_normalizer(train)
-    return PreparedSource(
-        raw=raw,
-        train=datamod.apply_normalizer(train, stats),
-        test=datamod.apply_normalizer(test, stats),
-        stats=stats,
-    )
+    """Load, split, rebalance the train side, and z-score with train stats,
+    all in the `dataset <path>` stage."""
+    with error_context(f"dataset {path}"):
+        raw = datamod.load_csv(path)
+        train, test = datamod.split_train_test(
+            raw, cfg.test_fraction, derive_seed(cfg.seed, 0, _SPLIT_OFFSET + index)
+        )
+        train = datamod.rebalance(
+            train, cfg.rebalance, derive_seed(cfg.seed, 0, _REBALANCE_OFFSET + index)
+        )
+        stats = datamod.fit_normalizer(train)
+        return PreparedSource(
+            raw=raw,
+            train=datamod.apply_normalizer(train, stats),
+            test=datamod.apply_normalizer(test, stats),
+            stats=stats,
+        )
 
 
 def _prepare_all(cfg: ExperimentConfig) -> list[PreparedSource]:
     """Prepare every source before any training."""
-    sources = []
-    for index, path in enumerate(cfg.datasets):
-        with error_context(f"dataset {path}"):
-            sources.append(prepare_source(path, cfg, index))
-    return sources
+    return [prepare_source(path, cfg, index) for index, path in enumerate(cfg.datasets)]
 
 
 def train_centralized(train: datamod.Dataset, hyper: Hyperparams, passes: int,
@@ -107,14 +105,6 @@ def train_centralized(train: datamod.Dataset, hyper: Hyperparams, passes: int,
     return values
 
 
-def _train_each(cfg: ExperimentConfig, sources) -> list[np.ndarray]:
-    models = []
-    for path, source in zip(cfg.datasets, sources):
-        with error_context(f"dataset {path}"):
-            models.append(train_centralized(source.train, cfg, cfg.rounds, cfg.seed))
-    return models
-
-
 def run_centralized(cfg: ExperimentConfig) -> RunResult:
     """Train one model per dataset and score it on that dataset's test split."""
     sources = _prepare_all(cfg)
@@ -122,8 +112,9 @@ def run_centralized(cfg: ExperimentConfig) -> RunResult:
         with error_context(f"dataset {path}"):
             _require_both_classes(source.test)
     rows = []
-    for path, source, weights in zip(cfg.datasets, sources, _train_each(cfg, sources)):
+    for path, source in zip(cfg.datasets, sources):
         with error_context(f"dataset {path}"):
+            weights = train_centralized(source.train, cfg, cfg.rounds, cfg.seed)
             report = evaluate_model(weights, source.test)
         rows.append(_cell(source.raw.name, source.raw.name, report.accuracy_pct))
     return RunResult(rows)
@@ -136,9 +127,10 @@ def run_cross_eval(cfg: ExperimentConfig) -> RunResult:
     own statistics are never consulted.
     """
     sources = _prepare_all(cfg)
-    models = _train_each(cfg, sources)
     rows = []
-    for trainer, weights in zip(sources, models):
+    for trainer_path, trainer in zip(cfg.datasets, sources):
+        with error_context(f"dataset {trainer_path}"):
+            weights = train_centralized(trainer.train, cfg, cfg.rounds, cfg.seed)
         for path, other in zip(cfg.datasets, sources):
             if other is trainer:
                 continue

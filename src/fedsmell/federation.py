@@ -226,6 +226,7 @@ def iter_rounds(topology: FederationTopology, config: RoundConfig, test_set: Dat
                                     for c in group])
                 for _, group in itertools.groupby(clients, key=lambda c: c.combiner_id)]
             values = reducer_reduce(combiner_models, values, t, config.reducer_mode)
+            values.flags.writeable = False  # yielded: the caller cannot change the run
             report = evaluate_model(values, test_set)
         yield RoundLog(round=t, weights_checksum=weights_checksum(values),
                        report=report, participants=tuple(selected)), values

@@ -343,6 +343,18 @@ def test_normalizer_constant_feature_maps_to_zero():
     assert np.all(normalized.features[:, 4] == 0.0)
 
 
+def test_normalizer_refuses_a_standard_deviation_that_overflows():
+    # With float errors ignored, a column near 1e200 overflows its std to inf,
+    # which would normalize the whole column to -0.0.
+    features = np.random.default_rng(0).standard_normal((50, NUM_FEATURES))
+    features[:, 3] *= 1e200
+    d = make_dataset(features, [0, 1] * 25, name="huge")
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericError,
+                           match="^dataset 'huge': feature standard deviation overflows$"):
+            fit_normalizer(d)
+
+
 # -------------------------------------------------------------------- split
 
 def test_split_stratified_counts():

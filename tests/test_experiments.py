@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -438,6 +439,16 @@ def run_cli_centralized(tmp_path, name, datasets, training=""):
     return main(["centralized", "--config", str(ini), "--out", str(tmp_path / name)])
 
 
+def huge_column_csv(tmp_path, plain):
+    """Write the CSV at `plain` with its fourth column times 1e200 to
+    tmp_path/huge.csv; return that path."""
+    loaded = load_csv(plain)
+    features = loaded.features.copy()
+    features[:, 3] *= 1e200
+    save_csv(Dataset("huge", features, loaded.labels), tmp_path / "huge.csv")
+    return tmp_path / "huge.csv"
+
+
 def float_fault_cases(tmp_path):
     """The README's float faults as (start of the error, verb, config).
 
@@ -446,10 +457,7 @@ def float_fault_cases(tmp_path):
     error names the dataset, or the round of a federated run.
     """
     plain = synth_csv(tmp_path, "plain", n=120, seed=4)
-    loaded = load_csv(plain)
-    features = loaded.features.copy()
-    features[:, 3] *= 1e200
-    save_csv(Dataset("huge", features, loaded.labels), tmp_path / "huge.csv")
+    huge_column_csv(tmp_path, plain)
     lr = "[training]\nlearning_rate = 1e300\n"
     fed_ini = tmp_path / "fed.ini"
     fed_ini.write_text(f"[experiment]\nkind = federated\ndatasets = {plain}\n"
@@ -470,6 +478,15 @@ def test_cli_floating_point_faults_exit_4_with_one_line(tmp_path, capsys):
             err = capsys.readouterr().err
             assert err.startswith(f"NUMERIC_ERROR: {context}"), err
             assert len(err.splitlines()) == 1, err
+
+
+def test_prepare_source_enters_its_dataset_stage_for_a_direct_caller(tmp_path):
+    # Under numpy's default float settings the std's overflow stops the call
+    # with the dataset named, instead of returning an infinite std.
+    path = str(huge_column_csv(tmp_path, synth_csv(tmp_path, "plain", n=120, seed=4)))
+    cfg = cfg_for("centralized", [path], tmp_path / "out")
+    with pytest.raises(NumericError, match=f"^dataset {re.escape(path)}: overflow"):
+        prepare_source(path, cfg, 0)
 
 
 def test_library_run_raises_the_cli_numeric_error(tmp_path, capsys):

@@ -558,6 +558,21 @@ def test_the_caller_keeps_its_own_float_settings_between_rounds():
     assert seen == [own] * 3
 
 
+def test_the_yielded_weights_are_read_only():
+    # The next round broadcasts them and the smoothed reducer reads them as
+    # the previous model, so a write by the caller would change the run.
+    topo = make_topology(n_clients=4, per_combiner=2)
+    test_set = random_dataset(30, 12, seed=5, name="test")
+    config = RoundConfig(rounds=2, seed=3, reducer_mode="smoothed")
+    untouched = [log.weights_checksum for log, _ in iter_rounds(topo, config, test_set)]
+    seen = []
+    for log, weights in iter_rounds(topo, config, test_set):
+        with pytest.raises(ValueError, match="read-only"):
+            weights *= 0.0
+        seen.append(log.weights_checksum)
+    assert seen == untouched
+
+
 def test_federation_outperforms_best_single_client():
     # 10 heterogeneous clients vs. each client training alone, scored on a
     # pooled test set; the federated model must not trail the best loner by

@@ -58,6 +58,21 @@ def test_no_yield_inside_a_stage():
             if isinstance(inner, (ast.Yield, ast.YieldFrom))] == []
 
 
+def test_every_stage_is_named_config_dataset_or_round():
+    # The README's exit codes and float faults document these three prefixes
+    # of an error's stage; a new stage name would go undocumented.
+    calls = [(path.name, node) for path in sorted(PACKAGE.glob("*.py")) for node in nodes(path)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "error_context"]
+    assert len(calls) > 5  # the scan reads the package's sources
+    assert [f"{name}:{call.lineno}: {ast.unparse(call)}" for name, call in calls
+            if not (len(call.args) == 1 and not call.keywords
+                    and isinstance(call.args[0], ast.JoinedStr)
+                    and isinstance(call.args[0].values[0], ast.Constant)
+                    and call.args[0].values[0].value.startswith(("config ", "dataset ", "round ")))
+            ] == []
+
+
 def definitions(path):
     """Each top-level function and class of a source file, and each method
     that is not a dunder."""
