@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import signal
 import sys
 import threading
@@ -51,10 +52,18 @@ def main(argv=None) -> int:
         if previous is not None:  # None: the handler was not set from Python
             signal.signal(signal.SIGTERM, previous)
 
-    for row in result.rows:
-        print(f"{row['train_source']} -> {row['eval_source']}: "
-              f"{row['accuracy_pct']:.2f}%")
-    print(f"outputs written to {cfg.out_dir}")
+    try:
+        for row in result.rows:
+            print(f"{row['train_source']} -> {row['eval_source']}: "
+                  f"{row['accuracy_pct']:.2f}%")
+        print(f"outputs written to {cfg.out_dir}", flush=True)
+    except OSError as exc:  # a full disk or a closed pipe, after every output was written
+        # Point fd 1 at devnull, so Python's flush of stdout at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"CONFIG_ERROR: cannot write to stdout: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

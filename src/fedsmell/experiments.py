@@ -23,14 +23,7 @@ from .errors import ConfigError, DataError, error_context
 from .federation import ClientNode, FederationTopology, client_update, iter_rounds
 from .metrics import evaluate_model
 from .nn import Hyperparams, init_params, save_weights
-from .seeds import derive_seed
-
-# Preprocessing stages draw from round slot 0, which the round loop never
-# uses (rounds are 1-based); the offsets keep the stages independent.
-_SPLIT_OFFSET = 100
-_REBALANCE_OFFSET = 200
-_PARTITION_OFFSET = 300
-_SYNTH_OFFSET = 400
+from .seeds import PARTITION_SLOT, REBALANCE_SLOT, SPLIT_SLOT, SYNTH_SLOT, derive_seed
 
 
 @dataclass
@@ -59,7 +52,7 @@ def _cell(train_source: str, eval_source: str, accuracy_pct: float) -> dict:
 
 
 def _require_both_classes(test: datamod.Dataset) -> None:
-    """Kappa and ROC need both classes in a scored set; check before training."""
+    """ROC needs both classes in a scored set, kappa does not; check before training."""
     for cls, count in enumerate(test.class_counts()):
         if count == 0:
             raise DataError(f"test set {test.name!r} has no samples of class {cls}, "
@@ -72,10 +65,10 @@ def prepare_source(path, cfg: ExperimentConfig, index: int) -> PreparedSource:
     with error_context(f"dataset {path}"):
         raw = datamod.load_csv(path)
         train, test = datamod.split_train_test(
-            raw, cfg.test_fraction, derive_seed(cfg.seed, 0, _SPLIT_OFFSET + index)
+            raw, cfg.test_fraction, derive_seed(cfg.seed, 0, SPLIT_SLOT + index)
         )
         train = datamod.rebalance(
-            train, cfg.rebalance, derive_seed(cfg.seed, 0, _REBALANCE_OFFSET + index)
+            train, cfg.rebalance, derive_seed(cfg.seed, 0, REBALANCE_SLOT + index)
         )
         stats = datamod.fit_normalizer(train)
         return PreparedSource(
@@ -147,7 +140,7 @@ def build_federated_clients(sources, cfg: ExperimentConfig):
     for index, (path, source) in enumerate(zip(cfg.datasets, sources)):
         with error_context(f"dataset {path}"):
             chunks = datamod.partition_chunks(source.train, cfg.chunks[index],
-                                              derive_seed(cfg.seed, 0, _PARTITION_OFFSET + index))
+                                              derive_seed(cfg.seed, 0, PARTITION_SLOT + index))
         chunk_sets.extend(datamod.extract_chunks(source.train, chunks))
 
     assignment = []
@@ -189,7 +182,7 @@ def run_synth(cfg: ExperimentConfig) -> RunResult:
                 cfg.synth_samples,
                 cfg.synth_positive_rate,
                 datamod.domain_shift(cfg.synth_shifts[index]),
-                derive_seed(cfg.seed, 0, _SYNTH_OFFSET + index),
+                derive_seed(cfg.seed, 0, SYNTH_SLOT + index),
                 name=name,
             )
         except (ValueError, MemoryError) as exc:  # numpy cannot allocate that many rows
@@ -258,11 +251,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     describes the last run attempted, then run and write the other outputs; a
     directory that cannot be made or written to is a ConfigError."""
     out_dir = Path(cfg.out_dir)
-    if cfg.kind != SYNTH:  # synth datasets are names, not inputs
-        outputs = {os.path.realpath(out_dir / name) for name in _OUTPUTS}
-        for path in cfg.datasets:
-            if os.path.realpath(path) in outputs:
-                raise ConfigError(f"dataset {path} is an output that this run replaces")
+    outputs = {os.path.realpath(out_dir / name) for name in _OUTPUTS}
+    for entry in cfg.datasets:  # the file each dataset names; synth writes its own
+        path = out_dir / f"{entry}.csv" if cfg.kind == SYNTH else entry
+        if os.path.realpath(path) in outputs:
+            raise ConfigError(f"dataset {path} is an output that this run replaces")
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:

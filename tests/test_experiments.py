@@ -1,5 +1,6 @@
 """Experiment runners: centralized, cross-eval, federated, synth, outputs."""
 
+import errno
 import hashlib
 import json
 import os
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fedsmell import cli, experiments
+from fedsmell import cli, experiments, federation
 from fedsmell.cli import main
 from fedsmell.config import ExperimentConfig, parse_config
 from fedsmell.data import FEATURE_NAMES, LABEL_COLUMN, Dataset, load_csv, save_csv
@@ -26,7 +27,7 @@ from fedsmell.experiments import (prepare_source, run_centralized, run_cross_eva
                                   run_experiment, run_federated, train_centralized)
 from fedsmell.metrics import evaluate_model
 from fedsmell.nn import Hyperparams, init_params
-from fedsmell.seeds import derive_seed
+from fedsmell.seeds import SAMPLING_SLOT, derive_seed
 from util import random_dataset, synth_csv
 
 
@@ -68,15 +69,15 @@ def test_prepare_source_normalizes_test_with_train_stats_only(tmp_path):
     # Rebuild the raw test split and transform it with the returned (train-
     # fitted) stats; the pipeline's test features must match exactly.
     from fedsmell.data import apply_normalizer, rebalance, split_train_test
-    from fedsmell.experiments import _REBALANCE_OFFSET, _SPLIT_OFFSET
+    from fedsmell.seeds import REBALANCE_SLOT, SPLIT_SLOT
     raw = load_csv(path)
     train_raw, test_raw = split_train_test(
-        raw, cfg.test_fraction, derive_seed(cfg.seed, 0, _SPLIT_OFFSET))
+        raw, cfg.test_fraction, derive_seed(cfg.seed, 0, SPLIT_SLOT))
     assert np.array_equal(apply_normalizer(test_raw, source.stats).features,
                           source.test.features)
     # And the stats really come from the rebalanced train split, not the test.
     from fedsmell.data import fit_normalizer
-    train_rb = rebalance(train_raw, cfg.rebalance, derive_seed(cfg.seed, 0, _REBALANCE_OFFSET))
+    train_rb = rebalance(train_raw, cfg.rebalance, derive_seed(cfg.seed, 0, REBALANCE_SLOT))
     assert np.array_equal(fit_normalizer(train_rb).mean, source.stats.mean)
 
 
@@ -619,9 +620,10 @@ def test_cli_dataset_among_its_outputs_exits_2_and_leaves_them(tmp_path, capsys,
     # A run clears its outputs before it reads a dataset, so reading one of
     # them, by any spelling of its path, would delete the input first.
     monkeypatch.chdir(tmp_path)
-    Path("s.ini").write_text("[experiment]\ndatasets = rounds\n[synth]\nsamples = 200\n",
+    Path("s.ini").write_text("[experiment]\ndatasets = r\n[synth]\nsamples = 200\n",
                              encoding="utf-8")
     assert main(["synth", "--config", "s.ini", "--out", "out"]) == 0
+    Path("out/r.csv").rename("out/rounds.csv")  # synth refuses to write rounds.csv itself
     Path("link").symlink_to("out")
     before = {entry.name: entry.read_bytes() for entry in Path("out").iterdir()}
     capsys.readouterr()
@@ -632,6 +634,28 @@ def test_cli_dataset_among_its_outputs_exits_2_and_leaves_them(tmp_path, capsys,
         assert capsys.readouterr().err == (
             f"CONFIG_ERROR: dataset {dataset} is an output that this run replaces\n")
         assert {entry.name: entry.read_bytes() for entry in Path("out").iterdir()} == before
+
+
+def test_cli_synth_dataset_named_as_an_output_exits_2_and_writes_nothing(tmp_path, capsys,
+                                                                          monkeypatch):
+    # synth writes each dataset to out_dir/<name>.csv, so a dataset named
+    # rounds would be deleted by the next run into out_dir as its rounds.csv.
+    monkeypatch.chdir(tmp_path)
+    Path("s.ini").write_text("[experiment]\ndatasets = rounds, b\n[synth]\nsamples = 200\n",
+                             encoding="utf-8")
+    assert main(["synth", "--config", "s.ini", "--out", "data"]) == 2
+    refusal = "CONFIG_ERROR: dataset data/rounds.csv is an output that this run replaces\n"
+    assert capsys.readouterr().err == refusal
+    assert not Path("data").exists()
+    # Into an earlier run's directory, the refusal removes and writes nothing.
+    Path("a.ini").write_text("[experiment]\ndatasets = a\n[synth]\nsamples = 200\n",
+                             encoding="utf-8")
+    assert main(["synth", "--config", "a.ini", "--out", "data"]) == 0
+    before = {entry.name: entry.read_bytes() for entry in Path("data").iterdir()}
+    capsys.readouterr()
+    assert main(["synth", "--config", "s.ini", "--out", "data"]) == 2
+    assert capsys.readouterr().err == refusal
+    assert {entry.name: entry.read_bytes() for entry in Path("data").iterdir()} == before
 
 
 @pytest.mark.parametrize("verb", OUTPUT_FILES)
@@ -846,3 +870,62 @@ def test_cli_main_leaves_the_sigterm_handler_as_it_found_it(tmp_path, capsys, mo
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and err[0].startswith("CONFIG_ERROR: ") and err[1].startswith(
         "INTERRUPTED: "), err
+
+
+@pytest.mark.parametrize("stdout", ["/dev/full", "a pipe with its read end closed"])
+def test_cli_unwritable_stdout_ends_a_finished_run_with_one_config_error_line(tmp_path, stdout):
+    # Every output is written before the first line goes to stdout, so the
+    # run stays finished; the failure is one line and exit 2, not a traceback.
+    if stdout == "/dev/full":
+        if not os.path.exists(stdout):
+            pytest.skip("this system has no /dev/full")
+        fd, code = os.open(stdout, os.O_WRONLY), errno.ENOSPC
+    else:
+        read_end, fd = os.pipe()
+        os.close(read_end)
+        code = errno.EPIPE
+    (tmp_path / "s.ini").write_text("[experiment]\ndatasets = a\n[synth]\nsamples = 20\n",
+                                    encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(experiments.__file__).parent.parent)}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "fedsmell.cli", "synth", "--config", "s.ini",
+                               "--out", "out"], cwd=tmp_path, env=env, stdout=fd,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(fd)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == (f"CONFIG_ERROR: cannot write to stdout: "
+                           f"[Errno {code}] {os.strerror(code)}\n")
+    assert (tmp_path / "out" / "summary.json").is_file()
+
+
+def test_no_two_stages_of_a_run_draw_the_same_stream(tmp_path, monkeypatch):
+    # The stream table in fedsmell.seeds: within a run every round-0
+    # (preprocessing) slot is drawn once, and within a federated round the
+    # sampling slot and each sampled client's slot are distinct.
+    drawn = []
+
+    def recording(master, round_, slot):
+        drawn.append((round_, slot))
+        return derive_seed(master, round_, slot)
+
+    monkeypatch.setattr(experiments, "derive_seed", recording)
+    monkeypatch.setattr(federation, "derive_seed", recording)
+    names = ("a", "b", "c")
+    paths = [str(tmp_path / "data" / f"{name}.csv") for name in names]
+    runs = ((cfg_for("synth", names, tmp_path / "data", synth_samples=300), 3),
+            (cfg_for("centralized", paths, tmp_path / "c", rounds=2), 6),
+            (cfg_for("cross_eval", paths, tmp_path / "x", rounds=2), 6),
+            (cfg_for("federated", paths, tmp_path / "f", rounds=3, client_fraction=0.5), 9))
+    for cfg, preprocessing in runs:
+        drawn.clear()
+        run_experiment(cfg)
+        slots = {}
+        for round_, slot in drawn:
+            slots.setdefault(round_, []).append(slot)
+        assert len(set(slots[0])) == len(slots[0]) == preprocessing, (cfg.kind, slots[0])
+        if cfg.kind == "federated":
+            assert sorted(slots) == [0, 1, 2, 3]
+            for t in (1, 2, 3):
+                assert SAMPLING_SLOT in slots[t] and len(slots[t]) == 1 + 5, slots[t]
+                assert len(set(slots[t])) == len(slots[t]), slots[t]
