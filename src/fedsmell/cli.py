@@ -32,38 +32,44 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _say(stream, line: str) -> OSError | None:
+    """Print one line with a flush. On an OSError (a full disk, a closed pipe) point
+    the stream's fd at devnull, so the flush at exit cannot fail again; return the error."""
+    try:
+        print(line, file=stream, flush=True)
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+        return exc
+    return None
+
+
 def main(argv=None) -> int:
     # For the length of the call SIGTERM stops a run as SIGINT does (main thread only).
     previous = (signal.signal(signal.SIGTERM, signal.default_int_handler)
                 if threading.current_thread() is threading.main_thread() else None)
     try:
-        args = _build_parser().parse_args(argv)
-        cfg = parse_config(args.config, kind=_VERBS[args.verb], seed=args.seed,
-                           out_dir=args.out)
-        result = run_experiment(cfg)
+        try:
+            args = _build_parser().parse_args(argv)
+            cfg = parse_config(args.config, kind=_VERBS[args.verb], seed=args.seed,
+                               out_dir=args.out)
+            result = run_experiment(cfg)
+        finally:
+            if previous is not None:  # None: the handler was not set from Python
+                signal.signal(signal.SIGTERM, previous)
+        for line in [*(f"{row['train_source']} -> {row['eval_source']}: "
+                       f"{row['accuracy_pct']:.2f}%" for row in result.rows),
+                     f"outputs written to {cfg.out_dir}"]:
+            if (failed := _say(sys.stdout, line)) is not None:
+                raise ConfigError(f"cannot write to stdout: {failed}")
     except (FedsmellError, FloatingPointError) as exc:
         error = exc if isinstance(exc, FedsmellError) else NumericError(exc)
-        print(f"{error.label}: {' '.join(str(error).split())}", file=sys.stderr)
+        _say(sys.stderr, f"{error.label}: {' '.join(str(error).split())}")
         return error.exit_code
     except KeyboardInterrupt:
-        print("INTERRUPTED: stopped by a signal before the run finished", file=sys.stderr)
+        _say(sys.stderr, "INTERRUPTED: stopped by a signal before the run finished")
         return 130
-    finally:
-        if previous is not None:  # None: the handler was not set from Python
-            signal.signal(signal.SIGTERM, previous)
-
-    try:
-        for row in result.rows:
-            print(f"{row['train_source']} -> {row['eval_source']}: "
-                  f"{row['accuracy_pct']:.2f}%")
-        print(f"outputs written to {cfg.out_dir}", flush=True)
-    except OSError as exc:  # a full disk or a closed pipe, after every output was written
-        # Point fd 1 at devnull, so Python's flush of stdout at exit cannot fail again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        print(f"CONFIG_ERROR: cannot write to stdout: {exc}", file=sys.stderr)
-        return 2
     return 0
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import configparser
 import json
 import math
+import stat
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -185,6 +186,11 @@ def parse_config(path, kind: str | None = None, *, seed: int | None = None,
     """
     path = Path(path)
     with error_context(f"config {path}"):
+        try:
+            if not stat.S_ISREG(path.stat().st_mode):  # a FIFO would block the read
+                raise ConfigError(f"cannot read: {path} is not a regular file")
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+            raise ConfigError(f"cannot read: {exc}") from exc
         if path.suffix == ".json":
             values = _read_resolved_json(path)
         else:

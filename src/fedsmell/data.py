@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import stat
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -113,25 +114,30 @@ def load_csv(path) -> Dataset:
     feature cells must be finite; a bad cell is reported with its row.
 
     The file is read once, numpy's C reader parses it, and Dataset checks
-    every cell. Any file that this cannot take is read cell by cell with
+    every cell. Any file that this cannot take is parsed cell by cell with
     the csv module and float(), so accepted inputs and error messages are
     those of the cell-by-cell reader.
     """
     path = Path(path)
-    table = _read_table(path)
+    try:
+        if not stat.S_ISREG(path.stat().st_mode):  # a FIFO would block the read
+            raise DataError(f"cannot read: {path} is not a regular file")
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read: {exc}") from exc
+    table = _read_table(raw)
     if table is not None:
         try:
             return Dataset(path.stem, table[:, :NUM_FEATURES], table[:, NUM_FEATURES])
         except (NumericError, DataError):
             pass  # no rows or a bad cell: the cell-by-cell reader names its row
-    return _load_csv_by_cell(path)
+    return _load_csv_by_cell(path.stem, raw)
 
 
-def _read_table(path: Path) -> np.ndarray | None:
+def _read_table(raw: bytes) -> np.ndarray | None:
     """The (rows, 17) table of features then label through np.loadtxt, or
-    None when the file cannot be read that way."""
+    None when the file's bytes cannot be read that way."""
     try:
-        raw = path.read_bytes()
         # csv.reader caps a field at csv.field_size_limit() characters and
         # loadtxt does not. No field can pass the cap in a file of fewer bytes,
         # nor in one with no quote and no line of more bytes.
@@ -148,7 +154,7 @@ def _read_table(path: Path) -> np.ndarray | None:
             warnings.simplefilter("error")
             return np.loadtxt(stream, delimiter=",", quotechar='"', comments=None,
                               usecols=columns, ndmin=2)
-    except (OSError, ValueError, Warning, csv.Error, DataError):
+    except (ValueError, Warning, csv.Error, DataError):
         return None
 
 
@@ -163,18 +169,19 @@ def _header_columns(header) -> list[int | None]:
     return [lower.get(column.lower()) for column in _COLUMNS]
 
 
-def _load_csv_by_cell(path: Path) -> Dataset:
-    """load_csv through csv.reader and float(), one cell at a time.
+def _load_csv_by_cell(name: str, raw: bytes) -> Dataset:
+    """load_csv on a file's bytes through csv.reader and float(), one cell at a time.
 
     It takes every input that load_csv accepts, and some that loadtxt
     rejects (whitespace-only rows, underscores and non-ASCII digits in
     numbers), and it raises every error that load_csv reports.
     """
+    # Decoded in the chunks that open() reads, so a bad byte's position is the same.
+    stream = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="")
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = [(line_no, row) for line_no, row in enumerate(csv.reader(fh), start=1)
-                    if any(cell.strip() for cell in row)]
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        rows = [(line_no, row) for line_no, row in enumerate(csv.reader(stream), start=1)
+                if any(cell.strip() for cell in row)]
+    except (UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read: {exc}") from exc
     if not rows:
         raise DataError("empty file")
@@ -197,7 +204,7 @@ def _load_csv_by_cell(path: Path) -> Dataset:
     if not table:
         raise DataError("no data rows")
     table = np.array(table)
-    return Dataset(path.stem, table[:, :NUM_FEATURES], table[:, NUM_FEATURES])
+    return Dataset(name, table[:, :NUM_FEATURES], table[:, NUM_FEATURES])
 
 
 def save_csv(dataset: Dataset, path) -> None:

@@ -9,6 +9,7 @@ training starts. `run_experiment` dispatches and writes all outputs
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 from contextlib import suppress
@@ -246,10 +247,10 @@ _OUTPUTS = ("summary.json", "config.resolved.json", "rounds.csv", "model.fwv")
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
-    """Refuse a dataset among the outputs, create the output directory, clear
-    the earlier outputs and write config.resolved.json first, so out_dir
-    describes the last run attempted, then run and write the other outputs; a
-    directory that cannot be made or written to is a ConfigError."""
+    """Refuse a dataset among the outputs, create the output directory and lock
+    it for this run, clear the earlier outputs and write config.resolved.json
+    first, so out_dir describes the last run attempted, then run and write the
+    other outputs; a directory that cannot be made, locked or written to is a ConfigError."""
     out_dir = Path(cfg.out_dir)
     outputs = {os.path.realpath(out_dir / name) for name in _OUTPUTS}
     for entry in cfg.datasets:  # the file each dataset names; synth writes its own
@@ -258,9 +259,14 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             raise ConfigError(f"dataset {path} is an output that this run replaces")
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
+        lock = os.open(out_dir, os.O_RDONLY)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {cfg.out_dir}: {exc}") from exc
     try:
+        try:  # held until the run ends; released when the fd is closed
+            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError as exc:
+            raise ConfigError(f"output directory {cfg.out_dir} is in use by another run") from exc
         try:
             for name in _OUTPUTS:
                 (out_dir / name).unlink(missing_ok=True)
@@ -274,4 +280,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         emit_outputs(cfg, result)
     except OSError as exc:  # datasets are read through load_csv, which raises DataError
         raise ConfigError(f"cannot write outputs to {cfg.out_dir}: {exc}") from exc
+    finally:
+        os.close(lock)
     return result

@@ -150,9 +150,13 @@ def read_outcome(reader, path):
     return d.name, d.features.shape, d.features.tobytes(), d.labels.tobytes()
 
 
+def read_by_cell(path):
+    return datamod._load_csv_by_cell(path.stem, path.read_bytes())
+
+
 def assert_reads_like_cell_reader(path):
     outcome = read_outcome(load_csv, path)
-    assert outcome == read_outcome(datamod._load_csv_by_cell, path)
+    assert outcome == read_outcome(read_by_cell, path)
     return outcome
 
 
@@ -224,28 +228,31 @@ def test_load_csv_reads_canonical_and_quoted_files_without_the_cell_reader(
                       end="\r", bom=True)
     (tmp_path / "quoted.csv").write_bytes(quoted.encode("utf-8"))
     paths = [tmp_path / "fast.csv", tmp_path / "big.csv", tmp_path / "quoted.csv"]
-    expected = [read_outcome(datamod._load_csv_by_cell, path) for path in paths]
+    expected = [read_outcome(read_by_cell, path) for path in paths]
 
-    def refuse(path):
-        raise AssertionError(f"{path} fell back to the cell-by-cell reader")
+    def refuse(name, raw):
+        raise AssertionError(f"{name} fell back to the cell-by-cell reader")
 
     monkeypatch.setattr(datamod, "_load_csv_by_cell", refuse)
     assert [read_outcome(load_csv, path) for path in paths] == expected
 
 
 def test_load_csv_opens_a_canonical_file_once(tmp_path, monkeypatch):
-    path = tmp_path / "big.csv"
-    save_csv(random_dataset(600, 200, seed=5), path)
+    # A whitespace-only row sends its file to the cell-by-cell reader, which
+    # parses the bytes already read.
+    save_csv(random_dataset(600, 200, seed=5), tmp_path / "big.csv")
+    (tmp_path / "spaced.csv").write_bytes(EDGE_CASES["whitespace_row"].encode("utf-8"))
     opened = []
 
     def counting_open(file, *args, real_open=open, **kwargs):
-        opened.append(Path(file) == path)
+        opened.append(str(file))
         return real_open(file, *args, **kwargs)
 
     monkeypatch.setattr(builtins, "open", counting_open)
     monkeypatch.setattr(io, "open", counting_open)
-    assert len(load_csv(path)) == 600
-    assert opened.count(True) == 1
+    for path, rows in ((tmp_path / "big.csv", 600), (tmp_path / "spaced.csv", 2)):
+        assert len(load_csv(path)) == rows
+        assert opened.count(str(path)) == 1, path
 
 
 @st.composite

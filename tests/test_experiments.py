@@ -1,6 +1,7 @@
 """Experiment runners: centralized, cross-eval, federated, synth, outputs."""
 
 import errno
+import fcntl
 import hashlib
 import json
 import os
@@ -897,6 +898,80 @@ def test_cli_unwritable_stdout_ends_a_finished_run_with_one_config_error_line(tm
     assert proc.stderr == (f"CONFIG_ERROR: cannot write to stdout: "
                            f"[Errno {code}] {os.strerror(code)}\n")
     assert (tmp_path / "out" / "summary.json").is_file()
+
+
+def run_cli_process(cwd, argv, **streams):
+    """Run the CLI in a child process under a timeout, so that a run that
+    blocks fails the test instead of hanging it."""
+    env = {**os.environ, "PYTHONPATH": str(Path(experiments.__file__).parent.parent)}
+    return subprocess.run([sys.executable, "-m", "fedsmell.cli", *argv], cwd=cwd, env=env,
+                          timeout=60, **streams)
+
+
+# (verb, INI text, exit code, stdout on /dev/full too): a config error, a
+# data error, a numeric error, and a finished run whose stdout is dead.
+DEAD_STDERR_CASES = {
+    "config error": ("synth", "[experiment]\ndatasets = a\n[synth]\nsamples = x\n", 2, False),
+    "data error": ("centralized", "[experiment]\ndatasets = missing.csv\n", 3, False),
+    "numeric error": ("centralized", "[experiment]\ndatasets = plain.csv\n[federation]\n"
+                      "rounds = 1\n[training]\nlearning_rate = 1e300\n", 4, False),
+    "dead stdout": ("synth", "[experiment]\ndatasets = a\n[synth]\nsamples = 20\n", 2, True),
+}
+
+
+@pytest.mark.parametrize("case", DEAD_STDERR_CASES.values(), ids=DEAD_STDERR_CASES.keys())
+def test_cli_unwritable_stderr_keeps_the_documented_exit_code(tmp_path, case):
+    # With no stream left, the exit code is all a caller sees, so a line
+    # that cannot be written must not turn 2, 3 or 4 into 1.
+    if not os.path.exists("/dev/full"):
+        pytest.skip("this system has no /dev/full")
+    verb, text, code, dead_stdout = case
+    synth_csv(tmp_path, "plain", n=120, seed=4)
+    (tmp_path / "c.ini").write_text(text, encoding="utf-8")
+    with open("/dev/full", "w", encoding="utf-8") as full:
+        proc = run_cli_process(tmp_path, [verb, "--config", "c.ini", "--out", "out"],
+                               stdout=full if dead_stdout else subprocess.PIPE, stderr=full)
+    assert proc.returncode == code
+    assert not proc.stdout
+
+
+@pytest.mark.parametrize("what, kind", [("dataset", "fifo"), ("dataset", "directory"),
+                                        ("config", "fifo")])
+def test_cli_input_that_is_not_a_regular_file_is_one_error_line(tmp_path, what, kind):
+    # A FIFO with no writer would block the read until a signal.
+    name = "in.ini" if what == "config" else "in.csv"
+    if kind == "fifo":
+        os.mkfifo(tmp_path / name)
+    else:
+        (tmp_path / name).mkdir()
+    config = name
+    if what == "dataset":
+        config = "c.ini"
+        (tmp_path / config).write_text(f"[experiment]\ndatasets = {name}\n", encoding="utf-8")
+    proc = run_cli_process(tmp_path, ["centralized", "--config", config, "--out", "out"],
+                           capture_output=True, text=True)
+    label, code = ("DATA_ERROR", 3) if what == "dataset" else ("CONFIG_ERROR", 2)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr == f"{label}: {what} {name}: cannot read: {name} is not a regular file\n"
+    assert proc.stdout == ""
+
+
+def test_cli_run_into_a_directory_another_run_holds_exits_2_and_changes_nothing(tmp_path,
+                                                                                capsys):
+    ini = _write_verb_ini(tmp_path, "federated")
+    out = tmp_path / "out"
+    assert main(["federated", "--config", str(ini), "--out", str(out)]) == 0
+    before = {entry.name: entry.read_bytes() for entry in out.iterdir()}
+    capsys.readouterr()
+    held = os.open(out, os.O_RDONLY)
+    try:
+        fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        assert main(["federated", "--config", str(ini), "--out", str(out), "--seed", "8"]) == 2
+    finally:
+        os.close(held)
+    assert capsys.readouterr() == ("", f"CONFIG_ERROR: output directory {out} is in use by "
+                                       "another run\n")
+    assert {entry.name: entry.read_bytes() for entry in out.iterdir()} == before
 
 
 def test_no_two_stages_of_a_run_draw_the_same_stream(tmp_path, monkeypatch):

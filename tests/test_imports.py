@@ -73,6 +73,24 @@ def test_every_stage_is_named_config_dataset_or_round():
             ] == []
 
 
+def test_every_line_is_printed_by_the_cli_writer():
+    # cli._say keeps a stream that cannot be written from changing the exit
+    # code, so it is the one print and cli.py the one user of sys's streams.
+    prints, streams = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "print"):
+                    prints.append((path.name, getattr(top, "name", None)))
+                if ((isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                     and node.value.id == "sys" and node.attr in ("stdout", "stderr"))
+                        or (isinstance(node, ast.ImportFrom) and node.module == "sys")):
+                    streams.add(path.name)
+    assert prints == [("cli.py", "_say")]
+    assert streams == {"cli.py"}
+
+
 def definitions(path):
     """Each top-level function and class of a source file, and each method
     that is not a dunder."""
