@@ -11,14 +11,14 @@ configuration, so any run can be reproduced from its output directory alone.
 from __future__ import annotations
 
 import configparser
+import io
 import json
 import math
-import stat
 from dataclasses import dataclass
 from pathlib import Path
 
 from .data import REBALANCE_MODES
-from .errors import ConfigError, check_field_types, error_context, field_types
+from .errors import ConfigError, check_field_types, error_context, field_types, read_input
 from .federation import RoundConfig
 from .nn import Hyperparams
 
@@ -122,12 +122,13 @@ _SECTIONS = {
 }
 
 
-def _read_ini(path: Path) -> dict:
+def _read_ini(path: Path, raw: bytes) -> dict:
     parser = configparser.ConfigParser(interpolation=None, default_section="__defaults__")
+    # Decoded as open() decodes a file, in the same chunks, so a bad byte's position is the same.
+    stream = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig")
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            parser.read_file(fh, source=str(path))
-    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8, or a NUL in the path
+        parser.read_file(stream, source=str(path))
+    except ValueError as exc:  # bad UTF-8
         raise ConfigError(f"cannot read: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from exc
@@ -160,19 +161,21 @@ def _unique_keys(pairs) -> dict:
     return obj
 
 
-def _read_resolved_json(path: Path) -> dict:
+def _read_resolved_json(raw: bytes) -> dict:
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+        # Decoded as a text-mode open() reads, newlines included, so error lines keep their numbers.
+        text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
+        values = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"line {exc.lineno}: {exc.msg}") from exc
-    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: deep nesting
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, or deep nesting
         raise ConfigError(f"cannot read: {exc}") from exc
-    if not isinstance(raw, dict):
+    if not isinstance(values, dict):
         raise ConfigError("top level must be an object")
-    for key in raw:
+    for key in values:
         if key not in field_types(ExperimentConfig):
             raise ConfigError(f"unknown key {key!r}")
-    return raw
+    return values
 
 
 def parse_config(path, kind: str | None = None, *, seed: int | None = None,
@@ -186,15 +189,8 @@ def parse_config(path, kind: str | None = None, *, seed: int | None = None,
     """
     path = Path(path)
     with error_context(f"config {path}"):
-        try:
-            if not stat.S_ISREG(path.stat().st_mode):  # a FIFO would block the read
-                raise ConfigError(f"cannot read: {path} is not a regular file")
-        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
-            raise ConfigError(f"cannot read: {exc}") from exc
-        if path.suffix == ".json":
-            values = _read_resolved_json(path)
-        else:
-            values = _read_ini(path)
+        raw = read_input(path, ConfigError)
+        values = _read_resolved_json(raw) if path.suffix == ".json" else _read_ini(path, raw)
         overrides = {"seed": seed, "out_dir": out_dir}
         values.update((name, value) for name, value in overrides.items() if value is not None)
         file_kind = values.pop("kind", None)

@@ -10,14 +10,13 @@ from __future__ import annotations
 import csv
 import io
 import math
-import stat
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, read_input
 
 FEATURE_NAMES = (
     "TLOC", "NCLOC", "CLOC", "EXEC", "DC", "NOT", "NOTa", "NOTc",
@@ -119,12 +118,7 @@ def load_csv(path) -> Dataset:
     those of the cell-by-cell reader.
     """
     path = Path(path)
-    try:
-        if not stat.S_ISREG(path.stat().st_mode):  # a FIFO would block the read
-            raise DataError(f"cannot read: {path} is not a regular file")
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot read: {exc}") from exc
+    raw = read_input(path, DataError)
     table = _read_table(raw)
     if table is not None:
         try:
@@ -253,9 +247,8 @@ def split_train_test(d: Dataset, test_fraction: float, seed: int):
     for cls in (0, 1):
         cls_idx = np.flatnonzero(d.labels == cls)
         if len(cls_idx) < 2:
-            raise DataError(
-                f"dataset {d.name!r}: class {cls} has fewer than 2 samples, cannot stratify"
-            )
+            raise DataError(f"dataset {d.name!r}: class {cls} has fewer than 2 samples, "
+                            "cannot stratify")
         n_test = int(math.floor(test_fraction * len(cls_idx) + 0.5))
         perm = rng.permutation(len(cls_idx))
         test_indices.extend(cls_idx[perm[:n_test]])

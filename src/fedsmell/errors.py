@@ -1,6 +1,10 @@
-"""One error class per CLI exit code, and the field-type rule of every checked dataclass."""
+"""One error class per CLI exit code, the field-type rule of every checked
+dataclass, and the one reader of every input file."""
 
 import functools
+import io
+import os
+import stat
 import typing
 from contextlib import contextmanager
 
@@ -37,6 +41,22 @@ def error_context(context: str):
     except (FedsmellError, FloatingPointError) as exc:
         kind = type(exc) if isinstance(exc, FedsmellError) else NumericError
         raise kind(f"{context}: {exc}") from exc
+
+
+def read_input(path, error: type[FedsmellError]) -> bytes:
+    """The bytes of the regular file at `path`, opened once; anything else that
+    sits there (a FIFO, which would block the read, a directory, a device), a
+    path that cannot be opened and a NUL in it raise `error` as `cannot read: ...`."""
+    try:
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK | os.O_CLOEXEC)
+        try:
+            if stat.S_ISREG(os.fstat(fd).st_mode):  # checked on the fd that is read
+                return io.FileIO(fd, closefd=False).readall()
+        finally:
+            os.close(fd)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise error(f"cannot read: {exc}") from exc
+    raise error(f"cannot read: {path} is not a regular file")
 
 
 @functools.cache

@@ -65,19 +65,13 @@ def prepare_source(path, cfg: ExperimentConfig, index: int) -> PreparedSource:
     all in the `dataset <path>` stage."""
     with error_context(f"dataset {path}"):
         raw = datamod.load_csv(path)
-        train, test = datamod.split_train_test(
-            raw, cfg.test_fraction, derive_seed(cfg.seed, 0, SPLIT_SLOT + index)
-        )
-        train = datamod.rebalance(
-            train, cfg.rebalance, derive_seed(cfg.seed, 0, REBALANCE_SLOT + index)
-        )
+        train, test = datamod.split_train_test(raw, cfg.test_fraction,
+                                               derive_seed(cfg.seed, 0, SPLIT_SLOT + index))
+        train = datamod.rebalance(train, cfg.rebalance,
+                                  derive_seed(cfg.seed, 0, REBALANCE_SLOT + index))
         stats = datamod.fit_normalizer(train)
-        return PreparedSource(
-            raw=raw,
-            train=datamod.apply_normalizer(train, stats),
-            test=datamod.apply_normalizer(test, stats),
-            stats=stats,
-        )
+        return PreparedSource(raw=raw, train=datamod.apply_normalizer(train, stats),
+                              test=datamod.apply_normalizer(test, stats), stats=stats)
 
 
 def _prepare_all(cfg: ExperimentConfig) -> list[PreparedSource]:
@@ -180,12 +174,9 @@ def run_synth(cfg: ExperimentConfig) -> RunResult:
     for index, name in enumerate(cfg.datasets):
         try:
             dataset = datamod.synth_generate(
-                cfg.synth_samples,
-                cfg.synth_positive_rate,
+                cfg.synth_samples, cfg.synth_positive_rate,
                 datamod.domain_shift(cfg.synth_shifts[index]),
-                derive_seed(cfg.seed, 0, SYNTH_SLOT + index),
-                name=name,
-            )
+                derive_seed(cfg.seed, 0, SYNTH_SLOT + index), name=name)
         except (ValueError, MemoryError) as exc:  # numpy cannot allocate that many rows
             raise ConfigError(f"cannot generate {cfg.synth_samples} synth samples: {exc}") from exc
         _write_whole(out_dir / f"{name}.csv", lambda temp: datamod.save_csv(dataset, temp))
@@ -208,14 +199,15 @@ def write_rounds_csv(logs, path) -> None:
 def _write_whole(path: Path, write) -> None:
     """Make `path` through `write(temp)` on a temp name beside it and one
     os.replace, so the file is whole or absent; a failed write removes the
-    temp file."""
+    temp file. A leftover entry at the temp name is removed first, so a
+    symlink there cannot redirect the write, nor a FIFO block it."""
     temp = path.with_name(f".{path.name}.tmp")
+    temp.unlink(missing_ok=True)
     try:
         write(temp)
         os.replace(temp, path)
-    except BaseException:
+    finally:  # a no-op once the replace has moved the temp file
         temp.unlink(missing_ok=True)
-        raise
 
 
 def _write_json(obj, path) -> None:

@@ -75,9 +75,7 @@ class FederationTopology:
             raise DataError("combiner ids must be unique")
         for client in self.clients:
             if client.combiner_id not in known:
-                raise DataError(
-                    f"client {client.id} maps to unknown combiner {client.combiner_id}"
-                )
+                raise DataError(f"client {client.id} maps to unknown combiner {client.combiner_id}")
         if {c.combiner_id for c in self.clients} != known:
             raise DataError("every combiner must have at least one client")
 
@@ -217,9 +215,8 @@ def iter_rounds(topology: FederationTopology, config: RoundConfig, test_set: Dat
     values = init_params(config.seed)
     for t in range(1, config.rounds + 1):
         with error_context(f"round {t}"):
-            selected = sample_clients(
-                topology, config.client_fraction, derive_seed(config.seed, t, SAMPLING_SLOT)
-            )
+            selected = sample_clients(topology, config.client_fraction,
+                                      derive_seed(config.seed, t, SAMPLING_SLOT))
             clients = sorted(map(topology.client_by_id, selected), key=lambda c: c.combiner_id)
             combiner_models = [
                 combiner_aggregate([client_update(c, values, derive_seed(config.seed, t, c.id))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, check_field_types
+from .errors import ConfigError, DataError, check_field_types, read_input
 
 INPUT_DIM = 16
 HIDDEN_DIM = 16
@@ -278,13 +278,10 @@ def weights_checksum(values) -> str:
 
 def load_weights(path) -> np.ndarray:
     """Read a .fwv checkpoint back into a flat float64 vector."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    raw = read_input(path, DataError)
     if len(raw) < 4:
         raise DataError("checkpoint file is truncated")
     (count,) = struct.unpack_from("<I", raw)
     if len(raw) != 4 + 8 * count:
-        raise DataError(
-            f"checkpoint declares {count} values but holds {(len(raw) - 4) // 8}"
-        )
+        raise DataError(f"checkpoint declares {count} values but holds {(len(raw) - 4) // 8}")
     return weight_vector(np.frombuffer(raw, dtype="<f8", offset=4).astype(float))

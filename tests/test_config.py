@@ -439,6 +439,18 @@ def test_cli_non_utf8_config_exits_2(tmp_path, capsys):
         assert_one_error_line(capsys, "CONFIG_ERROR:")
 
 
+def test_cli_non_utf8_ini_names_the_bad_byte_as_open_reads_it(tmp_path, capsys):
+    # The INI is decoded in the 8,192-byte chunks a text-mode open() reads,
+    # so a bad byte past the first chunk reports its place in its own chunk.
+    body = (MINIMAL + "; " + "x" * 9_000 + "\n").encode("utf-8")
+    path = tmp_path / "bad.ini"
+    path.write_bytes(body[:9_000] + b"\xff" + body[9_000:])
+    assert main(["centralized", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"CONFIG_ERROR: config {path}: cannot read: 'utf-8' codec can't decode byte 0xff "
+        "in position 808: invalid start byte\n")
+
+
 def test_cli_malformed_ini_exits_2(tmp_path, capsys):
     texts = {
         "bad_value.ini": MINIMAL + "\n[training]\nbatch_size = many\n",

@@ -5,6 +5,7 @@ import copy
 import csv
 import dataclasses
 import io
+import os
 import pickle
 import warnings
 from pathlib import Path
@@ -237,6 +238,11 @@ def test_load_csv_reads_canonical_and_quoted_files_without_the_cell_reader(
     assert [read_outcome(load_csv, path) for path in paths] == expected
 
 
+def test_load_csv_nul_in_the_path_is_a_data_error():
+    with pytest.raises(DataError, match="^cannot read: embedded null byte$"):
+        load_csv("a\0b.csv")
+
+
 def test_load_csv_opens_a_canonical_file_once(tmp_path, monkeypatch):
     # A whitespace-only row sends its file to the cell-by-cell reader, which
     # parses the bytes already read.
@@ -244,12 +250,14 @@ def test_load_csv_opens_a_canonical_file_once(tmp_path, monkeypatch):
     (tmp_path / "spaced.csv").write_bytes(EDGE_CASES["whitespace_row"].encode("utf-8"))
     opened = []
 
-    def counting_open(file, *args, real_open=open, **kwargs):
-        opened.append(str(file))
-        return real_open(file, *args, **kwargs)
+    def counting(real_open):
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+        return counting_open
 
-    monkeypatch.setattr(builtins, "open", counting_open)
-    monkeypatch.setattr(io, "open", counting_open)
+    for module in (builtins, io, os):  # os.open opens a path as a raw descriptor
+        monkeypatch.setattr(module, "open", counting(module.open))
     for path, rows in ((tmp_path / "big.csv", 600), (tmp_path / "spaced.csv", 2)):
         assert len(load_csv(path)) == rows
         assert opened.count(str(path)) == 1, path

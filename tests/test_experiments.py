@@ -605,6 +605,48 @@ def test_cli_failed_rerun_leaves_no_earlier_summary(tmp_path, capsys):
         _assert_unfinished(out, capsys.readouterr().err, files + ("summary.json",))
 
 
+def test_cli_leftover_temp_entry_is_removed_never_followed(tmp_path, capsys):
+    # Each file is written under .<name>.tmp: a symlink left there must not
+    # send the write to its target, nor leave the output a link to it.
+    for verb, (_, files) in OUTPUT_FILES.items():
+        ini = _write_verb_ini(tmp_path, verb)
+        out = tmp_path / f"linked-{verb}"
+        out.mkdir()
+        outputs = files + ("summary.json",)
+        for name in outputs:
+            (tmp_path / f"victim-{verb}-{name}").write_text("keep\n", encoding="utf-8")
+            (out / f".{name}.tmp").symlink_to(tmp_path / f"victim-{verb}-{name}")
+        assert main([verb, "--config", str(ini), "--out", str(out)]) == 0, verb
+        assert sorted(entry.name for entry in out.iterdir()) == sorted(outputs)
+        for name in outputs:
+            assert (tmp_path / f"victim-{verb}-{name}").read_text(encoding="utf-8") == "keep\n"
+            assert (out / name).is_file() and not (out / name).is_symlink(), (verb, name)
+    # A directory at a temp name cannot be removed that way: the write fails.
+    capsys.readouterr()
+    ini = _write_verb_ini(tmp_path, "synth")
+    out = tmp_path / "blocked"
+    (out / ".summary.json.tmp").mkdir(parents=True)
+    assert main(["synth", "--config", str(ini), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"CONFIG_ERROR: cannot write outputs to {out}: "), err
+    assert len(err.splitlines()) == 1, err
+    assert not (out / "summary.json").exists()
+
+
+def test_cli_fifo_at_a_temp_name_does_not_block_the_write(tmp_path):
+    # Opening a FIFO with no reader for writing would block until a signal;
+    # the child runs under a timeout.
+    _write_verb_ini(tmp_path, "synth")
+    os.mkdir(tmp_path / "out")
+    os.mkfifo(tmp_path / "out" / ".summary.json.tmp")
+    proc = run_cli_process(tmp_path, ["synth", "--config", "synth.ini", "--out", "out"],
+                           capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(entry.name for entry in (tmp_path / "out").iterdir()) == [
+        "a.csv", "b.csv", "config.resolved.json", "summary.json"]
+    assert (tmp_path / "out" / "summary.json").is_file()
+
+
 def test_a_run_leaves_no_earlier_runs_outputs(tmp_path):
     # Each verb run into a federated run's directory leaves only its own
     # files: no rounds.csv or model.fwv beside a summary.json it did not write.

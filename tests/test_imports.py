@@ -91,6 +91,42 @@ def test_every_line_is_printed_by_the_cli_writer():
     assert streams == {"cli.py"}
 
 
+def reads_a_file(call):
+    """Whether a call opens a file for reading, reads one through pathlib or
+    asks whether a file is regular; an open whose mode or flags name no
+    write-only intent counts as a read."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name in ("read_bytes", "read_text", "S_ISREG"):
+        return True
+    if name not in ("open", "FileIO", "fdopen"):
+        return False
+    owner = getattr(getattr(func, "value", None), "id", None)
+    if owner == "os" and name == "open":
+        return "O_WRONLY" not in ast.unparse(call.args[1])
+    # Path.open takes the mode first; open, io.open, io.FileIO and os.fdopen second.
+    position = 0 if name == "open" and owner not in (None, "io") else 1
+    modes = [kw.value for kw in call.keywords if kw.arg == "mode"] + call.args[position:][:1]
+    mode = modes[0].value if modes and isinstance(modes[0], ast.Constant) else "r"
+    return not set(mode) & set("wax") or "+" in mode
+
+
+# The out_dir lock opens a directory read-only and never reads it.
+OTHER_OPENS_ALLOWED = {("experiments.py", "run_experiment", "os.open(out_dir, os.O_RDONLY)")}
+
+
+def test_every_input_file_is_read_by_the_one_reader():
+    # errors.read_input alone decides what a readable input is: a regular
+    # file, opened once, whose every failure is one `cannot read:` line.
+    sites = {(path.name, getattr(top, "name", None), ast.unparse(node))
+             for path in sorted(PACKAGE.glob("*.py"))
+             for top in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body
+             for node in ast.walk(top) if isinstance(node, ast.Call) and reads_a_file(node)}
+    assert ("errors.py", "read_input", "stat.S_ISREG(os.fstat(fd).st_mode)") in sites  # the scan
+    assert {site for site in sites if site[:2] != ("errors.py", "read_input")} == (
+        OTHER_OPENS_ALLOWED)
+
+
 def definitions(path):
     """Each top-level function and class of a source file, and each method
     that is not a dunder."""

@@ -2,12 +2,17 @@
 
 import hashlib
 import math
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fedsmell
 from fedsmell.data import Dataset
 from fedsmell.errors import DataError
 from fedsmell.nn import (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, DENSE_UNITS, EVAL_BLOCK,
@@ -501,6 +506,28 @@ def test_checkpoint_truncated_file_rejected(tmp_path):
     path.write_bytes(b"\x02\x00\x00")  # shorter than the count
     with pytest.raises(DataError, match="checkpoint file is truncated"):
         load_weights(path)
+
+
+def test_unreadable_checkpoint_is_one_data_error_line(tmp_path):
+    (tmp_path / "dir.fwv").mkdir()
+    cases = {tmp_path / "missing.fwv": "[Errno 2] No such file or directory: ",
+             tmp_path / "dir.fwv": f"{tmp_path / 'dir.fwv'} is not a regular file",
+             "a\0b.fwv": "embedded null byte"}
+    for path, reason in cases.items():
+        with pytest.raises(DataError, match=f"^cannot read: {re.escape(reason)}"):
+            load_weights(path)
+
+
+def test_checkpoint_fifo_is_refused_without_blocking(tmp_path):
+    # A FIFO with no writer would block the read; the child runs under a timeout.
+    os.mkfifo(tmp_path / "model.fwv")
+    code = ("from fedsmell.errors import DataError\nfrom fedsmell.nn import load_weights\n"
+            "try:\n    load_weights('model.fwv')\nexcept DataError as exc:\n    print(exc)\n")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(fedsmell.__file__))}
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, timeout=60,
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "cannot read: model.fwv is not a regular file\n", "")
 
 
 def test_checkpoint_holds_exactly_one_canonical_vector(tmp_path):
