@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, NumericError, read_input
+from .errors import DataError, NumericError, read_input, write_output
 
 FEATURE_NAMES = (
     "TLOC", "NCLOC", "CLOC", "EXEC", "DC", "NOT", "NOTa", "NOTc",
@@ -202,17 +202,19 @@ def _load_csv_by_cell(name: str, raw: bytes) -> Dataset:
 
 
 def save_csv(dataset: Dataset, path) -> None:
-    """Write a dataset in the canonical CSV layout.
+    """Write a dataset in the canonical CSV layout, whole or not at all.
 
     A header, then one line per row: the repr of each feature's float and
     the 0/1 label, comma-separated, with csv.writer's CRLF line ends.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    def write(fh):
         fh.write(",".join(_COLUMNS) + "\r\n")
         # One row's floats at a time: no numpy scalar per cell, and no
         # table-sized list of Python floats.
         for row, label in zip(dataset.features, dataset.labels.tolist()):
             fh.write(f"{','.join(map(repr, row.tolist()))},{label}\r\n")
+
+    write_output(path, write)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
 """One error class per CLI exit code, the field-type rule of every checked
-dataclass, and the one reader of every input file."""
+dataclass, the one reader of every input file and the one writer of every output."""
 
 import functools
 import io
@@ -7,6 +7,7 @@ import os
 import stat
 import typing
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -57,6 +58,25 @@ def read_input(path, error: type[FedsmellError]) -> bytes:
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise error(f"cannot read: {exc}") from exc
     raise error(f"cannot read: {path} is not a regular file")
+
+
+def temp_name(path) -> Path:
+    """`.<name>.tmp` beside `path`, the name write_output makes it under."""
+    return Path(path).with_name(f".{Path(path).name}.tmp")
+
+
+def write_output(path, write) -> None:
+    """Make `path` whole or not at all: `write(fh)` fills a UTF-8 text file (no newline
+    translation; bytes go to `fh.buffer`) created exclusively at temp_name(path), after any
+    entry there is removed, so none is followed; one os.replace moves it into place."""
+    temp = temp_name(path)
+    temp.unlink(missing_ok=True)
+    try:
+        with open(temp, "x", newline="", encoding="utf-8") as fh:
+            write(fh)
+        os.replace(temp, path)
+    finally:  # a no-op once the replace has moved the temp file
+        temp.unlink(missing_ok=True)
 
 
 @functools.cache

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import data as datamod
 from .config import CENTRALIZED, CROSS_EVAL, FEDERATED, SYNTH, ExperimentConfig
-from .errors import ConfigError, DataError, error_context
+from .errors import ConfigError, DataError, error_context, temp_name, write_output
 from .federation import ClientNode, FederationTopology, client_update, iter_rounds
 from .metrics import evaluate_model
 from .nn import Hyperparams, init_params, save_weights
@@ -179,7 +179,7 @@ def run_synth(cfg: ExperimentConfig) -> RunResult:
                 derive_seed(cfg.seed, 0, SYNTH_SLOT + index), name=name)
         except (ValueError, MemoryError) as exc:  # numpy cannot allocate that many rows
             raise ConfigError(f"cannot generate {cfg.synth_samples} synth samples: {exc}") from exc
-        _write_whole(out_dir / f"{name}.csv", lambda temp: datamod.save_csv(dataset, temp))
+        datamod.save_csv(dataset, out_dir / f"{name}.csv")
         _, positives = dataset.class_counts()
         rows.append(_cell(name, str(out_dir / f"{name}.csv"), 100.0 * positives / len(dataset)))
     return RunResult(rows)
@@ -187,33 +187,16 @@ def run_synth(cfg: ExperimentConfig) -> RunResult:
 
 def write_rounds_csv(logs, path) -> None:
     """Experiment-level round CSV with the extra kappa_pct column, CRLF line ends."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("round,loss,accuracy,kappa,kappa_pct,roc_auc,participants\r\n")
-        for log in logs:
-            r = log.report
-            fh.write("{},{!r},{!r},{!r},{!r},{!r},{}\r\n".format(
-                log.round, r.mean_loss, r.accuracy_pct, r.kappa, r.kappa * 100.0, r.roc_auc,
-                ";".join(map(str, log.participants))))
-
-
-def _write_whole(path: Path, write) -> None:
-    """Make `path` through `write(temp)` on a temp name beside it and one
-    os.replace, so the file is whole or absent; a failed write removes the
-    temp file. A leftover entry at the temp name is removed first, so a
-    symlink there cannot redirect the write, nor a FIFO block it."""
-    temp = path.with_name(f".{path.name}.tmp")
-    temp.unlink(missing_ok=True)
-    try:
-        write(temp)
-        os.replace(temp, path)
-    finally:  # a no-op once the replace has moved the temp file
-        temp.unlink(missing_ok=True)
+    lines = ["round,loss,accuracy,kappa,kappa_pct,roc_auc,participants\r\n"] + [
+        "{},{!r},{!r},{!r},{!r},{!r},{}\r\n".format(
+            log.round, log.report.mean_loss, log.report.accuracy_pct, log.report.kappa,
+            log.report.kappa * 100.0, log.report.roc_auc, ";".join(map(str, log.participants)))
+        for log in logs]
+    write_output(path, lambda fh: fh.writelines(lines))
 
 
 def _write_json(obj, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_output(path, lambda fh: fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n"))
 
 
 def emit_outputs(cfg: ExperimentConfig, result: RunResult) -> None:
@@ -221,14 +204,14 @@ def emit_outputs(cfg: ExperimentConfig, result: RunResult) -> None:
     cfg.out_dir, each whole or not at all: a summary.json marks a finished run."""
     out_dir = Path(cfg.out_dir)
     if result.round_logs:  # a federated run, which also set final_weights
-        _write_whole(out_dir / "rounds.csv", lambda temp: write_rounds_csv(result.round_logs, temp))
-        _write_whole(out_dir / "model.fwv", lambda temp: save_weights(temp, result.final_weights))
+        write_rounds_csv(result.round_logs, out_dir / "rounds.csv")
+        save_weights(out_dir / "model.fwv", result.final_weights)
     summary = {
         "experiment": cfg.kind,
         "cells": result.rows,
         "final": asdict(result.round_logs[-1].report) if result.round_logs else None,
     }
-    _write_whole(out_dir / "summary.json", lambda temp: _write_json(summary, temp))
+    _write_json(summary, out_dir / "summary.json")
 
 
 _RUNNERS = {CENTRALIZED: run_centralized, CROSS_EVAL: run_cross_eval,
@@ -239,15 +222,19 @@ _OUTPUTS = ("summary.json", "config.resolved.json", "rounds.csv", "model.fwv")
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
-    """Refuse a dataset among the outputs, create the output directory and lock
-    it for this run, clear the earlier outputs and write config.resolved.json
-    first, so out_dir describes the last run attempted, then run and write the
-    other outputs; a directory that cannot be made, locked or written to is a ConfigError."""
+    """Refuse a dataset among the outputs or at their temp names, create the output
+    directory and lock it for this run, clear the earlier outputs (and the CSVs a synth
+    run writes) and write config.resolved.json first, so out_dir describes the last run
+    attempted, then run and write the other outputs; a directory that cannot be made,
+    locked or written to is a ConfigError."""
     out_dir = Path(cfg.out_dir)
-    outputs = {os.path.realpath(out_dir / name) for name in _OUTPUTS}
-    for entry in cfg.datasets:  # the file each dataset names; synth writes its own
-        path = out_dir / f"{entry}.csv" if cfg.kind == SYNTH else entry
-        if os.path.realpath(path) in outputs:
+    outputs = [out_dir / name for name in _OUTPUTS]
+    replaced = {os.path.realpath(path) for output in outputs
+                for path in (output, temp_name(output))}
+    # synth writes each dataset to out_dir, and clears it with the outputs
+    written = [out_dir / f"{entry}.csv" for entry in cfg.datasets] if cfg.kind == SYNTH else []
+    for path in written if cfg.kind == SYNTH else cfg.datasets:  # the file each dataset names
+        if os.path.realpath(path) in replaced:
             raise ConfigError(f"dataset {path} is an output that this run replaces")
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -260,14 +247,14 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         except BlockingIOError as exc:
             raise ConfigError(f"output directory {cfg.out_dir} is in use by another run") from exc
         try:
-            for name in _OUTPUTS:
-                (out_dir / name).unlink(missing_ok=True)
+            for path in outputs + written:
+                path.unlink(missing_ok=True)
         except BaseException:  # stopped or failed part way: try each once more
-            for name in _OUTPUTS:
+            for path in outputs + written:
                 with suppress(OSError):
-                    (out_dir / name).unlink(missing_ok=True)
+                    path.unlink(missing_ok=True)
             raise
-        _write_whole(out_dir / "config.resolved.json", lambda temp: _write_json(asdict(cfg), temp))
+        _write_json(asdict(cfg), out_dir / "config.resolved.json")
         result = _RUNNERS[cfg.kind](cfg)
         emit_outputs(cfg, result)
     except OSError as exc:  # datasets are read through load_csv, which raises DataError

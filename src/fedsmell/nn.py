@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, check_field_types, read_input
+from .errors import ConfigError, DataError, check_field_types, read_input, write_output
 
 INPUT_DIM = 16
 HIDDEN_DIM = 16
@@ -261,14 +261,13 @@ def init_params(seed: int) -> np.ndarray:
 
 
 def save_weights(path, values) -> None:
-    """Write a flat weight vector as a .fwv checkpoint.
+    """Write a flat weight vector as a .fwv checkpoint, whole or not at all.
 
     Format: little-endian uint32 value count, always PARAM_COUNT, then
     the values as little-endian float64 in canonical layout order.
     """
     raw = struct.pack("<I", PARAM_COUNT) + weight_vector(values).astype("<f8").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(raw)
+    write_output(path, lambda fh: fh.buffer.write(raw))
 
 
 def weights_checksum(values) -> str:

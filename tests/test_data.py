@@ -4,6 +4,7 @@ import builtins
 import copy
 import csv
 import dataclasses
+import errno
 import io
 import os
 import pickle
@@ -312,6 +313,27 @@ def test_load_csv_matches_cell_reader(tmp_path, text):
     path = tmp_path / "drawn.csv"
     path.write_bytes(text.encode("utf-8"))
     assert_reads_like_cell_reader(path)
+
+
+def test_save_csv_failing_part_way_keeps_the_file_it_replaces(tmp_path, monkeypatch):
+    # save_csv writes a temp file beside the target and renames it into
+    # place, so a disk that fills part way leaves the old file whole.
+    path = tmp_path / "kept.csv"
+    save_csv(random_dataset(40, 20, seed=1), path)
+    before, cells = path.read_bytes(), []
+
+    def filling_repr(value):
+        cells.append(value)
+        if len(cells) > 50:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return repr(value)
+
+    monkeypatch.setattr(datamod, "repr", filling_repr, raising=False)
+    with pytest.raises(OSError, match="No space left on device"):
+        save_csv(random_dataset(40, 20, seed=2), path)
+    assert len(cells) == 51  # the header and three rows went out before the fault
+    assert path.read_bytes() == before
+    assert [entry.name for entry in tmp_path.iterdir()] == ["kept.csv"]
 
 
 def save_csv_by_cell(dataset, path):

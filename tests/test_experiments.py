@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -19,7 +20,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fedsmell import cli, experiments, federation
+from fedsmell import cli, errors, experiments, federation, nn
+from fedsmell import data as datamod
 from fedsmell.cli import main
 from fedsmell.config import ExperimentConfig, parse_config
 from fedsmell.data import FEATURE_NAMES, LABEL_COLUMN, Dataset, load_csv, save_csv
@@ -647,6 +649,34 @@ def test_cli_fifo_at_a_temp_name_does_not_block_the_write(tmp_path):
     assert (tmp_path / "out" / "summary.json").is_file()
 
 
+def test_cli_entry_put_at_a_temp_name_during_the_write_is_refused(tmp_path, capsys,
+                                                                  monkeypatch):
+    # Another process may put a symlink at the temp name between the removal of
+    # a leftover entry and the write; the temp is created exclusively, so the
+    # link fails the run instead of sending the summary to its target.
+    ini = _write_verb_ini(tmp_path, "synth")
+    out, victim, planted = tmp_path / "out", tmp_path / "victim.txt", []
+    victim.write_text("keep\n", encoding="utf-8")
+    real_unlink = Path.unlink
+
+    def unlink_then_plant(self, missing_ok=False):
+        real_unlink(self, missing_ok=missing_ok)
+        if self.name == ".summary.json.tmp" and not planted:
+            planted.append(self)
+            self.symlink_to(victim)
+
+    monkeypatch.setattr(Path, "unlink", unlink_then_plant)
+    assert main(["synth", "--config", str(ini), "--out", str(out)]) == 2
+    assert planted
+    err = capsys.readouterr().err
+    assert err.startswith(f"CONFIG_ERROR: cannot write outputs to {out}: [Errno 17] "), err
+    assert len(err.splitlines()) == 1, err
+    assert victim.read_text(encoding="utf-8") == "keep\n"
+    assert sorted(entry.name for entry in out.iterdir()) == ["a.csv", "b.csv",
+                                                             "config.resolved.json"]
+    assert not any(entry.is_symlink() for entry in out.iterdir())
+
+
 def test_a_run_leaves_no_earlier_runs_outputs(tmp_path):
     # Each verb run into a federated run's directory leaves only its own
     # files: no rounds.csv or model.fwv beside a summary.json it did not write.
@@ -677,6 +707,25 @@ def test_cli_dataset_among_its_outputs_exits_2_and_leaves_them(tmp_path, capsys,
         assert capsys.readouterr().err == (
             f"CONFIG_ERROR: dataset {dataset} is an output that this run replaces\n")
         assert {entry.name: entry.read_bytes() for entry in Path("out").iterdir()} == before
+
+
+def test_cli_dataset_at_an_output_temp_name_exits_2_and_keeps_it(tmp_path, capsys, monkeypatch):
+    # The writer removes whatever sits at .<name>.tmp before it writes <name>,
+    # so a dataset there would be deleted before it is read.
+    monkeypatch.chdir(tmp_path)
+    Path("out").mkdir()
+    source = Path(synth_csv(tmp_path, "s", n=120)).read_bytes()
+    for name in ("summary.json", "config.resolved.json", "rounds.csv", "model.fwv"):
+        dataset = Path("out") / f".{name}.tmp"
+        dataset.write_bytes(source)
+        Path("f.ini").write_text(f"[experiment]\ndatasets = {dataset}\n[federation]\nrounds = 1\n",
+                                 encoding="utf-8")
+        assert main(["federated", "--config", "f.ini", "--out", "out"]) == 2, name
+        assert capsys.readouterr().err == (
+            f"CONFIG_ERROR: dataset {dataset} is an output that this run replaces\n")
+        assert dataset.read_bytes() == source
+    assert sorted(entry.name for entry in Path("out").iterdir()) == [
+        ".config.resolved.json.tmp", ".model.fwv.tmp", ".rounds.csv.tmp", ".summary.json.tmp"]
 
 
 def test_cli_synth_dataset_named_as_an_output_exits_2_and_writes_nothing(tmp_path, capsys,
@@ -719,16 +768,75 @@ def test_rerun_elsewhere_writes_the_same_bytes(tmp_path, monkeypatch, verb):
                 == (tmp_path / "b" / "out" / name).read_bytes()), name
 
 
-def test_cli_write_failing_midway_leaves_no_partial_file(tmp_path, capsys, monkeypatch):
-    def failing_save(path, values):
-        Path(path).write_bytes(b"\x00" * 100)
-        raise OSError(28, "No space left on device")
+class _FailingFile:
+    """A file whose first write goes through and then raises `fault`."""
 
-    monkeypatch.setattr(experiments, "save_weights", failing_save)
-    ini = _write_verb_ini(tmp_path, "federated")
-    out = tmp_path / "out"
-    assert main(["federated", "--config", str(ini), "--out", str(out)]) == 2
-    _assert_unfinished(out, capsys.readouterr().err, ("config.resolved.json", "rounds.csv"))
+    def __init__(self, fh, fault):
+        self.fh, self.fault = fh, fault
+
+    def write(self, text):
+        self.fh.write(text)
+        self.fh.flush()
+        raise self.fault
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    @property
+    def buffer(self):
+        return _FailingFile(self.fh.buffer, self.fault)
+
+
+# A fault part way through a write, the exit code and the one line it ends the run with.
+WRITE_FAULTS = {
+    "ENOSPC": (lambda: OSError(errno.ENOSPC, "No space left on device"), 2,
+               "CONFIG_ERROR: cannot write outputs to out: [Errno 28] No space left on device\n"),
+    "interrupt": (KeyboardInterrupt, 130,
+                  "INTERRUPTED: stopped by a signal before the run finished\n"),
+}
+
+
+@pytest.mark.parametrize("fault", WRITE_FAULTS)
+@pytest.mark.parametrize("verb, point", [(verb, name) for verb, (_, files) in OUTPUT_FILES.items()
+                                         for name in files + ("summary.json",)])
+def test_cli_write_fault_leaves_only_whole_files_of_this_run(tmp_path, capsys, monkeypatch,
+                                                             verb, point, fault):
+    # Every output file is made by one errors.write_output call. Fail the
+    # call that makes `point` part way, after some text is written, in a
+    # directory that holds a finished run of another seed: the run ends with
+    # its one line, and leaves only some of its own outputs, each whole.
+    ini = _write_verb_ini(tmp_path, verb)
+    real, calls, make_fault = errors.write_output, [], None
+
+    def write_output(path, write):
+        calls.append(Path(path).name)
+        if make_fault is not None and calls[-1] == point:
+            return real(path, lambda fh: write(_FailingFile(fh, make_fault())))
+        return real(path, write)
+
+    for module in (datamod, nn, experiments):
+        monkeypatch.setattr(module, "write_output", write_output)
+
+    def run(side, seed):  # the relative --out keeps config.resolved.json the same
+        monkeypatch.chdir(tmp_path / side)
+        calls.clear()
+        return main([verb, "--config", str(ini), "--out", "out", "--seed", str(seed)])
+
+    for side, seed in (("whole", 1), ("faulted", 2)):
+        (tmp_path / side).mkdir()
+        assert run(side, seed) == 0
+    outputs = OUTPUT_FILES[verb][1] + ("summary.json",)
+    assert sorted(calls) == sorted(outputs)  # one call per output file
+    whole = {name: (tmp_path / "whole" / "out" / name).read_bytes() for name in outputs}
+    capsys.readouterr()
+    make_fault, code, line = WRITE_FAULTS[fault]
+    assert run("faulted", 1) == code
+    assert calls[-1] == point  # the fault ended the run at its point
+    assert capsys.readouterr().err == line
+    left = {entry.name: entry.read_bytes() for entry in (tmp_path / "faulted" / "out").iterdir()}
+    assert "summary.json" not in left and not any(name.endswith(".tmp") for name in left)
+    assert left == {name: whole[name] for name in left if name in whole}
 
 
 def test_cli_bom_prefixed_csv_runs_like_its_plain_copy(tmp_path, capsys):

@@ -91,24 +91,55 @@ def test_every_line_is_printed_by_the_cli_writer():
     assert streams == {"cli.py"}
 
 
+def _callee(call):
+    """A call's function name and the name it is looked up on (None for a bare name)."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    return name, getattr(getattr(func, "value", None), "id", None)
+
+
+def _open_mode(call, name, owner):
+    """The mode of an open call, `r` when it names none."""
+    # Path.open takes the mode first; open, io.open, io.FileIO and os.fdopen second.
+    position = 0 if name == "open" and owner not in (None, "io") else 1
+    modes = [kw.value for kw in call.keywords if kw.arg == "mode"] + call.args[position:][:1]
+    return modes[0].value if modes and isinstance(modes[0], ast.Constant) else "r"
+
+
 def reads_a_file(call):
     """Whether a call opens a file for reading, reads one through pathlib or
     asks whether a file is regular; an open whose mode or flags name no
     write-only intent counts as a read."""
-    func = call.func
-    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    name, owner = _callee(call)
     if name in ("read_bytes", "read_text", "S_ISREG"):
         return True
     if name not in ("open", "FileIO", "fdopen"):
         return False
-    owner = getattr(getattr(func, "value", None), "id", None)
     if owner == "os" and name == "open":
         return "O_WRONLY" not in ast.unparse(call.args[1])
-    # Path.open takes the mode first; open, io.open, io.FileIO and os.fdopen second.
-    position = 0 if name == "open" and owner not in (None, "io") else 1
-    modes = [kw.value for kw in call.keywords if kw.arg == "mode"] + call.args[position:][:1]
-    mode = modes[0].value if modes and isinstance(modes[0], ast.Constant) else "r"
+    mode = _open_mode(call, name, owner)
     return not set(mode) & set("wax") or "+" in mode
+
+
+def writes_a_file(call):
+    """Whether a call opens a file for writing, writes one through pathlib or
+    wraps a file descriptor in a file object."""
+    name, owner = _callee(call)
+    if name in ("write_bytes", "write_text", "fdopen"):
+        return True
+    if name not in ("open", "FileIO"):
+        return False
+    if owner == "os" and name == "open":
+        return any(flag in ast.unparse(call.args[1]) for flag in ("O_WRONLY", "O_RDWR", "O_CREAT"))
+    return bool(set(_open_mode(call, name, owner)) & set("wax+"))
+
+
+def call_sites(matches):
+    """(file, top-level definition, source) of each package call that `matches`."""
+    return {(path.name, getattr(top, "name", None), ast.unparse(node))
+            for path in sorted(PACKAGE.glob("*.py"))
+            for top in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body
+            for node in ast.walk(top) if isinstance(node, ast.Call) and matches(node)}
 
 
 # The out_dir lock opens a directory read-only and never reads it.
@@ -118,13 +149,24 @@ OTHER_OPENS_ALLOWED = {("experiments.py", "run_experiment", "os.open(out_dir, os
 def test_every_input_file_is_read_by_the_one_reader():
     # errors.read_input alone decides what a readable input is: a regular
     # file, opened once, whose every failure is one `cannot read:` line.
-    sites = {(path.name, getattr(top, "name", None), ast.unparse(node))
-             for path in sorted(PACKAGE.glob("*.py"))
-             for top in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body
-             for node in ast.walk(top) if isinstance(node, ast.Call) and reads_a_file(node)}
+    sites = call_sites(reads_a_file)
     assert ("errors.py", "read_input", "stat.S_ISREG(os.fstat(fd).st_mode)") in sites  # the scan
     assert {site for site in sites if site[:2] != ("errors.py", "read_input")} == (
         OTHER_OPENS_ALLOWED)
+
+
+# cli._say points a stream it cannot write to at devnull; it creates no file.
+OTHER_WRITES_ALLOWED = {("cli.py", "_say", "os.open(os.devnull, os.O_WRONLY)")}
+
+
+def test_every_output_file_is_written_by_the_one_writer():
+    # errors.write_output alone makes an output file: whole or absent, through
+    # a temp file it creates exclusively, so no entry there is followed.
+    sites = call_sites(writes_a_file)
+    assert ("errors.py", "write_output",
+            "open(temp, 'x', newline='', encoding='utf-8')") in sites  # the scan
+    assert {site for site in sites if site[:2] != ("errors.py", "write_output")} == (
+        OTHER_WRITES_ALLOWED)
 
 
 def definitions(path):
