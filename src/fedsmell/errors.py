@@ -1,6 +1,7 @@
 """One error class per CLI exit code, the field-type rule of every checked
 dataclass, the one reader of every input file and the one writer of every output."""
 
+import errno
 import functools
 import io
 import os
@@ -68,7 +69,10 @@ def temp_name(path) -> Path:
 def write_output(path, write) -> None:
     """Make `path` whole or not at all: `write(fh)` fills a UTF-8 text file (no newline
     translation; bytes go to `fh.buffer`) created exclusively at temp_name(path), after any
-    entry there is removed, so none is followed; one os.replace moves it into place."""
+    entry there is removed, so none is followed; one os.replace moves it into place. An
+    entry at `path` that is neither a regular file nor a symlink is refused and kept."""
+    if os.path.lexists(path) and not (os.path.isfile(path) or os.path.islink(path)):
+        raise OSError(errno.EEXIST, "exists and is not a regular file", str(path))
     temp = temp_name(path)
     temp.unlink(missing_ok=True)
     try:

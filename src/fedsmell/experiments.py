@@ -249,10 +249,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         try:
             for path in outputs + written:
                 path.unlink(missing_ok=True)
-        except BaseException:  # stopped or failed part way: try each once more
-            for path in outputs + written:
-                with suppress(OSError):
-                    path.unlink(missing_ok=True)
+        except BaseException:  # stopped or failed part way: once no summary.json
+            if not os.path.lexists(out_dir / "summary.json"):  # marks a run, try each again
+                for path in outputs + written:
+                    with suppress(OSError):
+                        path.unlink(missing_ok=True)
             raise
         _write_json(asdict(cfg), out_dir / "config.resolved.json")
         result = _RUNNERS[cfg.kind](cfg)

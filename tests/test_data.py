@@ -8,6 +8,7 @@ import errno
 import io
 import os
 import pickle
+import re
 import warnings
 from pathlib import Path
 
@@ -334,6 +335,17 @@ def test_save_csv_failing_part_way_keeps_the_file_it_replaces(tmp_path, monkeypa
     assert len(cells) == 51  # the header and three rows went out before the fault
     assert path.read_bytes() == before
     assert [entry.name for entry in tmp_path.iterdir()] == ["kept.csv"]
+
+
+def test_save_csv_refuses_a_fifo_at_its_target_and_leaves_it(tmp_path):
+    # The writer replaces its target with os.replace, which would put a regular
+    # file where the FIFO (or a device) was; it refuses before making a temp.
+    path = tmp_path / "pipe.csv"
+    os.mkfifo(path)
+    with pytest.raises(OSError, match=re.escape(f"exists and is not a regular file: '{path}'")):
+        save_csv(random_dataset(40, 20, seed=1), path)
+    assert path.is_fifo()
+    assert [entry.name for entry in tmp_path.iterdir()] == ["pipe.csv"]
 
 
 def save_csv_by_cell(dataset, path):

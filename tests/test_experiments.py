@@ -546,12 +546,13 @@ def test_cli_partition_error_names_its_dataset(tmp_path, capsys):
     assert len(err.splitlines()) == 1, err
 
 
-# Each verb's INI body and the files it writes, summary.json last.
+# Each verb's INI body and the files it writes, in the order it writes them.
 OUTPUT_FILES = {
-    "synth": ("[synth]\nsamples = 20\n", ("a.csv", "b.csv", "config.resolved.json")),
-    "centralized": ("", ("config.resolved.json",)),
-    "cross-eval": ("", ("config.resolved.json",)),
-    "federated": ("", ("config.resolved.json", "rounds.csv", "model.fwv")),
+    "synth": ("[synth]\nsamples = 20\n", ("config.resolved.json", "a.csv", "b.csv",
+                                          "summary.json")),
+    "centralized": ("", ("config.resolved.json", "summary.json")),
+    "cross-eval": ("", ("config.resolved.json", "summary.json")),
+    "federated": ("", ("config.resolved.json", "rounds.csv", "model.fwv", "summary.json")),
 }
 
 
@@ -569,70 +570,21 @@ def _write_verb_ini(tmp_path, verb):
     return ini
 
 
-def _assert_unfinished(out, err, outputs):
-    assert err.startswith(f"CONFIG_ERROR: cannot write outputs to {out}: "), err
-    assert len(err.splitlines()) == 1, err
-    assert not (out / "summary.json").is_file()
-    # Only output names are left: no temp file survives the failed write.
-    assert {entry.name for entry in out.iterdir()} <= set(outputs)
-
-
-def test_cli_failed_output_write_exits_2_with_one_line(tmp_path, capsys):
-    # A directory where an output file belongs makes that write fail, for
-    # each file of each verb; the run leaves no summary.json and no temp file.
-    for verb, (_, files) in OUTPUT_FILES.items():
-        ini = _write_verb_ini(tmp_path, verb)
-        outputs = files + ("summary.json",)
-        for blocked in outputs:
-            out = tmp_path / f"{verb}-{blocked}"
-            (out / blocked).mkdir(parents=True)
-            assert main([verb, "--config", str(ini), "--out", str(out)]) == 2, (verb, blocked)
-            _assert_unfinished(out, capsys.readouterr().err, outputs)
-        out = tmp_path / verb
-        assert main([verb, "--config", str(ini), "--out", str(out)]) == 0
-        assert sorted(entry.name for entry in out.iterdir()) == sorted(outputs)
-
-
-def test_cli_failed_rerun_leaves_no_earlier_summary(tmp_path, capsys):
-    # A rerun that fails after replacing some outputs must not leave the
-    # first run's summary.json beside files it no longer describes.
-    for verb, (_, files) in OUTPUT_FILES.items():
-        ini = _write_verb_ini(tmp_path, verb)
-        out = tmp_path / verb
-        assert main([verb, "--config", str(ini), "--out", str(out)]) == 0
-        blocked = out / files[-1]
-        blocked.unlink()
-        blocked.mkdir()
-        assert main([verb, "--config", str(ini), "--out", str(out), "--seed", "7"]) == 2, verb
-        _assert_unfinished(out, capsys.readouterr().err, files + ("summary.json",))
-
-
-def test_cli_leftover_temp_entry_is_removed_never_followed(tmp_path, capsys):
+def test_cli_leftover_temp_entry_is_removed_never_followed(tmp_path):
     # Each file is written under .<name>.tmp: a symlink left there must not
     # send the write to its target, nor leave the output a link to it.
     for verb, (_, files) in OUTPUT_FILES.items():
         ini = _write_verb_ini(tmp_path, verb)
         out = tmp_path / f"linked-{verb}"
         out.mkdir()
-        outputs = files + ("summary.json",)
-        for name in outputs:
+        for name in files:
             (tmp_path / f"victim-{verb}-{name}").write_text("keep\n", encoding="utf-8")
             (out / f".{name}.tmp").symlink_to(tmp_path / f"victim-{verb}-{name}")
         assert main([verb, "--config", str(ini), "--out", str(out)]) == 0, verb
-        assert sorted(entry.name for entry in out.iterdir()) == sorted(outputs)
-        for name in outputs:
+        assert sorted(entry.name for entry in out.iterdir()) == sorted(files)
+        for name in files:
             assert (tmp_path / f"victim-{verb}-{name}").read_text(encoding="utf-8") == "keep\n"
             assert (out / name).is_file() and not (out / name).is_symlink(), (verb, name)
-    # A directory at a temp name cannot be removed that way: the write fails.
-    capsys.readouterr()
-    ini = _write_verb_ini(tmp_path, "synth")
-    out = tmp_path / "blocked"
-    (out / ".summary.json.tmp").mkdir(parents=True)
-    assert main(["synth", "--config", str(ini), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"CONFIG_ERROR: cannot write outputs to {out}: "), err
-    assert len(err.splitlines()) == 1, err
-    assert not (out / "summary.json").exists()
 
 
 def test_cli_fifo_at_a_temp_name_does_not_block_the_write(tmp_path):
@@ -675,18 +627,6 @@ def test_cli_entry_put_at_a_temp_name_during_the_write_is_refused(tmp_path, caps
     assert sorted(entry.name for entry in out.iterdir()) == ["a.csv", "b.csv",
                                                              "config.resolved.json"]
     assert not any(entry.is_symlink() for entry in out.iterdir())
-
-
-def test_a_run_leaves_no_earlier_runs_outputs(tmp_path):
-    # Each verb run into a federated run's directory leaves only its own
-    # files: no rounds.csv or model.fwv beside a summary.json it did not write.
-    federated = _write_verb_ini(tmp_path, "federated")
-    for verb, (_, files) in OUTPUT_FILES.items():
-        ini = _write_verb_ini(tmp_path, verb)
-        out = tmp_path / f"after-{verb}"
-        assert main(["federated", "--config", str(federated), "--out", str(out)]) == 0
-        assert main([verb, "--config", str(ini), "--out", str(out)]) == 0
-        assert sorted(entry.name for entry in out.iterdir()) == sorted(files + ("summary.json",))
 
 
 def test_cli_dataset_among_its_outputs_exits_2_and_leaves_them(tmp_path, capsys, monkeypatch):
@@ -750,26 +690,34 @@ def test_cli_synth_dataset_named_as_an_output_exits_2_and_writes_nothing(tmp_pat
     assert {entry.name: entry.read_bytes() for entry in Path("data").iterdir()} == before
 
 
-@pytest.mark.parametrize("verb", OUTPUT_FILES)
-def test_rerun_elsewhere_writes_the_same_bytes(tmp_path, monkeypatch, verb):
-    # Every output is a function of the config and seed alone. Both runs use
-    # the relative --out "out", from two working directories, since synth
-    # cells name the CSV they wrote and config.resolved.json names out_dir.
-    ini = _write_verb_ini(tmp_path, verb)
-    for side in ("a", "b"):
-        (tmp_path / side).mkdir()
-        monkeypatch.chdir(tmp_path / side)
-        assert main([verb, "--config", str(ini), "--out", "out"]) == 0
-    written = sorted(entry.name for entry in (tmp_path / "a" / "out").iterdir())
-    assert written == sorted(OUTPUT_FILES[verb][1] + ("summary.json",))
-    assert written == sorted(entry.name for entry in (tmp_path / "b" / "out").iterdir())
-    for name in written:
-        assert ((tmp_path / "a" / "out" / name).read_bytes()
-                == (tmp_path / "b" / "out" / name).read_bytes()), name
+def _operations(verb):
+    """A run's file operations under out_dir, in order: the directory, its lock, the clearing,
+    and each write_output call's temp removal, write, replace and temp cleanup."""
+    cleared = ("summary.json", "config.resolved.json", "rounds.csv", "model.fwv") + (
+        ("a.csv", "b.csv") if verb == "synth" else ())
+    return [("mkdir", "out"), ("open", "out"), ("flock", "out"),
+            *(("unlink", name) for name in cleared),
+            *(operation for name in OUTPUT_FILES[verb][1] for operation in (
+                ("unlink", f".{name}.tmp"), ("write", name), ("replace", name),
+                ("unlink", f".{name}.tmp")))]
+
+
+# The faults tried at each operation. A write fails or is stopped part way. Any other
+# operation fails with ENOSPC once, or on every later call on its file too, or is stopped
+# before it and, if it changes the directory, right after it.
+OTHERS = ("ENOSPC", "persistent", "interrupt-before")
+FAULTS = {"write": ("ENOSPC", "interrupt"), "mkdir": OTHERS, "open": OTHERS, "flock": OTHERS,
+          "unlink": OTHERS + ("interrupt-after",), "replace": OTHERS + ("interrupt-after",)}
+SWEEP = [pytest.param(verb, point, fault, id="-".join((
+             verb, operation + ("2" if (operation, name) in ops[:point] else ""), name, fault)))
+         for verb in OUTPUT_FILES for ops in [_operations(verb)]
+         for point, (operation, name) in enumerate(ops) for fault in FAULTS[operation]]
+NO_SPACE = (errno.ENOSPC, "No space left on device")
 
 
 class _FailingFile:
-    """A file whose first write goes through and then raises `fault`."""
+    """A file whose first write goes through and then fails with ENOSPC, or for the
+    `interrupt` fault is stopped."""
 
     def __init__(self, fh, fault):
         self.fh, self.fault = fh, fault
@@ -777,7 +725,7 @@ class _FailingFile:
     def write(self, text):
         self.fh.write(text)
         self.fh.flush()
-        raise self.fault
+        raise KeyboardInterrupt if self.fault == "interrupt" else OSError(*NO_SPACE)
 
     def writelines(self, lines):
         for line in lines:
@@ -788,55 +736,111 @@ class _FailingFile:
         return _FailingFile(self.fh.buffer, self.fault)
 
 
-# A fault part way through a write, the exit code and the one line it ends the run with.
-WRITE_FAULTS = {
-    "ENOSPC": (lambda: OSError(errno.ENOSPC, "No space left on device"), 2,
-               "CONFIG_ERROR: cannot write outputs to out: [Errno 28] No space left on device\n"),
-    "interrupt": (KeyboardInterrupt, 130,
-                  "INTERRUPTED: stopped by a signal before the run finished\n"),
-}
+def _rerun(monkeypatch, directory, verb, ini, before, point=None, fault=None):
+    """Run `verb` at seed 1 into a copy of the finished run `before` at directory/out, record
+    each file operation under it, and apply `fault` at index `point`: (exit code, record)."""
+    shutil.copytree(before, directory / "out")
+    monkeypatch.chdir(directory)
+    out, done = Path.cwd() / "out", []
 
+    def hit(operation, path):  # whether this is the faulted operation
+        done.append((operation, Path(path).name))
+        if fault == "persistent" and point < len(done) - 1 and done[-1][1] == done[point][1]:
+            raise OSError(*NO_SPACE)
+        return len(done) - 1 == point
 
-@pytest.mark.parametrize("fault", WRITE_FAULTS)
-@pytest.mark.parametrize("verb, point", [(verb, name) for verb, (_, files) in OUTPUT_FILES.items()
-                                         for name in files + ("summary.json",)])
-def test_cli_write_fault_leaves_only_whole_files_of_this_run(tmp_path, capsys, monkeypatch,
-                                                             verb, point, fault):
-    # Every output file is made by one errors.write_output call. Fail the
-    # call that makes `point` part way, after some text is written, in a
-    # directory that holds a finished run of another seed: the run ends with
-    # its one line, and leaves only some of its own outputs, each whole.
-    ini = _write_verb_ini(tmp_path, verb)
-    real, calls, make_fault = errors.write_output, [], None
+    def wrap(operation, real, target):
+        def call(*args, **kwargs):
+            path = target(*args)
+            if path is None or not Path(os.path.abspath(path)).is_relative_to(out) or not hit(
+                    operation, path):
+                return real(*args, **kwargs)
+            if fault == "interrupt-before":
+                raise KeyboardInterrupt
+            if fault != "interrupt-after":
+                raise OSError(*NO_SPACE)
+            real(*args, **kwargs)
+            raise KeyboardInterrupt
+        return call
 
     def write_output(path, write):
-        calls.append(Path(path).name)
-        if make_fault is not None and calls[-1] == point:
-            return real(path, lambda fh: write(_FailingFile(fh, make_fault())))
-        return real(path, write)
+        def recorded(fh):
+            if hit("write", path):
+                fh = _FailingFile(fh, fault)
+            write(fh)
+        errors.write_output(path, recorded)
 
     for module in (datamod, nn, experiments):
         monkeypatch.setattr(module, "write_output", write_output)
+    monkeypatch.setattr(Path, "mkdir", wrap("mkdir", Path.mkdir, lambda path, *_: path))
+    monkeypatch.setattr(os, "open", wrap("open", os.open, lambda path, *_: path))
+    monkeypatch.setattr(fcntl, "flock", wrap("flock", fcntl.flock, lambda fd, _: out if (
+        os.path.samestat(os.fstat(fd), os.stat(out))) else None))
+    monkeypatch.setattr(Path, "unlink", wrap("unlink", Path.unlink, lambda path, *_: path))
+    monkeypatch.setattr(os, "replace", wrap("replace", os.replace, lambda _, path, *__: path))
+    return main([verb, "--config", str(ini), "--out", "out", "--seed", "1"]), done
 
-    def run(side, seed):  # the relative --out keeps config.resolved.json the same
-        monkeypatch.chdir(tmp_path / side)
-        calls.clear()
-        return main([verb, "--config", str(ini), "--out", "out", "--seed", str(seed)])
 
-    for side, seed in (("whole", 1), ("faulted", 2)):
-        (tmp_path / side).mkdir()
-        assert run(side, seed) == 0
-    outputs = OUTPUT_FILES[verb][1] + ("summary.json",)
-    assert sorted(calls) == sorted(outputs)  # one call per output file
-    whole = {name: (tmp_path / "whole" / "out" / name).read_bytes() for name in outputs}
+def _files(directory):
+    return {entry.name: entry.read_bytes() for entry in directory.iterdir()}
+
+
+@pytest.fixture(scope="module")
+def finished_runs(tmp_path_factory):
+    """Each verb's INI and its finished runs at seeds 1 and 2, each made with --out out."""
+    base, runs = tmp_path_factory.mktemp("finished"), {}
+    with pytest.MonkeyPatch.context() as patch:
+        for verb in OUTPUT_FILES:
+            ini = _write_verb_ini(base, verb)
+            for seed in (1, 2):
+                (base / f"{verb}-seed{seed}").mkdir()
+                patch.chdir(base / f"{verb}-seed{seed}")
+                assert main([verb, "--config", str(ini), "--out", "out", "--seed", str(seed)]) == 0
+            runs[verb] = ini, base / f"{verb}-seed1" / "out", base / f"{verb}-seed2" / "out"
+    return runs
+
+
+@pytest.mark.parametrize("before", ["own", "federated"])
+@pytest.mark.parametrize("verb", OUTPUT_FILES)
+def test_rerun_into_a_finished_run_leaves_exactly_a_fresh_runs_files(tmp_path, monkeypatch,
+                                                                     finished_runs, verb, before):
+    # Into a finished run of its verb at seed 2, or of a federated run, a seed-1 run makes
+    # the listed operations and leaves exactly a seed-1 run's files made elsewhere, byte for
+    # byte: no earlier file survives, and each output depends on the config and seed alone.
+    ini, fresh, earlier = finished_runs[verb]
+    assert sorted(_files(fresh)) == sorted(OUTPUT_FILES[verb][1])
+    assert not _files(fresh).items() & _files(earlier).items()  # the sweep tells them apart
+    before = earlier if before == "own" else finished_runs["federated"][2]
+    assert _rerun(monkeypatch, tmp_path, verb, ini, before) == (0, _operations(verb))
+    assert _files(tmp_path / "out") == _files(fresh)
+
+
+@pytest.mark.parametrize("verb, point, fault", SWEEP)
+def test_cli_file_operation_fault_leaves_the_earlier_run_or_whole_files(
+        tmp_path, capsys, monkeypatch, finished_runs, verb, point, fault):
+    # ALICE's crash-point sweep: each file operation of a rerun into a finished run fails
+    # or is stopped in turn. The run ends with its one line, closes what it opened and
+    # leaves no temp file, and out_dir holds the earlier run, untouched, or whole files of
+    # this one, summary.json last, beside at most the earlier file a persistent fault kept.
+    ini, fresh, earlier = finished_runs[verb]
+    fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
     capsys.readouterr()
-    make_fault, code, line = WRITE_FAULTS[fault]
-    assert run("faulted", 1) == code
-    assert calls[-1] == point  # the fault ended the run at its point
-    assert capsys.readouterr().err == line
-    left = {entry.name: entry.read_bytes() for entry in (tmp_path / "faulted" / "out").iterdir()}
-    assert "summary.json" not in left and not any(name.endswith(".tmp") for name in left)
-    assert left == {name: whole[name] for name in left if name in whole}
+    code, done = _rerun(monkeypatch, tmp_path, verb, ini, earlier, point, fault)
+    assert done[:point + 1] == _operations(verb)[:point + 1]  # the fault hit its operation
+    assert fds is None or len(os.listdir("/proc/self/fd")) == fds
+    out, err = capsys.readouterr()
+    stopped = "interrupt" in fault
+    assert (code, out) == (130 if stopped else 2, "")
+    assert re.fullmatch(r"INTERRUPTED: stopped by a signal before the run finished\n" if stopped
+                        else r"CONFIG_ERROR: cannot [a-z ]+ out: \[Errno 28\] No space left on "
+                        r"device\n", err), err
+    left, whole, kept = _files(tmp_path / "out"), _files(fresh), _files(earlier)
+    assert not any(name.endswith(".tmp") for name in left)
+    if left not in (kept, whole):
+        assert "summary.json" not in left
+        for name, data in left.items():
+            assert data == whole.get(name) or (fault == "persistent" and name == done[point][1]
+                                               and data == kept.get(name)), name
 
 
 def test_cli_bom_prefixed_csv_runs_like_its_plain_copy(tmp_path, capsys):
@@ -973,29 +977,6 @@ def test_cli_signal_while_training_ends_with_one_interrupted_line(tmp_path, sign
     # The stop leaves no summary.json and no temp file.
     assert {entry.name for entry in (tmp_path / "out").iterdir()} <= {"config.resolved.json",
                                                                      "rounds.csv", "model.fwv"}
-
-
-@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM])
-def test_cli_signal_while_clearing_leaves_none_of_the_earlier_outputs(tmp_path, capsys,
-                                                                      monkeypatch, signum):
-    # A rerun stopped right after it removes the earlier summary.json must
-    # not leave that run's other files behind.
-    ini = _write_verb_ini(tmp_path, "federated")
-    out = tmp_path / "out"
-    assert main(["federated", "--config", str(ini), "--out", str(out), "--seed", "1"]) == 0
-    real_unlink = Path.unlink
-
-    def stopping_unlink(path, missing_ok=False):
-        real_unlink(path, missing_ok=missing_ok)
-        if path.name == "summary.json":
-            monkeypatch.setattr(Path, "unlink", real_unlink)
-            signal.raise_signal(signum)
-
-    monkeypatch.setattr(Path, "unlink", stopping_unlink)
-    assert main(["federated", "--config", str(ini), "--out", str(out), "--seed", "2"]) == 130
-    err = capsys.readouterr().err
-    assert err.startswith("INTERRUPTED: ") and len(err.splitlines()) == 1, err
-    assert list(out.iterdir()) == []
 
 
 def test_cli_main_leaves_the_sigterm_handler_as_it_found_it(tmp_path, capsys, monkeypatch):

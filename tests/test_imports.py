@@ -169,6 +169,27 @@ def test_every_output_file_is_written_by_the_one_writer():
         OTHER_WRITES_ALLOWED)
 
 
+def changes_the_file_system(call):
+    """Whether a call makes, removes, renames or locks a file system entry; `replace`
+    only on os, so that str.replace is not taken for Path.replace."""
+    name, owner = _callee(call)
+    return (name in ("mkdir", "unlink", "rmdir", "rename", "touch", "symlink_to")
+            or (owner, name) in (("os", "replace"), ("os", "remove"), ("os", "makedirs"),
+                                 ("fcntl", "flock")))
+
+
+# Where test_experiments' crash-point sweep fails each file operation of a run.
+SWEPT = {("experiments.py", "run_experiment"), ("errors.py", "write_output")}
+
+
+def test_every_file_system_change_is_one_the_sweep_fails():
+    # The sweep fails every file operation that run_experiment and write_output
+    # make under out_dir, in turn; a change made anywhere else would go untried.
+    sites = call_sites(changes_the_file_system)
+    assert ("errors.py", "write_output", "os.replace(temp, path)") in sites  # the scan
+    assert {site for site in sites if site[:2] not in SWEPT} == set()
+
+
 def definitions(path):
     """Each top-level function and class of a source file, and each method
     that is not a dunder."""
