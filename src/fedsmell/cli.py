@@ -33,8 +33,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _say(stream, line: str) -> OSError | None:
-    """Print one line with a flush. On an OSError (a full disk, a closed pipe) point
-    the stream's fd at devnull, so the flush at exit cannot fail again; return the error."""
+    """Print one line with a flush, each character that the stream's encoding and error
+    handler cannot write as a backslash escape, as stderr writes it. On an OSError (a full
+    disk, a closed pipe) point the stream's fd at devnull, so the flush at exit cannot fail
+    again; return the error."""
+    while encoding := getattr(stream, "encoding", None):  # None: a stream of str
+        try:
+            line.encode(encoding, getattr(stream, "errors", None) or "strict")
+            break
+        except UnicodeEncodeError as exc:
+            escaped = line[exc.start:exc.end].encode("ascii", "backslashreplace").decode()
+            line = line[:exc.start] + escaped + line[exc.end:]
     try:
         print(line, file=stream, flush=True)
     except OSError as exc:

@@ -19,7 +19,7 @@ from fedsmell.errors import (ConfigError, DataError, FedsmellError, NumericError
                              field_types)
 from fedsmell.federation import REDUCER_MODES, RoundConfig
 from fedsmell.nn import PARAM_COUNT, Hyperparams
-from util import CHECKED_CLASSES, synth_csv
+from util import CHECKED_CLASSES
 
 
 def write(path, text):
@@ -59,17 +59,6 @@ def test_unknown_section_is_named(tmp_path):
     text = MINIMAL + "\n[cluster]\nnodes = 3\n"
     with pytest.raises(ConfigError, match="cluster"):
         parse_config(write(tmp_path / "c.ini", text))
-
-
-@pytest.mark.parametrize("key", ["seed = 9", "rounds = 3"])
-def test_cli_defaults_section_exits_2_and_writes_nothing(tmp_path, capsys, key):
-    # configparser copies the keys of its default section into every section:
-    # seed 9 would run unasked, and rounds would be an unknown key of [experiment].
-    path = write(tmp_path / "c.ini", f"[__defaults__]\n{key}\n\n" + MINIMAL)
-    assert main(["centralized", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == (
-        f"CONFIG_ERROR: config {path}: unknown section '__defaults__'\n")
-    assert not (tmp_path / "out").exists()
 
 
 def test_bad_value_reports_key(tmp_path):
@@ -370,120 +359,11 @@ def test_cli_maps_each_error_class_to_its_exit_code(tmp_path, monkeypatch, capsy
     assert capsys.readouterr() == ("", f"{prefix}: two lines\n")
 
 
-def test_cli_config_error_exits_2(tmp_path, capsys):
-    bad = write(tmp_path / "bad.ini", MINIMAL + "\n[training]\nmomentum = 1\n")
-    code = main(["centralized", "--config", str(bad)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("CONFIG_ERROR:")
-    assert "\n" not in err.strip()
-
-
-def test_cli_usage_error_exits_2_with_one_config_error_line(capsys):
-    for argv in (["federated", "--config", "x", "--seed", "abc"], ["federated"], ["bogus"]):
-        assert main(argv) == 2, argv
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("CONFIG_ERROR: "), (argv, lines)
-
-
 def test_cli_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["federated", "-h"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: fedsmell ")
-
-
-def test_cli_missing_dataset_exits_3(tmp_path, capsys):
-    cfg = write(tmp_path / "c.ini", MINIMAL)
-    out = str(tmp_path / "out")
-    # Options may come before or after the verb.
-    for argv in (["centralized", "--config", str(cfg), "--out", out],
-                 ["--config", str(cfg), "--out", out, "centralized"]):
-        assert main(argv) == 3, argv
-        assert capsys.readouterr().err.startswith("DATA_ERROR:"), argv
-
-
-def test_cli_missing_config_file_exits_2(tmp_path, capsys):
-    for name in ("ghost.ini", "gh\0st.ini", "gh\0st.json"):
-        code = main(["centralized", "--config", str(tmp_path / name)])
-        assert code == 2, name
-        assert capsys.readouterr().err.startswith("CONFIG_ERROR:"), name
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_cli_numeric_error_exits_4(tmp_path, capsys):
-    # A constant 1e308 column overflows the normalizer mean to infinity;
-    # the normalized dataset then fails its finiteness invariant.
-    from fedsmell.data import FEATURE_NAMES, LABEL_COLUMN
-    header = ",".join(list(FEATURE_NAMES) + [LABEL_COLUMN])
-    rows = [",".join(["1e308"] * 16 + [str(i % 2)]) for i in range(8)]
-    csv_path = write(tmp_path / "huge.csv", header + "\n" + "\n".join(rows) + "\n")
-    cfg = write(tmp_path / "c.ini",
-                f"[experiment]\nkind = centralized\ndatasets = {csv_path}\n")
-    code = main(["centralized", "--config", str(cfg), "--out", str(tmp_path / "out")])
-    assert code == 4
-    assert capsys.readouterr().err.startswith("NUMERIC_ERROR:")
-
-
-def assert_one_error_line(capsys, prefix):
-    err = capsys.readouterr().err
-    assert err.startswith(prefix)
-    assert len(err.strip().splitlines()) == 1
-
-
-def test_cli_non_utf8_config_exits_2(tmp_path, capsys):
-    for name in ("bad.ini", "config.resolved.json"):
-        path = tmp_path / name
-        path.write_bytes(MINIMAL.encode("utf-8") + b"seed = \xff\xfe\n")
-        assert main(["centralized", "--config", str(path)]) == 2
-        assert_one_error_line(capsys, "CONFIG_ERROR:")
-
-
-def test_cli_non_utf8_ini_names_the_bad_byte_as_open_reads_it(tmp_path, capsys):
-    # The INI is decoded in the 8,192-byte chunks a text-mode open() reads,
-    # so a bad byte past the first chunk reports its place in its own chunk.
-    body = (MINIMAL + "; " + "x" * 9_000 + "\n").encode("utf-8")
-    path = tmp_path / "bad.ini"
-    path.write_bytes(body[:9_000] + b"\xff" + body[9_000:])
-    assert main(["centralized", "--config", str(path)]) == 2
-    assert capsys.readouterr().err == (
-        f"CONFIG_ERROR: config {path}: cannot read: 'utf-8' codec can't decode byte 0xff "
-        "in position 808: invalid start byte\n")
-
-
-def test_cli_malformed_ini_exits_2(tmp_path, capsys):
-    texts = {
-        "bad_value.ini": MINIMAL + "\n[training]\nbatch_size = many\n",
-        "open_header.ini": MINIMAL + "\n[training\nbatch_size = 8\n",
-    }
-    for name, text in texts.items():
-        assert main(["centralized", "--config", str(write(tmp_path / name, text))]) == 2, name
-        assert_one_error_line(capsys, "CONFIG_ERROR:")
-
-
-def test_cli_resolved_json_wrong_types_exit_2(tmp_path, capsys):
-    base = {"kind": "centralized", "datasets": ["a.csv"]}
-    path = tmp_path / "config.resolved.json"
-    for key, value, reason in (
-            ("rounds", "x", "expected int"),
-            ("seed", True, "expected int"),
-            ("chunks", ["a"], "expected int"),
-            ("learning_rate", "0.1", "expected float"),
-            ("datasets", "a.csv", "expected a list of str"),
-            ("learning_rate", 10**400, "int too large to convert to float"),
-            ("rounds", None, "expected int")):
-        path.write_text(json.dumps({**base, key: value}), encoding="utf-8")
-        assert main(["centralized", "--config", str(path)]) == 2, key
-        assert capsys.readouterr().err == (
-            f"CONFIG_ERROR: config {path}: bad value for {key}: {shown(value)} ({reason})\n")
-
-
-def test_cli_resolved_json_duplicate_key_exits_2(tmp_path, capsys):
-    path = tmp_path / "config.resolved.json"
-    path.write_text('{"kind": "centralized", "datasets": ["a.csv"], "rounds": 1, "rounds": 100}',
-                    encoding="utf-8")
-    assert main(["centralized", "--config", str(path)]) == 2
-    assert capsys.readouterr().err == f"CONFIG_ERROR: config {path}: duplicate key 'rounds'\n"
 
 
 def test_resolved_json_numbers_follow_their_fields(tmp_path):
@@ -494,159 +374,6 @@ def test_resolved_json_numbers_follow_their_fields(tmp_path):
     cfg = parse_config(path)
     assert type(cfg.learning_rate) is float and cfg.learning_rate == 1.0
     assert cfg.synth_shifts == (0.0, 0.5)
-
-
-def test_cli_out_naming_a_file_exits_2_before_any_work(tmp_path, capsys):
-    occupied = write(tmp_path / "occupied", "not a directory\n")
-    synth = write(tmp_path / "s.ini", "[experiment]\nkind = synth\ndatasets = a\n")
-    # The federated dataset does not exist: exit 2 rather than 3 shows that
-    # the output directory is checked before any data is read.
-    fed = write(tmp_path / "f.ini", "[experiment]\nkind = federated\n"
-                f"datasets = {tmp_path / 'ghost.csv'}\n")
-    for verb, cfg in (("synth", synth), ("federated", fed)):
-        assert main([verb, "--config", str(cfg), "--out", str(occupied)]) == 2, verb
-        assert_one_error_line(capsys, "CONFIG_ERROR:")
-    assert occupied.read_text(encoding="utf-8") == "not a directory\n"
-
-
-def test_cli_nul_in_a_path_exits_2_before_any_directory_is_made(tmp_path, capsys):
-    resolved = tmp_path / "config.resolved.json"
-    resolved.write_text(json.dumps({"kind": "centralized", "datasets": ["a\0.csv"]}),
-                        encoding="utf-8")
-    out = str(tmp_path / "out")
-    cases = [
-        ("datasets", write(tmp_path / "d.ini", MINIMAL.replace("a.csv", "a\0.csv")), out),
-        ("out_dir", write(tmp_path / "o.ini", MINIMAL + f"out_dir = {out}\0\n"), None),
-        ("datasets", resolved, out),
-        ("out_dir", write(tmp_path / "c.ini", MINIMAL), f"{out}\0"),
-    ]
-    for field, cfg, out_arg in cases:
-        extra = [] if out_arg is None else ["--out", out_arg]
-        assert main(["centralized", "--config", str(cfg), *extra]) == 2, cfg
-        err = capsys.readouterr().err
-        assert err.startswith("CONFIG_ERROR:") and f"bad value for {field}: " in err, err
-        assert len(err.splitlines()) == 1
-    assert not (tmp_path / "out").exists()
-
-
-def test_cli_empty_out_dir_or_dataset_entry_exits_2_and_writes_nothing(tmp_path, capsys,
-                                                                       monkeypatch):
-    # An empty path names the current directory: a run there would delete
-    # its summary.json, and a synth run would write a hidden ".csv".
-    monkeypatch.chdir(tmp_path)
-    write(tmp_path / "summary.json", "{}\n")
-    cases = [
-        ("centralized", write(tmp_path / "c.ini", MINIMAL), ["--out", ""]),
-        ("centralized", write(tmp_path / "o.ini", MINIMAL + "out_dir =\n"), []),
-        ("synth", write(tmp_path / "s.json", json.dumps({"datasets": [""], "out_dir": "o"})), []),
-        ("centralized", write(tmp_path / "d.json", json.dumps({"datasets": [""]})), []),
-    ]
-    before = sorted(entry.name for entry in tmp_path.iterdir())
-    for verb, cfg, extra in cases:
-        assert main([verb, "--config", str(cfg), *extra]) == 2, cfg
-        err = capsys.readouterr().err
-        assert err == (f"CONFIG_ERROR: config {cfg}: "
-                       "out_dir and dataset entries must not be empty\n"), err
-    assert sorted(entry.name for entry in tmp_path.iterdir()) == before
-    assert (tmp_path / "summary.json").read_text(encoding="utf-8") == "{}\n"
-
-
-def test_cli_deeply_nested_resolved_json_exits_2(tmp_path, capsys):
-    path = tmp_path / "config.resolved.json"
-    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
-    assert main(["centralized", "--config", str(path)]) == 2
-    assert_one_error_line(capsys, f"CONFIG_ERROR: config {path}: cannot read: ")
-
-
-def test_cli_bad_dataset_bytes_and_cells_exit_3(tmp_path, capsys):
-    from fedsmell.data import FEATURE_NAMES, LABEL_COLUMN
-    header = ",".join(list(FEATURE_NAMES) + [LABEL_COLUMN]).encode("utf-8")
-    good_row = b",".join([b"1"] * 16 + [b"0"])
-    bad_rows = {
-        "latin1": b",".join([b"1"] * 15 + [b"\xe9", b"1"]),
-        "fraction_label": b",".join([b"1"] * 16 + [b"0.7"]),
-        "nan_cell": b",".join([b"nan"] + [b"1"] * 15 + [b"1"]),
-        # One quoted cell over the csv module's 131,072-character field limit.
-        "huge_cell": b'"' + b"1" * 140_000 + b'"' + b",1" * 16,
-    }
-    for name, bad_row in bad_rows.items():
-        csv_path = tmp_path / f"{name}.csv"
-        csv_path.write_bytes(b"\n".join([header, good_row, bad_row]) + b"\n")
-        cfg = write(tmp_path / f"{name}.ini",
-                    f"[experiment]\nkind = centralized\ndatasets = {csv_path}\n")
-        code = main(["centralized", "--config", str(cfg), "--out", str(tmp_path / "out")])
-        assert code == 3, name
-        assert_one_error_line(capsys, "DATA_ERROR:")
-
-
-def test_cli_non_finite_learning_rate_and_negative_seed_exit_2(tmp_path, capsys):
-    # Each value is rejected by validation, before any data is read: the
-    # dataset a.csv does not exist, so reaching the data would exit 3.
-    synth = write(tmp_path / "s.ini", "[experiment]\nkind = synth\ndatasets = a\n")
-    fed = write(tmp_path / "f.ini", MINIMAL.replace("centralized", "federated"))
-    cases = [
-        ("centralized", MINIMAL + "[training]\nlearning_rate = nan\n", []),
-        ("centralized", MINIMAL + "[training]\nlearning_rate = inf\n", []),
-        ("centralized", MINIMAL + "seed = -5\n", []),
-        ("federated", fed.read_text(encoding="utf-8"), ["--seed", "-1"]),
-        ("synth", synth.read_text(encoding="utf-8"), ["--seed", "-3"]),
-    ]
-    for index, (verb, text, extra) in enumerate(cases):
-        cfg = write(tmp_path / f"c{index}.ini", text)
-        code = main([verb, "--config", str(cfg), "--out", str(tmp_path / "out"), *extra])
-        assert code == 2, (verb, text, extra)
-        assert_one_error_line(capsys, "CONFIG_ERROR:")
-    assert not (tmp_path / "out" / "a.csv").exists()
-
-
-def test_cli_non_finite_synth_shifts_exit_2(tmp_path, capsys):
-    for index, shift in enumerate(("inf", "-inf", "nan")):
-        cfg = write(tmp_path / f"s{index}.ini",
-                    f"[experiment]\nkind = synth\ndatasets = x\n[synth]\nshifts = {shift}\n")
-        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-        assert_one_error_line(capsys, "CONFIG_ERROR:")
-    assert not (tmp_path / "out" / "x.csv").exists()
-
-
-def test_cli_synth_name_that_is_not_a_plain_file_name_exits_2_and_writes_nothing(tmp_path,
-                                                                                capsys):
-    names = ("../escaped", "sub/x", str(tmp_path / "abs"), ".")
-    for index, name in enumerate(names):
-        cfg = write(tmp_path / f"s{index}.ini",
-                    f"[experiment]\nkind = synth\ndatasets = {name}\n[synth]\nsamples = 20\n")
-        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2, name
-        assert capsys.readouterr().err == (
-            f"CONFIG_ERROR: config {cfg}: synth dataset names must be plain file names\n")
-    assert sorted(p.name for p in tmp_path.iterdir()) == [f"s{i}.ini" for i in range(len(names))]
-
-
-def test_cli_repeated_dataset_name_exits_2_and_writes_nothing(tmp_path, capsys):
-    # Cells and errors name a dataset by its file stem, so two entries with
-    # one stem could not be told apart; each case would have exited 0.
-    for folder in ("o2", "o3"):
-        (tmp_path / folder).mkdir()
-        synth_csv(tmp_path / folder, "p", n=40, seed=1)
-    synth_csv(tmp_path / "o2", "q", n=40, seed=2)
-    p, other_p, q = (str(tmp_path / name) for name in ("o2/p.csv", "o3/p.csv", "o2/q.csv"))
-    cases = [("synth", "x, x", "x"), ("synth", "x, x.csv", "x"),
-             ("cross-eval", f"{p}, {p}, {q}", "p"), ("cross-eval", f"{p}, {other_p}, {q}", "p")]
-    for index, (verb, datasets, stem) in enumerate(cases):
-        cfg = write(tmp_path / f"c{index}.ini", f"[experiment]\ndatasets = {datasets}\n"
-                    "[federation]\nrounds = 1\n[synth]\nsamples = 20\n")
-        assert main([verb, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2, datasets
-        assert capsys.readouterr().err == (
-            f"CONFIG_ERROR: config {cfg}: dataset name {stem!r} is repeated; "
-            "names must be distinct\n")
-    assert not (tmp_path / "out").exists()
-
-
-def test_cli_synth_samples_numpy_cannot_allocate_exit_2(tmp_path, capsys):
-    # 10**20 rows exceed numpy's largest dimension, so nothing is allocated.
-    cfg = write(tmp_path / "s.ini",
-                f"[experiment]\nkind = synth\ndatasets = x\n[synth]\nsamples = {10**20}\n")
-    assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-    assert_one_error_line(capsys, "CONFIG_ERROR:")
-    assert not (tmp_path / "out" / "x.csv").exists()
 
 
 def test_cli_bom_prefixed_config_runs_like_its_plain_copy(tmp_path, capsys):

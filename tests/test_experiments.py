@@ -1,8 +1,10 @@
 """Experiment runners: centralized, cross-eval, federated, synth, outputs."""
 
+import contextlib
 import errno
 import fcntl
 import hashlib
+import io
 import json
 import os
 import re
@@ -11,7 +13,6 @@ import signal
 import subprocess
 import sys
 import time
-import warnings
 import weakref
 from pathlib import Path
 
@@ -24,14 +25,15 @@ from fedsmell import cli, errors, experiments, federation, nn
 from fedsmell import data as datamod
 from fedsmell.cli import main
 from fedsmell.config import ExperimentConfig, parse_config
-from fedsmell.data import FEATURE_NAMES, LABEL_COLUMN, Dataset, load_csv, save_csv
+from fedsmell.data import load_csv, save_csv
 from fedsmell.errors import DataError, NumericError, error_context
 from fedsmell.experiments import (prepare_source, run_centralized, run_cross_eval,
                                   run_experiment, run_federated, train_centralized)
 from fedsmell.metrics import evaluate_model
 from fedsmell.nn import Hyperparams, init_params
 from fedsmell.seeds import SAMPLING_SLOT, derive_seed
-from util import random_dataset, synth_csv
+from test_cli_errors import CLI_ERRORS, write_inputs
+from util import count_training_passes, huge_column, random_dataset, synth_csv
 
 
 def cfg_for(kind, datasets, out_dir, **overrides):
@@ -378,130 +380,48 @@ def test_cli_seed_and_out_overrides(tmp_path):
     assert not (tmp_path / "ignored").exists()
 
 
-def count_training_passes(monkeypatch):
-    """Record every client update, centralized or federated."""
-    import fedsmell.experiments as exp
-    import fedsmell.federation as fed
-    calls = []
-    for module in (exp, fed):
-        original = module.client_update
-        monkeypatch.setattr(module, "client_update",
-                            lambda *args, original=original: calls.append(args) or original(*args))
-    return calls
-
-
-def test_cli_bad_second_dataset_fails_before_any_training(tmp_path, monkeypatch, capsys):
+def test_cli_federation_pools_the_positives_a_centralized_run_lacks(tmp_path, monkeypatch):
+    # The class-missing-centralized row's inputs with rare.csv listed first: its own test
+    # split holds no positive, but a federation scores the pooled test set, which holds
+    # the later source common.csv's.
     passes = count_training_passes(monkeypatch)
-    good = synth_csv(tmp_path, "good", n=200, seed=8)
-    bad = tmp_path / "bad.csv"
-    bad.write_text("TLOC,is_god_class\n1,0\n", encoding="utf-8")
-    ini = tmp_path / "c.ini"
-    ini.write_text(f"[experiment]\nkind = centralized\ndatasets = {good}, {bad}\n",
-                   encoding="utf-8")
-    assert main(["centralized", "--config", str(ini), "--out", str(tmp_path / "out")]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith(f"DATA_ERROR: dataset {bad}:")
-    assert len(err.strip().splitlines()) == 1
-    assert passes == []
-
-
-def test_cli_scored_set_lacking_a_class_fails_before_training(tmp_path, monkeypatch, capsys):
-    # 2 positive rows and test_fraction 0.2 leave no positive in the test split.
-    rare = tmp_path / "rare.csv"
-    save_csv(random_dataset(60, 2, seed=3, name="rare"), rare)
-    common = synth_csv(tmp_path, "common", n=200, seed=6)
-    passes = count_training_passes(monkeypatch)
-
-    def run(verb, datasets):
-        ini = tmp_path / f"{verb}.ini"
-        ini.write_text(f"[experiment]\nkind = {verb}\ndatasets = {datasets}\n"
-                       "[data]\ntest_fraction = 0.2\n[federation]\nrounds = 1\n",
-                       encoding="utf-8")
-        return main([verb, "--config", str(ini), "--out", str(tmp_path / verb)])
-
-    # Centralized scores each source's test split, federated the pooled one.
-    for verb, datasets in (("centralized", f"{common}, {rare}"), ("federated", rare)):
-        assert run(verb, datasets) == 3, verb
-        err = capsys.readouterr().err
-        assert err.startswith("DATA_ERROR:") and "class 1" in err, err
-        assert len(err.strip().splitlines()) == 1
-    assert passes == []
-    # The other source supplies the pooled positives, so the federation runs.
-    assert run("federated", f"{rare}, {common}") == 0
+    monkeypatch.chdir(tmp_path)
+    write_inputs(tmp_path, CLI_ERRORS["class-missing-centralized"].inputs)
+    (tmp_path / "c.ini").write_text("[experiment]\ndatasets = rare.csv, common.csv\n"
+                                    "[data]\ntest_fraction = 0.2\n[federation]\nrounds = 1\n")
+    assert main(["federated", "--config", "c.ini", "--out", "out"]) == 0
     assert passes
 
 
-def centralized_ini(tmp_path, name, datasets, training=""):
+def run_cli_centralized(tmp_path, name, datasets):
     ini = tmp_path / f"{name}.ini"
     ini.write_text(f"[experiment]\nkind = centralized\ndatasets = {datasets}\n"
-                   f"[federation]\nrounds = 1\n{training}", encoding="utf-8")
-    return ini
-
-
-def run_cli_centralized(tmp_path, name, datasets, training=""):
-    ini = centralized_ini(tmp_path, name, datasets, training)
+                   "[federation]\nrounds = 1\n", encoding="utf-8")
     return main(["centralized", "--config", str(ini), "--out", str(tmp_path / name)])
-
-
-def huge_column_csv(tmp_path, plain):
-    """Write the CSV at `plain` with its fourth column times 1e200 to
-    tmp_path/huge.csv; return that path."""
-    loaded = load_csv(plain)
-    features = loaded.features.copy()
-    features[:, 3] *= 1e200
-    save_csv(Dataset("huge", features, loaded.labels), tmp_path / "huge.csv")
-    return tmp_path / "huge.csv"
-
-
-def float_fault_cases(tmp_path):
-    """The README's float faults as (start of the error, verb, config).
-
-    A huge learning rate overflows the first forward pass after one step;
-    a column of finite values near 1e200 overflows the z-score's std. The
-    error names the dataset, or the round of a federated run.
-    """
-    plain = synth_csv(tmp_path, "plain", n=120, seed=4)
-    huge_column_csv(tmp_path, plain)
-    lr = "[training]\nlearning_rate = 1e300\n"
-    fed_ini = tmp_path / "fed.ini"
-    fed_ini.write_text(f"[experiment]\nkind = federated\ndatasets = {plain}\n"
-                       f"[federation]\nrounds = 2\n{lr}", encoding="utf-8")
-    return (
-        (f"dataset {plain}: overflow", "centralized", centralized_ini(tmp_path, "lr", plain, lr)),
-        (f"dataset {tmp_path / 'huge.csv'}: overflow", "centralized",
-         centralized_ini(tmp_path, "huge", tmp_path / "huge.csv")),
-        ("round 1: overflow", "federated", fed_ini),
-    )
-
-
-def test_cli_floating_point_faults_exit_4_with_one_line(tmp_path, capsys):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for context, verb, ini in float_fault_cases(tmp_path):
-            assert main([verb, "--config", str(ini), "--out", str(tmp_path / ini.stem)]) == 4
-            err = capsys.readouterr().err
-            assert err.startswith(f"NUMERIC_ERROR: {context}"), err
-            assert len(err.splitlines()) == 1, err
 
 
 def test_prepare_source_enters_its_dataset_stage_for_a_direct_caller(tmp_path):
     # Under numpy's default float settings the std's overflow stops the call
     # with the dataset named, instead of returning an infinite std.
-    path = str(huge_column_csv(tmp_path, synth_csv(tmp_path, "plain", n=120, seed=4)))
+    path = str(tmp_path / "huge.csv")
+    save_csv(huge_column(load_csv(synth_csv(tmp_path, "plain", n=120, seed=4))), path)
     cfg = cfg_for("centralized", [path], tmp_path / "out")
     with pytest.raises(NumericError, match=f"^dataset {re.escape(path)}: overflow"):
         prepare_source(path, cfg, 0)
 
 
-def test_library_run_raises_the_cli_numeric_error(tmp_path, capsys):
+def test_library_run_raises_the_cli_numeric_error(tmp_path, monkeypatch):
     # Under numpy's default float settings, run_experiment stops at the same
     # fault with the same message as the CLI, not with a wrong value.
-    for context, verb, ini in float_fault_cases(tmp_path):
-        with pytest.raises(NumericError) as raised:
-            run_experiment(parse_config(ini, out_dir=str(tmp_path / "library")))
-        assert str(raised.value).startswith(context), raised.value
-        assert main([verb, "--config", str(ini), "--out", str(tmp_path / "cli")]) == 4
-        assert capsys.readouterr().err == f"NUMERIC_ERROR: {raised.value}\n"
+    for case, row in CLI_ERRORS.items():
+        if row.code == 4:  # each row's inputs, in a directory of its own
+            (tmp_path / case).mkdir()
+            monkeypatch.chdir(tmp_path / case)
+            write_inputs(tmp_path / case, row.inputs)
+            config = row.argv[row.argv.index("--config") + 1]
+            with pytest.raises(NumericError) as raised:
+                run_experiment(parse_config(config, kind=row.argv[0], out_dir="library"))
+            assert f"NUMERIC_ERROR: {raised.value}" == row.line, case
 
 
 def test_a_failed_rerun_leaves_its_own_resolved_config(tmp_path, capsys):
@@ -532,18 +452,6 @@ def test_error_context_restores_the_callers_float_settings():
             with error_context("stage"):
                 raise DataError("inner")
         assert np.geterr() == before
-
-
-def test_cli_partition_error_names_its_dataset(tmp_path, capsys):
-    first = synth_csv(tmp_path, "first", n=120, seed=2)
-    second = synth_csv(tmp_path, "second", n=120, seed=3)
-    ini = tmp_path / "fed.ini"
-    ini.write_text(f"[experiment]\nkind = federated\ndatasets = {first}, {second}\n"
-                   "[data]\nchunks = 2, 900\n[federation]\nrounds = 1\n", encoding="utf-8")
-    assert main(["federated", "--config", str(ini), "--out", str(tmp_path / "out")]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith(f"DATA_ERROR: dataset {second}: cannot split "), err
-    assert len(err.splitlines()) == 1, err
 
 
 # Each verb's INI body and the files it writes, in the order it writes them.
@@ -627,67 +535,6 @@ def test_cli_entry_put_at_a_temp_name_during_the_write_is_refused(tmp_path, caps
     assert sorted(entry.name for entry in out.iterdir()) == ["a.csv", "b.csv",
                                                              "config.resolved.json"]
     assert not any(entry.is_symlink() for entry in out.iterdir())
-
-
-def test_cli_dataset_among_its_outputs_exits_2_and_leaves_them(tmp_path, capsys, monkeypatch):
-    # A run clears its outputs before it reads a dataset, so reading one of
-    # them, by any spelling of its path, would delete the input first.
-    monkeypatch.chdir(tmp_path)
-    Path("s.ini").write_text("[experiment]\ndatasets = r\n[synth]\nsamples = 200\n",
-                             encoding="utf-8")
-    assert main(["synth", "--config", "s.ini", "--out", "out"]) == 0
-    Path("out/r.csv").rename("out/rounds.csv")  # synth refuses to write rounds.csv itself
-    Path("link").symlink_to("out")
-    before = {entry.name: entry.read_bytes() for entry in Path("out").iterdir()}
-    capsys.readouterr()
-    for dataset, out in (("out/rounds.csv", "out"), ("link/rounds.csv", "out"),
-                         ("out/rounds.csv", "link")):
-        Path("c.ini").write_text(f"[experiment]\ndatasets = {dataset}\n", encoding="utf-8")
-        assert main(["centralized", "--config", "c.ini", "--out", out]) == 2, (dataset, out)
-        assert capsys.readouterr().err == (
-            f"CONFIG_ERROR: dataset {dataset} is an output that this run replaces\n")
-        assert {entry.name: entry.read_bytes() for entry in Path("out").iterdir()} == before
-
-
-def test_cli_dataset_at_an_output_temp_name_exits_2_and_keeps_it(tmp_path, capsys, monkeypatch):
-    # The writer removes whatever sits at .<name>.tmp before it writes <name>,
-    # so a dataset there would be deleted before it is read.
-    monkeypatch.chdir(tmp_path)
-    Path("out").mkdir()
-    source = Path(synth_csv(tmp_path, "s", n=120)).read_bytes()
-    for name in ("summary.json", "config.resolved.json", "rounds.csv", "model.fwv"):
-        dataset = Path("out") / f".{name}.tmp"
-        dataset.write_bytes(source)
-        Path("f.ini").write_text(f"[experiment]\ndatasets = {dataset}\n[federation]\nrounds = 1\n",
-                                 encoding="utf-8")
-        assert main(["federated", "--config", "f.ini", "--out", "out"]) == 2, name
-        assert capsys.readouterr().err == (
-            f"CONFIG_ERROR: dataset {dataset} is an output that this run replaces\n")
-        assert dataset.read_bytes() == source
-    assert sorted(entry.name for entry in Path("out").iterdir()) == [
-        ".config.resolved.json.tmp", ".model.fwv.tmp", ".rounds.csv.tmp", ".summary.json.tmp"]
-
-
-def test_cli_synth_dataset_named_as_an_output_exits_2_and_writes_nothing(tmp_path, capsys,
-                                                                          monkeypatch):
-    # synth writes each dataset to out_dir/<name>.csv, so a dataset named
-    # rounds would be deleted by the next run into out_dir as its rounds.csv.
-    monkeypatch.chdir(tmp_path)
-    Path("s.ini").write_text("[experiment]\ndatasets = rounds, b\n[synth]\nsamples = 200\n",
-                             encoding="utf-8")
-    assert main(["synth", "--config", "s.ini", "--out", "data"]) == 2
-    refusal = "CONFIG_ERROR: dataset data/rounds.csv is an output that this run replaces\n"
-    assert capsys.readouterr().err == refusal
-    assert not Path("data").exists()
-    # Into an earlier run's directory, the refusal removes and writes nothing.
-    Path("a.ini").write_text("[experiment]\ndatasets = a\n[synth]\nsamples = 200\n",
-                             encoding="utf-8")
-    assert main(["synth", "--config", "a.ini", "--out", "data"]) == 0
-    before = {entry.name: entry.read_bytes() for entry in Path("data").iterdir()}
-    capsys.readouterr()
-    assert main(["synth", "--config", "s.ini", "--out", "data"]) == 2
-    assert capsys.readouterr().err == refusal
-    assert {entry.name: entry.read_bytes() for entry in Path("data").iterdir()} == before
 
 
 def _operations(verb):
@@ -885,59 +732,6 @@ def test_cli_fuzzed_dataset_bytes_exit_cleanly_with_at_most_one_line(tmp_path, c
     assert len(err.splitlines()) <= 1, err
 
 
-def test_cli_header_only_csv_is_one_data_error_line(tmp_path, capsys):
-    path = tmp_path / "header.csv"
-    path.write_text(",".join(FEATURE_NAMES + (LABEL_COLUMN,)) + "\r\n", encoding="utf-8")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert run_cli_centralized(tmp_path, "header", path) == 3
-    assert caught == []
-    assert capsys.readouterr().err == f"DATA_ERROR: dataset {path}: no data rows\n"
-
-
-_HEADER = ",".join(FEATURE_NAMES + (LABEL_COLUMN,)) + "\r\n"
-
-
-def test_cli_required_column_named_twice_is_one_data_error_line(tmp_path, capsys):
-    path = tmp_path / "twice.csv"
-    path.write_text(_HEADER.replace("\r\n", ",IS_GOD_CLASS\r\n")
-                    + ",".join(["1.0"] * 16 + ["1", "0"]) + "\r\n", encoding="utf-8")
-    assert run_cli_centralized(tmp_path, "twice", path) == 3
-    assert capsys.readouterr().err == (f"DATA_ERROR: dataset {path}: "
-                                       "required column 'is_god_class' is repeated\n")
-
-
-@pytest.mark.parametrize("content", [
-    _HEADER + ",".join(["1.0"] * 15 + ["x", "0"]) + "\r\n",  # a bad cell
-    "",  # an empty file
-    "TLOC,is_god_class\r\n1,0\r\n",  # missing columns
-    _HEADER,  # no data rows
-    None,  # no file
-], ids=["bad-cell", "empty", "missing-column", "header-only", "missing-file"])
-def test_cli_dataset_error_names_its_csv_once(tmp_path, capsys, content):
-    path = tmp_path / "input.csv"
-    if content is not None:
-        path.write_text(content, encoding="utf-8")
-    assert run_cli_centralized(tmp_path, "once", path) == 3
-    err = capsys.readouterr().err
-    assert err.startswith(f"DATA_ERROR: dataset {path}: ") and len(err.splitlines()) == 1, err
-    # The OS's own message for a missing file quotes the path; no stage repeats it.
-    assert err.count(f"{path}:") == 1, err
-
-
-@pytest.mark.parametrize("verb, count", [("centralized", 1), ("cross-eval", 3),
-                                         ("federated", 1)])
-@pytest.mark.parametrize("fraction, side", [(0.01, "test"), (0.99, "training")])
-def test_cli_empty_split_names_its_side(tmp_path, capsys, verb, count, fraction, side):
-    paths = [synth_csv(tmp_path, f"d{i}", n=40, seed=i) for i in range(count)]
-    ini = tmp_path / "c.ini"
-    ini.write_text(f"[experiment]\ndatasets = {', '.join(paths)}\n"
-                   f"[data]\ntest_fraction = {fraction}\n", encoding="utf-8")
-    assert main([verb, "--config", str(ini), "--out", str(tmp_path / "out")]) == 3
-    assert capsys.readouterr().err == (f"DATA_ERROR: dataset {paths[0]}: dataset 'd0': "
-                                       f"test_fraction {fraction} leaves the {side} split empty\n")
-
-
 # A federated run that marks its first client update with a file named
 # `training`, so a signal can be sent while it trains.
 _MARKED_RUN = """
@@ -1037,6 +831,34 @@ def run_cli_process(cwd, argv, **streams):
     env = {**os.environ, "PYTHONPATH": str(Path(experiments.__file__).parent.parent)}
     return subprocess.run([sys.executable, "-m", "fedsmell.cli", *argv], cwd=cwd, env=env,
                           timeout=60, **streams)
+
+
+@pytest.mark.parametrize("encoding, out, shown", [("utf-8", "p\udcff", "p\\udcff"),
+                                                  ("ascii", "q\xe9", "q\\xe9")],
+                         ids=["utf-8", "ascii"])
+def test_cli_stdout_that_cannot_encode_a_character_writes_its_escape(tmp_path, monkeypatch,
+                                                                    encoding, out, shown):
+    # A strict UTF-8 stdout (as under a UTF-8 locale) cannot write the undecodable byte of
+    # --out p$'\xff', nor an ASCII one é: each goes out as its escape, as stderr writes it.
+    monkeypatch.setenv("PYTHONIOENCODING", encoding)
+    (tmp_path / "s.ini").write_text("[experiment]\ndatasets = a\n[synth]\nsamples = 20\n",
+                                    encoding="utf-8")
+    proc = run_cli_process(tmp_path, ["synth", "--config", "s.ini", "--out", out],
+                           capture_output=True)
+    assert (proc.returncode, proc.stderr) == (0, b""), proc.stderr
+    first, last = proc.stdout.decode("ascii").splitlines()
+    assert re.fullmatch(rf"a -> {re.escape(shown)}/a\.csv: \d+\.\d\d%", first), first
+    assert last == f"outputs written to {shown}"
+
+
+def test_cli_stdout_of_str_gets_each_line_unchanged(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("s.ini").write_text("[experiment]\ndatasets = a\n[synth]\nsamples = 20\n",
+                             encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        assert main(["synth", "--config", "s.ini", "--out", "p\udcff"]) == 0
+    first, last = stdout.getvalue().splitlines()
+    assert first.startswith("a -> p\udcff/a.csv: ") and last == "outputs written to p\udcff"
 
 
 # (verb, INI text, exit code, stdout on /dev/full too): a config error, a

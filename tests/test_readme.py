@@ -1,7 +1,8 @@
 """The README's library example runs, its INI examples parse, the error
 classes it names exist with the exit codes and labels it gives them, as does
-the interrupted run's line, and each class it says checks its field types
-raises the error class it gives that class."""
+the interrupted run's line, each class it says checks its field types
+raises the error class it gives that class, and each error line it quotes is
+the line of a case that a test checks."""
 
 import builtins
 import re
@@ -13,9 +14,23 @@ import fedsmell
 from fedsmell import cli
 from fedsmell.config import parse_config
 from fedsmell.errors import ConfigError, DataError, NumericError, field_types
+from test_cli_errors import CLI_ERRORS
 from util import CHECKED_CLASSES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+# The quoted error lines that no CLI_ERRORS row gives, each with the test that checks it.
+CHECKED_ELSEWHERE = {
+    "CONFIG_ERROR: config <path>: cannot read: <path> is not a regular file":
+        "test_cli_input_that_is_not_a_regular_file_is_one_error_line",
+    "DATA_ERROR: dataset <path>: cannot read: <path> is not a regular file":
+        "test_cli_input_that_is_not_a_regular_file_is_one_error_line",
+    "CONFIG_ERROR: output directory <out> is in use by another run":
+        "test_cli_run_into_a_directory_another_run_holds_exits_2_and_changes_nothing",
+    "CONFIG_ERROR: cannot write outputs to <out>: ...":
+        "test_cli_entry_put_at_a_temp_name_during_the_write_is_refused",
+    "CONFIG_ERROR: cannot write to stdout: <reason>":
+        "test_cli_unwritable_stdout_ends_a_finished_run_with_one_config_error_line",
+}
 
 
 def test_readme_library_example_runs():
@@ -69,3 +84,15 @@ def test_readme_names_each_checked_class_and_the_error_it_raises():
                                   if types[0] is int)
         with pytest.raises(error, match=f"^bad value for {name}: "):
             cls(**{**base, name: (True,) if is_list else True})
+
+
+def test_readme_error_lines_are_lines_of_the_table():
+    # Each placeholder (<path>) and each "..." stands for any text.
+    quoted = re.findall(r"`((?:CONFIG|DATA|NUMERIC)_ERROR: [^`]+)`",
+                        " ".join(README.read_text(encoding="utf-8").split()))
+    experiments = (README.parent / "tests" / "test_experiments.py").read_text(encoding="utf-8")
+    assert quoted and all(f"def {test}(" in experiments for test in CHECKED_ELSEWHERE.values())
+    for line in quoted:
+        pattern = ".*".join(map(re.escape, re.split(r"<\w+>|\.\.\.", line)))
+        assert line in CHECKED_ELSEWHERE or any(
+            re.fullmatch(pattern, row.line) for row in CLI_ERRORS.values()), line

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+from fedsmell import experiments, federation
 from fedsmell.config import ExperimentConfig
 from fedsmell.data import NUM_FEATURES, Dataset, domain_shift, save_csv, synth_generate
 from fedsmell.errors import ConfigError, DataError
@@ -48,12 +49,28 @@ def run_rounds(topology, config, test_set):
     return logs, final
 
 
+def count_training_passes(monkeypatch) -> list:
+    """Record every client update, centralized or federated."""
+    calls = []
+    for module in (experiments, federation):
+        monkeypatch.setattr(module, "client_update", lambda *args, update=module.client_update:
+                            calls.append(args) or update(*args))
+    return calls
+
+
 def synth_csv(tmp_path, name, shift_magnitude=0.0, n=700, seed=0) -> str:
     """Write a synth dataset of n rows to tmp_path/<name>.csv; return its path."""
     dataset = synth_generate(n, 0.5, domain_shift(shift_magnitude), seed=seed, name=name)
     path = tmp_path / f"{name}.csv"
     save_csv(dataset, path)
     return str(path)
+
+
+def huge_column(dataset: Dataset) -> Dataset:
+    """The dataset with its fourth column times 1e200: finite values whose std overflows."""
+    features = dataset.features.copy()
+    features[:, 3] *= 1e200
+    return Dataset(dataset.name, features, dataset.labels)
 
 
 def rows_multiset(d: Dataset):
