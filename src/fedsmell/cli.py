@@ -55,23 +55,27 @@ def _say(stream, line: str) -> OSError | None:
 
 
 def main(argv=None) -> int:
-    # For the length of the call SIGTERM stops a run as SIGINT does (main thread only).
-    previous = (signal.signal(signal.SIGTERM, signal.default_int_handler)
-                if threading.current_thread() is threading.main_thread() else None)
-    try:
+    try:  # everything that runs is inside, so a stop on any line ends with the one line
+        # For the length of the call SIGTERM stops a run as SIGINT does. None: not the main
+        # thread, or a handler not set from Python, which could not be put back.
+        previous = (signal.getsignal(signal.SIGTERM)
+                    if threading.current_thread() is threading.main_thread() else None)
         try:
+            if previous is not None:
+                signal.signal(signal.SIGTERM, signal.default_int_handler)
             args = _build_parser().parse_args(argv)
             cfg = parse_config(args.config, kind=_VERBS[args.verb], seed=args.seed,
                                out_dir=args.out)
             result = run_experiment(cfg)
         finally:
-            if previous is not None:  # None: the handler was not set from Python
+            if previous is not None:
                 signal.signal(signal.SIGTERM, previous)
         for line in [*(f"{row['train_source']} -> {row['eval_source']}: "
                        f"{row['accuracy_pct']:.2f}%" for row in result.rows),
                      f"outputs written to {cfg.out_dir}"]:
             if (failed := _say(sys.stdout, line)) is not None:
                 raise ConfigError(f"cannot write to stdout: {failed}")
+        return 0
     except (FedsmellError, FloatingPointError) as exc:
         error = exc if isinstance(exc, FedsmellError) else NumericError(exc)
         _say(sys.stderr, f"{error.label}: {' '.join(str(error).split())}")
@@ -79,7 +83,6 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         _say(sys.stderr, "INTERRUPTED: stopped by a signal before the run finished")
         return 130
-    return 0
 
 
 if __name__ == "__main__":

