@@ -25,10 +25,9 @@ from fedsmell.federation import (ClientNode, FederationTopology, ModelUpdate,
                                  reducer_reduce)
 from fedsmell.metrics import (ConfusionMatrix, cohen_kappa, evaluate_model,
                               interpret_kappa, interpret_roc, roc_auc)
-from fedsmell.nn import (Hyperparams, PARAM_COUNT, init_params, loss_and_gradient,
-                         unflatten_params)
+from fedsmell.nn import (Hyperparams, PARAM_COUNT, forward_batch, init_params,
+                         loss_and_gradient, mean_cross_entropy, unflatten_params)
 from fedsmell.seeds import derive_seed
-from test_gradients import assert_gradients_match, fd_gradient
 from test_metrics import auc_pair_oracle, kappa_oracle
 from util import grad_buffer, random_dataset, run_rounds, synth_csv
 
@@ -49,6 +48,40 @@ def cfg_for(kind, datasets, out_dir, **overrides):
 
 
 # --------------------------------------------------------------- criterion 1
+
+DELTA = 1e-5
+REL_TOL = 1e-4
+ABS_FLOOR = 1e-7
+
+
+def fd_gradient(base, X, y, coords):
+    """Central finite differences of the mean batch loss at the given coordinates."""
+    def loss_of(vec):
+        probs = forward_batch(X, unflatten_params(vec))
+        return mean_cross_entropy(probs, y)
+
+    vec = base.copy()
+    out = np.zeros(len(coords))
+    for pos, j in enumerate(coords):
+        original = vec[j]
+        vec[j] = original + DELTA
+        plus = loss_of(vec)
+        vec[j] = original - DELTA
+        minus = loss_of(vec)
+        vec[j] = original
+        out[pos] = (plus - minus) / (2.0 * DELTA)
+    return out
+
+
+def assert_gradients_match(analytic, numeric, coords):
+    diff = np.abs(analytic - numeric)
+    scale = np.maximum(np.abs(analytic), np.abs(numeric))
+    bad = diff > np.maximum(ABS_FLOOR, REL_TOL * scale)
+    assert not bad.any(), (
+        f"gradient mismatch at coordinates {np.asarray(coords)[bad][:5]}: "
+        f"analytic {analytic[bad][:5]} vs finite-difference {numeric[bad][:5]}"
+    )
+
 
 def test_criterion_1_gradient_oracle():
     def body():

@@ -323,6 +323,15 @@ def test_normalizer_constant_feature_maps_to_zero():
     assert np.all(normalized.features[:, 4] == 0.0)
 
 
+def test_normalizer_scales_a_feature_of_tiny_spread_to_unit_std():
+    # Only a constant feature keeps a std of 1.0: a spread of 1e-12 is scaled.
+    features = np.random.default_rng(1).standard_normal((50, NUM_FEATURES))
+    features[:, 6] *= 1e-12
+    d = make_dataset(features, [0, 1] * 25)
+    normalized = apply_normalizer(d, fit_normalizer(d))
+    assert abs(normalized.features[:, 6].std() - 1.0) <= 1e-9
+
+
 def test_normalizer_refuses_a_standard_deviation_that_overflows():
     # With float errors ignored, a column near 1e200 overflows its std to inf,
     # which would normalize the whole column to -0.0.
@@ -352,6 +361,18 @@ def test_split_deterministic_and_partitioning():
     assert np.array_equal(a_test.features, b_test.features)
     combined = rows_multiset(concat_datasets("all", [a_train, a_test]))
     assert combined == rows_multiset(d)
+
+
+def test_split_keeps_the_source_row_order_on_both_sides():
+    # Column 0 holds each row's source index: both sides list their rows in
+    # file order, whatever order the per-class draws picked them in.
+    d = random_dataset(120, 30, seed=2)
+    features = d.features.copy()
+    features[:, 0] = np.arange(len(d))
+    train, test = split_train_test(make_dataset(features, d.labels), 0.3, seed=11)
+    for side in (train, test):
+        assert np.all(np.diff(side.features[:, 0]) > 0)
+    assert sorted(np.concatenate([train.features[:, 0], test.features[:, 0]])) == list(range(120))
 
 
 # ---------------------------------------------------------------- chunking
@@ -410,6 +431,14 @@ def test_rebalance_balanced_input_is_fixed_point():
         assert np.array_equal(balanced.labels, d.labels), mode
 
 
+def test_rebalance_draws_its_rows_from_its_seed():
+    # The seed picks which minority rows repeat and which majority rows stay.
+    d = random_dataset(100, 10, seed=7)
+    for mode in ("oversample", "undersample"):
+        one, again, two = (rows_multiset(rebalance(d, mode, seed=s)) for s in (1, 1, 2))
+        assert one == again and one != two, mode
+
+
 def test_oversample_only_duplicates_existing_minority_rows():
     d = random_dataset(60, 12, seed=10)
     balanced = rebalance(d, "oversample", seed=4)
@@ -428,6 +457,11 @@ def test_synth_deterministic():
     b = synth_generate(200, 0.4, 0.0, seed=21)
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.labels, b.labels)
+
+
+def test_synth_dataset_takes_its_given_name_or_one_from_its_seed():
+    assert synth_generate(20, 0.5, 0.0, seed=3).name == "synth3"
+    assert synth_generate(20, 0.5, 0.0, seed=3, name="acme").name == "acme"
 
 
 def test_synth_label_rate_concentrates():

@@ -13,7 +13,9 @@ import shutil
 import signal
 import subprocess
 import sys
+import threading
 import time
+import warnings
 import weakref
 from pathlib import Path
 
@@ -34,7 +36,7 @@ from fedsmell.metrics import evaluate_model
 from fedsmell.nn import Hyperparams, init_params
 from fedsmell.seeds import SAMPLING_SLOT, derive_seed
 from test_cli_errors import CLI_ERRORS, write_inputs
-from util import count_training_passes, random_dataset, synth_csv
+from util import child_env, count_training_passes, huge_column, random_dataset, synth_csv
 
 
 def cfg_for(kind, datasets, out_dir, **overrides):
@@ -159,20 +161,35 @@ def test_cross_eval_normalizes_foreign_data_with_trainer_stats(tmp_path, monkeyp
         assert name != trainer
 
 
-def test_cross_eval_shifted_dataset_drops_accuracy(tmp_path):
-    paths = [synth_csv(tmp_path, "home", n=900, seed=40),
-             synth_csv(tmp_path, "moved", n=900, seed=41, shift_magnitude=3.0),
-             synth_csv(tmp_path, "peer", n=900, seed=42)]
-    cfg = cfg_for("cross_eval", paths, tmp_path / "out", rounds=25)
-    cross = {(r["train_source"], r["eval_source"]): r["accuracy_pct"]
-             for r in run_cross_eval(cfg).rows}
-    central = run_centralized(cfg_for("centralized", [paths[0]], tmp_path / "out2", rounds=25))
-    in_dist = central.rows[0]["accuracy_pct"]
-    assert cross[("home", "moved")] <= in_dist - 10.0
-    assert cross[("home", "peer")] >= in_dist - 5.0
+def test_cross_eval_cells_score_the_centralized_models_on_their_peers(tmp_path):
+    # Each trainer's model is the one a centralized run of the same config
+    # trains, bit for bit, scored on each peer under the trainer's stats.
+    paths = [synth_csv(tmp_path, f"peer{i}", n=200, seed=40 + i, shift_magnitude=i)
+             for i in range(3)]
+    cfg = cfg_for("cross_eval", paths, tmp_path / "out", rounds=3)
+    sources, expected = [prepare_source(path, cfg, i) for i, path in enumerate(paths)], []
+    for i, trainer in enumerate(sources):
+        weights = train_centralized(trainer.train, cfg, cfg.rounds, cfg.seed)
+        for j, path in enumerate(paths):
+            if j != i:
+                peer = datamod.apply_normalizer(load_csv(path), trainer.stats)
+                expected.append({"train_source": f"peer{i}", "eval_source": f"peer{j}",
+                                 "accuracy_pct": evaluate_model(weights, peer).accuracy_pct})
+    assert run_cross_eval(cfg).rows == expected
 
 
 # ---------------------------------------------------------------- federated
+
+def test_federated_clients_are_the_chunks_in_order_filling_the_combiners_in_order(tmp_path):
+    # Client i is the i-th chunk, datasets in config order; combiner_clients
+    # (1, 2) gives the first client to combiner 0 and the next two to combiner 1.
+    paths = [synth_csv(tmp_path, f"d{i}", n=120, seed=i) for i in range(2)]
+    cfg = cfg_for("federated", paths, tmp_path / "out", chunks=(2, 1), combiner_clients=(1, 2))
+    sources = [prepare_source(path, cfg, i) for i, path in enumerate(paths)]
+    topology = experiments.build_federated_clients(sources, cfg)
+    assert [(c.id, c.combiner_id, c.local_data.name) for c in topology.clients] == [
+        (0, 0, "d0-train-chunk0"), (1, 1, "d0-train-chunk1"), (2, 1, "d1-train-chunk0")]
+
 
 def test_federated_single_client_single_round_equals_one_pass(tmp_path):
     path = synth_csv(tmp_path, "solo", n=300, seed=5)
@@ -254,17 +271,6 @@ def test_federated_run_keeps_no_prepared_source_while_training(tmp_path, monkeyp
     assert checked == [0]
 
 
-def test_rounds_csv_is_byte_identical_across_runs(tmp_path):
-    paths = [synth_csv(tmp_path, "d0", n=300, seed=70)]
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    run_experiment(cfg_for("federated", paths, out_a, rounds=3, chunks=(2,),
-                           combiner_clients=(2,)))
-    run_experiment(cfg_for("federated", paths, out_b, rounds=3, chunks=(2,),
-                           combiner_clients=(2,)))
-    for name in ("rounds.csv", "summary.json"):
-        assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
-
-
 def test_rerun_from_resolved_config_reproduces_run(tmp_path):
     from fedsmell.config import parse_config
     paths = [synth_csv(tmp_path, "d1", n=300, seed=71)]
@@ -329,6 +335,23 @@ def test_synth_experiment_writes_loadable_csvs(tmp_path):
     for name in names:
         loaded = load_csv(out / f"{name}.csv")
         assert len(loaded) == 120
+
+
+def test_synth_cell_is_its_datasets_positive_share(tmp_path, capsys, monkeypatch):
+    # A synth run trains nothing: each dataset's cell holds the positive-class
+    # share of the CSV written for it, in summary.json and in its printed line.
+    monkeypatch.chdir(tmp_path)
+    Path("s.ini").write_text("[experiment]\ndatasets = u, v\n"
+                             "[synth]\nsamples = 50\npositive_rate = 0.3\n", encoding="utf-8")
+    assert main(["synth", "--config", "s.ini", "--out", "o"]) == 0
+    cells = json.loads(Path("o/summary.json").read_text(encoding="utf-8"))["cells"]
+    *lines, last = capsys.readouterr().out.splitlines()
+    assert [cell["train_source"] for cell in cells] == ["u", "v"] and last == "outputs written to o"
+    for cell, line in zip(cells, lines, strict=True):
+        name = cell["train_source"]
+        share = 100.0 * load_csv(f"o/{name}.csv").class_counts()[1] / 50
+        assert cell["accuracy_pct"] == share
+        assert line == f"{name} -> o/{name}.csv: {share:.2f}%"
 
 
 # ---------------------------------------------------------------------- CLI
@@ -407,6 +430,36 @@ def test_library_run_raises_the_cli_numeric_error(tmp_path, monkeypatch):
             with pytest.raises(NumericError) as raised:
                 run_experiment(parse_config(config, kind=row.argv[0], out_dir="library"))
             assert f"NUMERIC_ERROR: {raised.value}" == row.line, case
+
+
+# Direct calls that run outside any stage, each with a float fault and its NumericError.
+UNSTAGED_FAULTS = {
+    "client_update": (lambda data: federation.client_update(federation.ClientNode(
+        7, data, Hyperparams(learning_rate=1e300), 0), init_params(0), update_seed=1),
+        "client 7: training produced non-finite weights"),
+    "train_centralized": (lambda data: train_centralized(
+        data, Hyperparams(learning_rate=1e300), 2, 0),
+        "client 0: training produced non-finite weights"),
+    "evaluate_model": (lambda data: evaluate_model(np.full(nn.PARAM_COUNT, 1e300), data),
+                       "prediction scores contain non-finite values"),
+    "fit_normalizer": (lambda data: datamod.fit_normalizer(huge_column(data)),
+                       "dataset 'fixture': feature standard deviation overflows"),
+}
+
+
+@pytest.mark.parametrize("case", UNSTAGED_FAULTS)
+def test_a_direct_call_follows_numpys_settings_and_warns_before_its_numeric_error(case):
+    # The README's float paragraph: numpy's default settings warn, so the
+    # caller sees RuntimeWarnings, the overflow first, then the one error.
+    call, message = UNSTAGED_FAULTS[case]
+    with np.errstate(over="warn", invalid="warn", divide="warn", under="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericError) as raised:
+                call(random_dataset(40, 20, seed=0))
+    assert str(raised.value) == message
+    assert caught and {w.category for w in caught} == {RuntimeWarning}, caught
+    assert str(caught[0].message).startswith("overflow encountered in "), caught
 
 
 def test_a_failed_rerun_leaves_its_own_resolved_config(tmp_path, capsys):
@@ -810,9 +863,8 @@ def test_cli_signal_while_training_ends_with_one_interrupted_line(tmp_path, sign
     path = synth_csv(tmp_path, "d", n=120, seed=1)
     (tmp_path / "c.ini").write_text(f"[experiment]\ndatasets = {path}\n"
                                     "[federation]\nrounds = 100000\n", encoding="utf-8")
-    env = {**os.environ, "PYTHONPATH": str(Path(experiments.__file__).parent.parent)}
     with subprocess.Popen([sys.executable, "-X", "faulthandler", "-c", _MARKED_RUN, "federated",
-                           "--config", "c.ini", "--out", "out"], cwd=tmp_path, env=env,
+                           "--config", "c.ini", "--out", "out"], cwd=tmp_path, env=child_env(),
                           text=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         try:
             deadline = time.monotonic() + 60
@@ -850,6 +902,14 @@ def test_cli_main_leaves_the_sigterm_handler_as_it_found_it(tmp_path, capsys, mo
         assert signal.getsignal(signal.SIGTERM) is own_handler
         assert main(["centralized", "--config", str(tmp_path / "none.ini")]) == 2
         assert signal.getsignal(signal.SIGTERM) is own_handler
+        # Off the main thread no handler can be set, so main leaves it alone.
+        synth, returned = _write_verb_ini(tmp_path, "synth"), []
+        worker = threading.Thread(target=lambda: returned.append(
+            main(["synth", "--config", str(synth), "--out", str(tmp_path / "c")])))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive() and returned == [0]
+        assert signal.getsignal(signal.SIGTERM) is own_handler
         monkeypatch.setattr(cli, "run_experiment", interrupted)
         assert main(["centralized", "--config", str(ini), "--out", str(tmp_path / "b")]) == 130
         assert signal.getsignal(signal.SIGTERM) is own_handler
@@ -874,10 +934,9 @@ def test_cli_unwritable_stdout_ends_a_finished_run_with_one_config_error_line(tm
         code = errno.EPIPE
     (tmp_path / "s.ini").write_text("[experiment]\ndatasets = a\n[synth]\nsamples = 20\n",
                                     encoding="utf-8")
-    env = {**os.environ, "PYTHONPATH": str(Path(experiments.__file__).parent.parent)}
     try:
         proc = subprocess.run([sys.executable, "-m", "fedsmell.cli", "synth", "--config", "s.ini",
-                               "--out", "out"], cwd=tmp_path, env=env, stdout=fd,
+                               "--out", "out"], cwd=tmp_path, env=child_env(), stdout=fd,
                               stderr=subprocess.PIPE, text=True, timeout=60)
     finally:
         os.close(fd)
@@ -890,8 +949,7 @@ def test_cli_unwritable_stdout_ends_a_finished_run_with_one_config_error_line(tm
 def run_cli_process(cwd, argv, **streams):
     """Run the CLI in a child process under a timeout, so that a run that
     blocks fails the test instead of hanging it."""
-    env = {**os.environ, "PYTHONPATH": str(Path(experiments.__file__).parent.parent)}
-    return subprocess.run([sys.executable, "-m", "fedsmell.cli", *argv], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, "-m", "fedsmell.cli", *argv], cwd=cwd, env=child_env(),
                           timeout=60, **streams)
 
 

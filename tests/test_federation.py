@@ -1,7 +1,7 @@
 """Client updates, weighted aggregation, reducer modes, and the round loop."""
 
+import csv
 import dataclasses
-import math
 import weakref
 
 import numpy as np
@@ -76,6 +76,14 @@ def test_client_update_step_count_continues_across_local_epochs():
     assert np.array_equal(update.weights, values)
 
 
+def test_an_update_counts_its_clients_rows_once_whatever_its_local_epochs():
+    # A combiner weighs each client by the data behind its update, not by the
+    # steps it took: three epochs over 20 rows still count as 20.
+    for epochs in (1, 3):
+        client = small_client(n=20, seed=3, batch_size=8, local_epochs=epochs)
+        assert client_update(client, init_params(4), update_seed=7).sample_count == 20
+
+
 def test_client_update_walks_its_batches_once_per_epoch(monkeypatch):
     # No list of batches * local_epochs: a huge epoch count trains until
     # stopped, here by the third Adam step.
@@ -127,10 +135,15 @@ def test_client_update_leaves_broadcast_weights_and_dead_slots_untouched():
 
 def test_client_update_non_finite_weights_raise_numeric_error_naming_client():
     # With float errors ignored, an overflow leaves non-finite weights behind:
-    # a huge step, or broadcast weights near the float limit. A nan cannot
-    # reach the data, which Dataset checks when built and keeps read-only.
+    # a huge step, or broadcast weights near the float limit. A broadcast inf
+    # in a dead slot, which training never touches, is left too: the check
+    # covers every slot. A nan cannot reach the data, which Dataset checks
+    # when built and keeps read-only.
+    dead_inf = init_params(0)
+    dead_inf[np.flatnonzero(dead_slot_mask())[0]] = np.inf
     cases = ((small_client(n=40, client_id=7, learning_rate=1e300), init_params(0)),
-             (small_client(n=40, client_id=8), np.full(PARAM_COUNT, 1e300)))
+             (small_client(n=40, client_id=8), np.full(PARAM_COUNT, 1e300)),
+             (small_client(n=40, client_id=9), dead_inf))
     with np.errstate(all="ignore"):
         for client, weights in cases:
             with pytest.raises(NumericError, match=f"^client {client.id}: "):
@@ -155,25 +168,6 @@ def test_run_federation_names_the_round_of_a_float_fault():
 def test_combiner_weighted_mean_worked_example():
     updates = [ModelUpdate(0, np.zeros(6), 1), ModelUpdate(1, np.full(6, 4.0), 3)]
     assert np.array_equal(combiner_aggregate(updates), np.full(6, 3.0))
-
-
-def test_combiner_equal_counts_is_plain_mean():
-    rng = np.random.default_rng(0)
-    vectors = [rng.standard_normal(50) for _ in range(4)]
-    updates = [ModelUpdate(i, v, 11) for i, v in enumerate(vectors)]
-    assert np.allclose(combiner_aggregate(updates), np.mean(vectors, axis=0), atol=1e-12)
-
-
-def test_combiner_matches_scalar_loop_oracle():
-    rng = np.random.default_rng(1)
-    updates = [ModelUpdate(i, rng.standard_normal(30), int(rng.integers(1, 500)))
-               for i in range(7)]
-    total = sum(u.sample_count for u in updates)
-    expected = np.array([
-        math.fsum(u.sample_count / total * u.weights[j] for u in updates)
-        for j in range(30)
-    ])
-    assert np.max(np.abs(combiner_aggregate(updates) - expected)) <= 1e-12
 
 
 def test_combiner_single_update_is_bitwise_identity():
@@ -237,19 +231,6 @@ def test_reducer_single_combiner_plain_is_identity():
     assert np.array_equal(out, model)
 
 
-def test_reducer_smoothed_matches_scalar_streaming_oracle():
-    rng = np.random.default_rng(5)
-    length = 6
-    global_vec = rng.standard_normal(length)
-    oracle = global_vec.copy()
-    for t in range(1, 40):
-        mean = rng.standard_normal(length)
-        global_vec = reducer_reduce([mean], global_vec, t=t, mode="smoothed")
-        for j in range(length):
-            oracle[j] = oracle[j] + (mean[j] - oracle[j]) / t
-        assert np.max(np.abs(global_vec - oracle)) <= 1e-12
-
-
 def test_reducer_smoothed_contracts_toward_constant_target():
     target = np.array([3.0, -1.5, 0.25])
     current = np.array([10.0, 10.0, 10.0])
@@ -303,21 +284,6 @@ def test_client_and_topology_refuse_assignment_after_construction():
 
 # --------------------------------------------------------------- iter_rounds
 
-def test_single_client_federation_matches_repeated_local_training():
-    client = small_client(n=48, n_pos=20, seed=6)
-    topo = FederationTopology((0,), (client,))
-    test_set = random_dataset(30, 12, seed=7, name="test")
-    config = RoundConfig(rounds=3, client_fraction=1.0, seed=21, reducer_mode="plain")
-    logs, final = run_rounds(topo, config, test_set)
-
-    weights = init_params(config.seed)
-    for t in range(1, config.rounds + 1):
-        weights = client_update(client, weights, derive_seed(config.seed, t, client.id)).weights
-    assert np.array_equal(final, weights)
-    assert len(logs) == 3
-    assert logs[-1].participants == (0,)
-
-
 def test_zero_learning_rate_freezes_round_metrics():
     topo = make_topology(n_clients=4, per_combiner=2, learning_rate=0.0)
     test_set = random_dataset(40, 16, seed=8, name="test")
@@ -345,18 +311,6 @@ def test_an_experiment_config_drives_the_rounds_and_clients_like_its_parts():
         test_set)
     assert logs_a == logs_b
     assert final_a.tobytes() == final_b.tobytes()
-
-
-def test_federation_reproducible_logs():
-    topo_a = make_topology(n_clients=4, per_combiner=2)
-    topo_b = make_topology(n_clients=4, per_combiner=2)
-    test_set = random_dataset(36, 14, seed=9, name="test")
-    config = RoundConfig(rounds=3, seed=12)
-    logs_a, final_a = run_rounds(topo_a, config, test_set)
-    logs_b, final_b = run_rounds(topo_b, config, test_set)
-    assert [l.weights_checksum for l in logs_a] == [l.weights_checksum for l in logs_b]
-    assert [l.report for l in logs_a] == [l.report for l in logs_b]
-    assert np.array_equal(final_a, final_b)
 
 
 def test_partial_participation_skips_empty_combiners():
@@ -548,3 +502,17 @@ def test_write_round_csv_layout(tmp_path):
     assert len(lines) == 3
     assert lines[1].startswith("1,")
     assert lines[1].endswith("0;1")
+
+
+def test_rounds_csv_rows_read_back_to_their_logs_values(tmp_path):
+    # Each float is written as its repr, which reads back to the same float,
+    # and kappa_pct is kappa in percent.
+    topo = make_topology(n_clients=3, per_combiner=2)
+    logs, _ = run_rounds(topo, RoundConfig(rounds=3, seed=4, client_fraction=0.7),
+                         random_dataset(30, 12, seed=2, name="test"))
+    write_rounds_csv(logs, tmp_path / "rounds.csv")
+    with open(tmp_path / "rounds.csv", newline="", encoding="utf-8") as fh:
+        rows = [(int(row[0]), *map(float, row[1:6]), row[6]) for row in list(csv.reader(fh))[1:]]
+    assert rows == [(log.round, log.report.mean_loss, log.report.accuracy_pct, log.report.kappa,
+                     log.report.kappa * 100.0, log.report.roc_auc,
+                     ";".join(map(str, log.participants))) for log in logs]

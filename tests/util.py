@@ -1,6 +1,8 @@
 """Shared fixture builders for the test suite."""
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 
@@ -12,6 +14,15 @@ from fedsmell.federation import (ClientNode, FederationTopology, ModelUpdate, Ro
                                  iter_rounds)
 from fedsmell.metrics import ConfusionMatrix
 from fedsmell.nn import HIDDEN_DIM, LAYOUT, PARAM_COUNT, Hyperparams, unflatten_params
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def child_env(**extra) -> dict:
+    """os.environ with PYTHONPATH set to the repo's src/, plus extra: the
+    environment of a child process that imports fedsmell from this tree."""
+    return {**os.environ, "PYTHONPATH": str(SRC), **extra}
 
 
 def make_dataset(features, labels, name="fixture") -> Dataset:
