@@ -193,11 +193,11 @@ def parse_config(path, kind: str | None = None, *, seed: int | None = None,
         values = _read_resolved_json(raw) if path.suffix == ".json" else _read_ini(path, raw)
         overrides = {"seed": seed, "out_dir": out_dir}
         values.update((name, value) for name, value in overrides.items() if value is not None)
-        file_kind = values.pop("kind", None)
-        if file_kind is None and kind is None:
+        if "kind" not in values and kind is None:
             raise ConfigError("missing mandatory key 'kind'")
-        if file_kind is not None and kind is not None and file_kind != kind:
+        file_kind = values.setdefault("kind", kind)
+        if kind is not None and file_kind != kind:
             raise ConfigError(f"kind {file_kind!r} does not match requested {kind!r}")
-        if not values.get("datasets"):
+        if "datasets" not in values:
             raise ConfigError("missing mandatory key 'datasets'")
-        return ExperimentConfig(kind=kind if file_kind is None else file_kind, **values)
+        return ExperimentConfig(**values)

@@ -4,6 +4,7 @@ import ast
 import contextlib
 import errno
 import fcntl
+import functools
 import hashlib
 import io
 import json
@@ -35,8 +36,9 @@ from fedsmell.experiments import (prepare_source, run_centralized, run_cross_eva
 from fedsmell.metrics import evaluate_model
 from fedsmell.nn import Hyperparams, init_params
 from fedsmell.seeds import SAMPLING_SLOT, derive_seed
-from test_cli_errors import CLI_ERRORS, write_inputs
-from util import child_env, count_training_passes, huge_column, random_dataset, synth_csv
+from test_cli_errors import CLI_ERRORS, tree, write_inputs
+from util import (child_env, count_training_passes, huge_column, line_fits_code, random_dataset,
+                  sigterm_handler_kept, synth_csv)
 
 
 def cfg_for(kind, datasets, out_dir, **overrides):
@@ -516,23 +518,6 @@ def _write_verb_ini(tmp_path, verb):
     return ini
 
 
-def test_cli_leftover_temp_entry_is_removed_never_followed(tmp_path):
-    # Each file is written under .<name>.tmp: a symlink left there must not
-    # send the write to its target, nor leave the output a link to it.
-    for verb, (_, files) in OUTPUT_FILES.items():
-        ini = _write_verb_ini(tmp_path, verb)
-        out = tmp_path / f"linked-{verb}"
-        out.mkdir()
-        for name in files:
-            (tmp_path / f"victim-{verb}-{name}").write_text("keep\n", encoding="utf-8")
-            (out / f".{name}.tmp").symlink_to(tmp_path / f"victim-{verb}-{name}")
-        assert main([verb, "--config", str(ini), "--out", str(out)]) == 0, verb
-        assert sorted(entry.name for entry in out.iterdir()) == sorted(files)
-        for name in files:
-            assert (tmp_path / f"victim-{verb}-{name}").read_text(encoding="utf-8") == "keep\n"
-            assert (out / name).is_file() and not (out / name).is_symlink(), (verb, name)
-
-
 def test_cli_fifo_at_a_temp_name_does_not_block_the_write(tmp_path):
     # Opening a FIFO with no reader for writing would block until a signal;
     # the child runs under a timeout.
@@ -545,34 +530,6 @@ def test_cli_fifo_at_a_temp_name_does_not_block_the_write(tmp_path):
     assert sorted(entry.name for entry in (tmp_path / "out").iterdir()) == [
         "a.csv", "b.csv", "config.resolved.json", "summary.json"]
     assert (tmp_path / "out" / "summary.json").is_file()
-
-
-def test_cli_entry_put_at_a_temp_name_during_the_write_is_refused(tmp_path, capsys,
-                                                                  monkeypatch):
-    # Another process may put a symlink at the temp name between the removal of
-    # a leftover entry and the write; the temp is created exclusively, so the
-    # link fails the run instead of sending the summary to its target.
-    ini = _write_verb_ini(tmp_path, "synth")
-    out, victim, planted = tmp_path / "out", tmp_path / "victim.txt", []
-    victim.write_text("keep\n", encoding="utf-8")
-    real_unlink = Path.unlink
-
-    def unlink_then_plant(self, missing_ok=False):
-        real_unlink(self, missing_ok=missing_ok)
-        if self.name == ".summary.json.tmp" and not planted:
-            planted.append(self)
-            self.symlink_to(victim)
-
-    monkeypatch.setattr(Path, "unlink", unlink_then_plant)
-    assert main(["synth", "--config", str(ini), "--out", str(out)]) == 2
-    assert planted
-    err = capsys.readouterr().err
-    assert err.startswith(f"CONFIG_ERROR: cannot write outputs to {out}: [Errno 17] "), err
-    assert len(err.splitlines()) == 1, err
-    assert victim.read_text(encoding="utf-8") == "keep\n"
-    assert sorted(entry.name for entry in out.iterdir()) == ["a.csv", "b.csv",
-                                                             "config.resolved.json"]
-    assert not any(entry.is_symlink() for entry in out.iterdir())
 
 
 def _operations(verb):
@@ -589,15 +546,26 @@ def _operations(verb):
 
 # The faults tried at each operation. A write fails or is stopped part way. Any other
 # operation fails with ENOSPC once, or on every later call on its file too, or is stopped
-# before it and, if it changes the directory, right after it.
+# before it and, if it changes the directory, right after it. The lock is also found held
+# by another run, and right after the first removal of each temp name a symlink to a file
+# outside out_dir is put there.
 OTHERS = ("ENOSPC", "persistent", "interrupt-before")
-FAULTS = {"write": ("ENOSPC", "interrupt"), "mkdir": OTHERS, "open": OTHERS, "flock": OTHERS,
-          "unlink": OTHERS + ("interrupt-after",), "replace": OTHERS + ("interrupt-after",)}
+FAULTS = {"write": ("ENOSPC", "interrupt"), "mkdir": OTHERS, "open": OTHERS,
+          "flock": OTHERS + ("held",), "unlink": OTHERS + ("interrupt-after",),
+          "replace": OTHERS + ("interrupt-after",)}
 SWEEP = [pytest.param(verb, point, fault, id="-".join((
              verb, operation + ("2" if (operation, name) in ops[:point] else ""), name, fault)))
          for verb in OUTPUT_FILES for ops in [_operations(verb)]
-         for point, (operation, name) in enumerate(ops) for fault in FAULTS[operation]]
+         for point, (operation, name) in enumerate(ops) for fault in FAULTS[operation] + (
+             ("plant",) if name.endswith(".tmp") and (operation, name) not in ops[:point] else ())]
 NO_SPACE = (errno.ENOSPC, "No space left on device")
+INTERRUPTED = "INTERRUPTED: stopped by a signal before the run finished\n"
+# The line each fault that is not a stop ends the run with; {} is the faulted file's name.
+LINES = {**dict.fromkeys(("ENOSPC", "persistent"), r"CONFIG_ERROR: cannot [a-z ]+ out: "
+                         r"\[Errno 28\] No space left on device\n"),
+         "held": "CONFIG_ERROR: output directory out is in use by another run\n",
+         "plant": r"CONFIG_ERROR: cannot write outputs to out: \[Errno 17\] File exists: "
+                  r"'out/{}'\n"}
 
 
 class _FailingFile:
@@ -621,12 +589,33 @@ class _FailingFile:
         return _FailingFile(self.fh.buffer, self.fault)
 
 
-def _rerun(monkeypatch, directory, verb, ini, before, point=None, fault=None):
-    """Run `verb` at seed 1 into a copy of the finished run `before` at directory/out, record
-    each file operation under it, and apply `fault` at index `point`: (exit code, record)."""
-    shutil.copytree(before, directory / "out")
-    monkeypatch.chdir(directory)
-    out, done = Path.cwd() / "out", []
+@functools.cache
+def _main_lines():
+    """From the AST of cli.main: its `try:` and `return <constant>` lines, and the lines of
+    its `finally:` blocks."""
+    module = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    [main_def] = [node for node in module.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "main"]
+    nodes = list(ast.walk(main_def))
+    tries = [node for node in nodes if isinstance(node, ast.Try)]
+    return {node.lineno for node in nodes if isinstance(node, ast.Try) or (
+        isinstance(node, ast.Return) and isinstance(node.value, ast.Constant))}, {
+        line for node in tries for statement in node.finalbody
+        for line in range(statement.lineno, statement.end_lineno + 1)}
+
+
+def _rerun(directory, verb, ini, before, point=None, fault=None, stop=None):
+    """Run `verb` at seed 1 into a copy of the finished run `before` at directory/out, with a
+    Python SIGTERM handler set that main must put back and a file directory/victim that no
+    write may reach. Record each file operation under out and apply `fault` at index `point`
+    of them. Trace cli.main and, with `stop` given, stop the run at the first execution of
+    its line `stop`: (exit code, or "escaped" for a stop main let out, the operations, main's
+    lines in run order)."""
+    shutil.rmtree(directory / "out", ignore_errors=True)
+    shutil.copytree(before, directory / "out", symlinks=True)
+    victim = directory / "victim"
+    victim.write_text("keep\n", encoding="utf-8")
+    done, ran = [], []
 
     def hit(operation, path):  # whether this is the faulted operation
         done.append((operation, Path(path).name))
@@ -642,10 +631,14 @@ def _rerun(monkeypatch, directory, verb, ini, before, point=None, fault=None):
                 return real(*args, **kwargs)
             if fault == "interrupt-before":
                 raise KeyboardInterrupt
-            if fault != "interrupt-after":
+            if fault in ("ENOSPC", "persistent"):
                 raise OSError(*NO_SPACE)
-            real(*args, **kwargs)
-            raise KeyboardInterrupt
+            result = real(*args, **kwargs)  # a held lock makes the flock fail by itself
+            if fault == "plant":
+                Path(path).symlink_to(victim)
+            if fault == "interrupt-after":
+                raise KeyboardInterrupt
+            return result
         return call
 
     def write_output(path, write):
@@ -655,19 +648,51 @@ def _rerun(monkeypatch, directory, verb, ini, before, point=None, fault=None):
             write(fh)
         errors.write_output(path, recorded)
 
-    for module in (datamod, nn, experiments):
-        monkeypatch.setattr(module, "write_output", write_output)
-    monkeypatch.setattr(Path, "mkdir", wrap("mkdir", Path.mkdir, lambda path, *_: path))
-    monkeypatch.setattr(os, "open", wrap("open", os.open, lambda path, *_: path))
-    monkeypatch.setattr(fcntl, "flock", wrap("flock", fcntl.flock, lambda fd, _: out if (
-        os.path.samestat(os.fstat(fd), os.stat(out))) else None))
-    monkeypatch.setattr(Path, "unlink", wrap("unlink", Path.unlink, lambda path, *_: path))
-    monkeypatch.setattr(os, "replace", wrap("replace", os.replace, lambda _, path, *__: path))
-    return main([verb, "--config", str(ini), "--out", "out", "--seed", "1"]), done
+    def trace(frame, event, arg):
+        if frame.f_code is not cli.main.__code__:
+            return None
+        if event == "line" and frame.f_lineno not in ran:
+            ran.append(frame.f_lineno)
+            if frame.f_lineno == stop:
+                raise KeyboardInterrupt
+        return trace
+
+    with pytest.MonkeyPatch.context() as patch, sigterm_handler_kept(stop in _main_lines()[1]):
+        patch.chdir(directory)
+        out = Path.cwd() / "out"
+        if fault == "held":  # another run's lock, held until this run ends
+            held = os.open(out, os.O_RDONLY)
+            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        for module in (datamod, nn, experiments):
+            patch.setattr(module, "write_output", write_output)
+        patch.setattr(Path, "mkdir", wrap("mkdir", Path.mkdir, lambda path, *_: path))
+        patch.setattr(os, "open", wrap("open", os.open, lambda path, *_: path))
+        patch.setattr(fcntl, "flock", wrap("flock", fcntl.flock, lambda fd, _: out if (
+            os.path.samestat(os.fstat(fd), os.stat(out))) else None))
+        patch.setattr(Path, "unlink", wrap("unlink", Path.unlink, lambda path, *_: path))
+        patch.setattr(os, "replace", wrap("replace", os.replace, lambda _, path, *__: path))
+        outer = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            code = main([verb, "--config", str(ini), "--out", "out", "--seed", "1"])
+        except KeyboardInterrupt:
+            code = "escaped"
+        finally:
+            sys.settrace(outer)
+            if fault == "held":
+                os.close(held)
+    assert victim.read_text(encoding="utf-8") == "keep\n"
+    return code, done, ran
 
 
-def _files(directory):
-    return {entry.name: entry.read_bytes() for entry in directory.iterdir()}
+def _earlier_or_whole(directory, fresh, earlier, kept=None):
+    """Whether directory/out ends as the README's Outputs section says: the earlier run,
+    untouched, or whole files of this run and no temp file nor link, summary.json last,
+    beside at most the earlier run's file `kept`, which a persistent fault kept."""
+    left, whole, before = tree(directory / "out"), tree(fresh), tree(earlier)
+    return left in (before, whole) or "summary.json" not in left and all(
+        (name, data) in whole.items() or name == kept and (name, data) in before.items()
+        for name, data in left.items())
 
 
 @pytest.fixture(scope="module")
@@ -685,92 +710,60 @@ def finished_runs(tmp_path_factory):
     return runs
 
 
-@pytest.mark.parametrize("before", ["own", "federated"])
+@pytest.mark.parametrize("before", ["own", "federated", "linked"])
 @pytest.mark.parametrize("verb", OUTPUT_FILES)
-def test_rerun_into_a_finished_run_leaves_exactly_a_fresh_runs_files(tmp_path, monkeypatch,
-                                                                     finished_runs, verb, before):
-    # Into a finished run of its verb at seed 2, or of a federated run, a seed-1 run makes
-    # the listed operations and leaves exactly a seed-1 run's files made elsewhere, byte for
-    # byte: no earlier file survives, and each output depends on the config and seed alone.
+def test_rerun_into_a_finished_run_leaves_exactly_a_fresh_runs_files(tmp_path, finished_runs,
+                                                                     verb, before):
+    # Into a finished run of its verb at seed 2, of a federated run, or of its verb with a
+    # symlink left at each temp name, a seed-1 run makes the listed operations and leaves
+    # exactly a seed-1 run's files made elsewhere, byte for byte: no earlier file survives,
+    # no link is followed or kept, and each output depends on the config and seed alone.
     ini, fresh, earlier = finished_runs[verb]
-    assert sorted(_files(fresh)) == sorted(OUTPUT_FILES[verb][1])
-    assert not _files(fresh).items() & _files(earlier).items()  # the sweep tells them apart
-    before = earlier if before == "own" else finished_runs["federated"][2]
-    assert _rerun(monkeypatch, tmp_path, verb, ini, before) == (0, _operations(verb))
-    assert _files(tmp_path / "out") == _files(fresh)
+    assert sorted(tree(fresh)) == sorted(OUTPUT_FILES[verb][1])
+    assert not tree(fresh).items() & tree(earlier).items()  # the sweep tells them apart
+    if before == "linked":
+        shutil.copytree(earlier, tmp_path / "linked")
+        for name in OUTPUT_FILES[verb][1]:
+            (tmp_path / "linked" / f".{name}.tmp").symlink_to(tmp_path / "victim")
+    before = {"own": earlier, "federated": finished_runs["federated"][2],
+              "linked": tmp_path / "linked"}[before]
+    assert _rerun(tmp_path, verb, ini, before)[:2] == (0, _operations(verb))
+    assert tree(tmp_path / "out") == tree(fresh)
 
 
 @pytest.mark.parametrize("verb, point, fault", SWEEP)
 def test_cli_file_operation_fault_leaves_the_earlier_run_or_whole_files(
-        tmp_path, capsys, monkeypatch, finished_runs, verb, point, fault):
-    # ALICE's crash-point sweep: each file operation of a rerun into a finished run fails
-    # or is stopped in turn. The run ends with its one line, closes what it opened and
-    # leaves no temp file, and out_dir holds the earlier run, untouched, or whole files of
-    # this one, summary.json last, beside at most the earlier file a persistent fault kept.
+        tmp_path, capsys, finished_runs, verb, point, fault):
+    # ALICE's crash-point sweep: each file operation of a rerun into a finished run fails,
+    # is stopped, finds out_dir locked by another run or has a link put at its temp name,
+    # in turn. The run ends with its one line and closes what it opened. A held lock leaves
+    # the earlier run untouched, a link exactly the files replaced before its write, and any
+    # other fault leaves out_dir as the README says.
     ini, fresh, earlier = finished_runs[verb]
     fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
     capsys.readouterr()
-    code, done = _rerun(monkeypatch, tmp_path, verb, ini, earlier, point, fault)
+    code, done, _ = _rerun(tmp_path, verb, ini, earlier, point, fault)
     assert done[:point + 1] == _operations(verb)[:point + 1]  # the fault hit its operation
     assert fds is None or len(os.listdir("/proc/self/fd")) == fds
     out, err = capsys.readouterr()
-    stopped = "interrupt" in fault
+    stopped, name = "interrupt" in fault, done[point][1]
     assert (code, out) == (130 if stopped else 2, "")
-    assert re.fullmatch(r"INTERRUPTED: stopped by a signal before the run finished\n" if stopped
-                        else r"CONFIG_ERROR: cannot [a-z ]+ out: \[Errno 28\] No space left on "
-                        r"device\n", err), err
-    left, whole, kept = _files(tmp_path / "out"), _files(fresh), _files(earlier)
-    assert not any(name.endswith(".tmp") for name in left)
-    if left not in (kept, whole):
-        assert "summary.json" not in left
-        for name, data in left.items():
-            assert data == whole.get(name) or (fault == "persistent" and name == done[point][1]
-                                               and data == kept.get(name)), name
-
-
-def _main_lines():
-    """From the AST of cli.main: its `try:` and `return <constant>` lines, and the lines of
-    its `finally:` blocks."""
-    module = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
-    [main_def] = [node for node in module.body
-                  if isinstance(node, ast.FunctionDef) and node.name == "main"]
-    nodes = list(ast.walk(main_def))
-    tries = [node for node in nodes if isinstance(node, ast.Try)]
-    return {node.lineno for node in nodes if isinstance(node, ast.Try) or (
-        isinstance(node, ast.Return) and isinstance(node.value, ast.Constant))}, {
-        line for node in tries for statement in node.finalbody
-        for line in range(statement.lineno, statement.end_lineno + 1)}
-
-
-def _stopped_rerun(directory, verb, ini, earlier, stop=None):
-    """A seed-1 `verb` rerun into a copy of `earlier` at directory/out, stopped at the first
-    execution of line `stop` of cli.main: (exit code or "escaped", main's lines in run order)."""
-    shutil.rmtree(directory / "out", ignore_errors=True)
-    shutil.copytree(earlier, directory / "out")
-    ran, outer = [], sys.gettrace()
-
-    def trace(frame, event, arg):
-        if frame.f_code is not cli.main.__code__:
-            return None
-        if event == "line" and frame.f_lineno not in ran:
-            ran.append(frame.f_lineno)
-            if frame.f_lineno == stop:
-                raise KeyboardInterrupt
-        return trace
-
-    sys.settrace(trace)
-    try:
-        code = main([verb, "--config", str(ini), "--out", "out", "--seed", "1"])
-    except KeyboardInterrupt:
-        code = "escaped"
-    finally:
-        sys.settrace(outer)
-    return code, ran
+    assert (err == INTERRUPTED) if stopped else re.fullmatch(
+        LINES[fault].format(re.escape(name)), err), err
+    left = tree(tmp_path / "out")
+    if fault == "held":
+        assert left == tree(earlier)
+    elif fault == "plant":
+        assert left == {entry: data for entry, data in tree(fresh).items() if (
+            "replace", entry) in _operations(verb)[:point]}
+    else:
+        assert _earlier_or_whole(tmp_path, fresh, earlier,
+                                 name if fault == "persistent" else None)
 
 
 @pytest.mark.parametrize("verb", OUTPUT_FILES)
-def test_cli_stop_on_any_line_of_main_ends_with_one_line(tmp_path, capsys, monkeypatch,
-                                                        finished_runs, verb):
+def test_cli_stop_on_any_line_of_main_ends_with_one_line(tmp_path, capsys, finished_runs,
+                                                        verb):
     # A signal's KeyboardInterrupt may surface on any line. A rerun into a finished run is
     # stopped at the first execution of each line of cli.main in turn, and must end as a
     # stop in the crash-point sweep does, with the SIGTERM handler main found, unless the
@@ -778,27 +771,14 @@ def test_cli_stop_on_any_line_of_main_ends_with_one_line(tmp_path, capsys, monke
     # not tried: CPython takes no signal at its NOP, or at its LOAD_CONST and RETURN_VALUE,
     # which 3.11 puts outside every handler, so a trace-made stop there escapes any layout.
     ini, fresh, earlier = finished_runs[verb]
-    untried, restoring = _main_lines()
-    monkeypatch.chdir(tmp_path)
-    code, ran = _stopped_rerun(tmp_path, verb, ini, earlier)
-    assert code == 0 and _files(tmp_path / "out") == _files(fresh)
-    found, whole, kept = signal.getsignal(signal.SIGTERM), _files(fresh), _files(earlier)
-    failures = []
+    untried, _ = _main_lines()
+    code, _, ran = _rerun(tmp_path, verb, ini, earlier)
+    assert code == 0 and tree(tmp_path / "out") == tree(fresh)
     for line in (line for line in ran if line not in untried):
         capsys.readouterr()
-        code, _ = _stopped_rerun(tmp_path, verb, ini, earlier, stop=line)
-        err, left = capsys.readouterr().err, _files(tmp_path / "out")
-        if (handler := signal.getsignal(signal.SIGTERM)) is not found:
-            signal.signal(signal.SIGTERM, found)
-        if (code, err) != (130, "INTERRUPTED: stopped by a signal before the run finished\n"):
-            failures.append((line, code, err))
-        elif any(name.endswith(".tmp") for name in left) or left not in (kept, whole) and (
-                "summary.json" in left or any(data != whole.get(name)
-                                              for name, data in left.items())):
-            failures.append((line, sorted(left)))
-        elif handler is not found and line not in restoring:
-            failures.append((line, handler))
-    assert failures == []
+        code, _, _ = _rerun(tmp_path, verb, ini, earlier, stop=line)
+        assert (code, capsys.readouterr().err) == (130, INTERRUPTED), line
+        assert _earlier_or_whole(tmp_path, fresh, earlier), line
 
 
 def test_cli_bom_prefixed_csv_runs_like_its_plain_copy(tmp_path, capsys):
@@ -825,8 +805,8 @@ SPAN_MUTATIONS = st.lists(st.tuples(st.integers(0, 2 ** 31), st.integers(0, 40),
 @settings(derandomize=True, max_examples=200,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.one_of(SPAN_MUTATIONS, st.binary(max_size=400)))
-def test_cli_fuzzed_dataset_bytes_exit_cleanly_with_at_most_one_line(tmp_path, capsys,
-                                                                     mutation):
+def test_cli_fuzzed_dataset_bytes_end_silently_or_with_the_line_of_their_exit_code(
+        tmp_path, capsys, mutation):
     path = tmp_path / "fuzz.csv"
     save_csv(random_dataset(24, 12, seed=5), path)
     content = path.read_bytes()
@@ -839,8 +819,7 @@ def test_cli_fuzzed_dataset_bytes_exit_cleanly_with_at_most_one_line(tmp_path, c
     path.write_bytes(content)
     code = run_cli_centralized(tmp_path, "fuzz", path)
     err = capsys.readouterr().err
-    assert code in (0, 2, 3, 4), err
-    assert len(err.splitlines()) <= 1, err
+    assert code in (0, 2, 3, 4) and line_fits_code(code, err), (code, err)
 
 
 # A federated run that marks its first client update with a file named
@@ -880,44 +859,22 @@ def test_cli_signal_while_training_ends_with_one_interrupted_line(tmp_path, sign
                         + proc.communicate(timeout=60)[1])
         finally:
             proc.kill()
-    assert proc.returncode == 130, err
-    assert err.startswith("INTERRUPTED: ") and len(err.splitlines()) == 1, err
+    assert proc.returncode == 130 and line_fits_code(130, err), err
     # The stop leaves no summary.json and no temp file.
     assert {entry.name for entry in (tmp_path / "out").iterdir()} <= {"config.resolved.json",
                                                                      "rounds.csv", "model.fwv"}
 
 
-def test_cli_main_leaves_the_sigterm_handler_as_it_found_it(tmp_path, capsys, monkeypatch):
-    def own_handler(signum, frame):
-        pass
-
-    def interrupted(cfg):
-        assert signal.getsignal(signal.SIGTERM) is signal.default_int_handler
-        raise KeyboardInterrupt
-
-    ini = _write_verb_ini(tmp_path, "centralized")
-    previous = signal.signal(signal.SIGTERM, own_handler)
-    try:
-        assert main(["centralized", "--config", str(ini), "--out", str(tmp_path / "a")]) == 0
-        assert signal.getsignal(signal.SIGTERM) is own_handler
-        assert main(["centralized", "--config", str(tmp_path / "none.ini")]) == 2
-        assert signal.getsignal(signal.SIGTERM) is own_handler
-        # Off the main thread no handler can be set, so main leaves it alone.
-        synth, returned = _write_verb_ini(tmp_path, "synth"), []
-        worker = threading.Thread(target=lambda: returned.append(
-            main(["synth", "--config", str(synth), "--out", str(tmp_path / "c")])))
+def test_cli_main_leaves_the_sigterm_handler_as_it_found_it(tmp_path):
+    # Off the main thread no handler can be set, so main leaves it alone. On the main thread
+    # each rerun of the crash-point sweep and each CLI_ERRORS row checks that it puts it back.
+    synth, returned = _write_verb_ini(tmp_path, "synth"), []
+    worker = threading.Thread(target=lambda: returned.append(
+        main(["synth", "--config", str(synth), "--out", str(tmp_path / "c")])))
+    with sigterm_handler_kept():
         worker.start()
         worker.join(timeout=60)
-        assert not worker.is_alive() and returned == [0]
-        assert signal.getsignal(signal.SIGTERM) is own_handler
-        monkeypatch.setattr(cli, "run_experiment", interrupted)
-        assert main(["centralized", "--config", str(ini), "--out", str(tmp_path / "b")]) == 130
-        assert signal.getsignal(signal.SIGTERM) is own_handler
-    finally:
-        signal.signal(signal.SIGTERM, previous)
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 2 and err[0].startswith("CONFIG_ERROR: ") and err[1].startswith(
-        "INTERRUPTED: "), err
+    assert not worker.is_alive() and returned == [0]
 
 
 @pytest.mark.parametrize("stdout", ["/dev/full", "a pipe with its read end closed"])
@@ -935,9 +892,8 @@ def test_cli_unwritable_stdout_ends_a_finished_run_with_one_config_error_line(tm
     (tmp_path / "s.ini").write_text("[experiment]\ndatasets = a\n[synth]\nsamples = 20\n",
                                     encoding="utf-8")
     try:
-        proc = subprocess.run([sys.executable, "-m", "fedsmell.cli", "synth", "--config", "s.ini",
-                               "--out", "out"], cwd=tmp_path, env=child_env(), stdout=fd,
-                              stderr=subprocess.PIPE, text=True, timeout=60)
+        proc = run_cli_process(tmp_path, ["synth", "--config", "s.ini", "--out", "out"],
+                               stdout=fd, stderr=subprocess.PIPE, text=True)
     finally:
         os.close(fd)
     assert proc.returncode == 2, proc.stderr
@@ -1027,24 +983,6 @@ def test_cli_input_that_is_not_a_regular_file_is_one_error_line(tmp_path, what, 
     assert proc.returncode == code, proc.stderr
     assert proc.stderr == f"{label}: {what} {name}: cannot read: {name} is not a regular file\n"
     assert proc.stdout == ""
-
-
-def test_cli_run_into_a_directory_another_run_holds_exits_2_and_changes_nothing(tmp_path,
-                                                                                capsys):
-    ini = _write_verb_ini(tmp_path, "federated")
-    out = tmp_path / "out"
-    assert main(["federated", "--config", str(ini), "--out", str(out)]) == 0
-    before = {entry.name: entry.read_bytes() for entry in out.iterdir()}
-    capsys.readouterr()
-    held = os.open(out, os.O_RDONLY)
-    try:
-        fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        assert main(["federated", "--config", str(ini), "--out", str(out), "--seed", "8"]) == 2
-    finally:
-        os.close(held)
-    assert capsys.readouterr() == ("", f"CONFIG_ERROR: output directory {out} is in use by "
-                                       "another run\n")
-    assert {entry.name: entry.read_bytes() for entry in out.iterdir()} == before
 
 
 def test_no_two_stages_of_a_run_draw_the_same_stream(tmp_path, monkeypatch):

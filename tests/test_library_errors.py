@@ -206,6 +206,14 @@ LIBRARY_ERRORS = {
                                        "missing mandatory key 'kind'"),
     "parse-config-no-datasets": config_row("[experiment]\nkind = centralized\n",
                                            "missing mandatory key 'datasets'"),
+    "parse-config-empty-datasets": config_row("[experiment]\nkind = centralized\ndatasets =\n",
+                                              "datasets must list between 1 and 3 entries"),
+    "parse-config-json-datasets-false": config_row(
+        '{"kind": "centralized", "datasets": false}',
+        "bad value for datasets: False (expected a list of str)", "bad.json"),
+    "parse-config-json-kind-null": config_row('{"kind": null, "datasets": ["a.csv"]}',
+                                              "bad value for kind: None (expected str)",
+                                              "bad.json"),
     "parse-config-kind-mismatch": config_row(
         MINIMAL, "kind 'centralized' does not match requested 'federated'", kind="federated"),
     "parse-config-combiner-clients-sum": config_row(

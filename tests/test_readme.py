@@ -27,9 +27,9 @@ CHECKED_ELSEWHERE = {
     "DATA_ERROR: dataset <path>: cannot read: <path> is not a regular file":
         "test_cli_input_that_is_not_a_regular_file_is_one_error_line",
     "CONFIG_ERROR: output directory <out> is in use by another run":
-        "test_cli_run_into_a_directory_another_run_holds_exits_2_and_changes_nothing",
+        "test_cli_file_operation_fault_leaves_the_earlier_run_or_whole_files",
     "CONFIG_ERROR: cannot write outputs to <out>: ...":
-        "test_cli_entry_put_at_a_temp_name_during_the_write_is_refused",
+        "test_cli_file_operation_fault_leaves_the_earlier_run_or_whole_files",
     "CONFIG_ERROR: cannot write to stdout: <reason>":
         "test_cli_unwritable_stdout_ends_a_finished_run_with_one_config_error_line",
 }

@@ -2,6 +2,8 @@
 
 import math
 import os
+import signal
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,7 @@ import numpy as np
 from fedsmell import experiments, federation
 from fedsmell.config import ExperimentConfig
 from fedsmell.data import NUM_FEATURES, Dataset, domain_shift, save_csv, synth_generate
-from fedsmell.errors import ConfigError, DataError
+from fedsmell.errors import ConfigError, DataError, NumericError
 from fedsmell.federation import (ClientNode, FederationTopology, ModelUpdate, RoundConfig,
                                  iter_rounds)
 from fedsmell.metrics import ConfusionMatrix
@@ -50,6 +52,36 @@ CHECKED_CLASSES = (
     (FederationTopology, DataError, {"combiners": (0,), "clients": (ClientNode(**_CLIENT),)}),
     (ConfusionMatrix, DataError, {"tp": 1, "tn": 1, "fp": 0, "fn": 0}),
 )
+
+
+# The label that starts the one stderr line of each nonzero exit code; 130 is a stop.
+LABELS = {**{cls.exit_code: cls.label for cls in (ConfigError, DataError, NumericError)},
+          130: "INTERRUPTED"}
+
+
+def line_fits_code(code, err: str) -> bool:
+    """Whether a CLI run's stderr is what its exit code says: nothing for 0, else one
+    line that starts with the code's label."""
+    if code == 0:
+        return err == ""
+    return (code in LABELS and err.startswith(f"{LABELS[code]}: ") and err.endswith("\n")
+            and len(err.splitlines()) == 1)
+
+
+def _own_handler(signum, frame):
+    pass
+
+
+@contextmanager
+def sigterm_handler_kept(exempt=False):
+    """Run the block with a Python SIGTERM handler set and check that the block puts it
+    back, unless `exempt`; the handler found before the block is restored either way."""
+    found = signal.signal(signal.SIGTERM, _own_handler)
+    try:
+        yield
+    finally:
+        handler = signal.signal(signal.SIGTERM, found)
+    assert exempt or handler is _own_handler, handler
 
 
 def run_rounds(topology, config, test_set):
